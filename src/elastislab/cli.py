@@ -167,6 +167,12 @@ def validate(cfg: RunConfig) -> None:
     if min(cfg.n1, cfg.n2) < 4 or cfg.nz < 3:
         bad.append(f"grid: need n1, n2 >= 4 and nz >= 3, "
                    f"got {cfg.n1}x{cfg.n2}x{cfg.nz}")
+    if cfg.n1 % 2 or cfg.n2 % 2:
+        bad.append(f"grid: n1 and n2 must be even, "
+                   f"got {cfg.n1}x{cfg.n2}x{cfg.nz}")
+    for name in _FLOAT_KEYS:
+        if not np.isfinite(getattr(cfg, name)):
+            bad.append(f"{name}: must be finite, got {getattr(cfg, name)}")
     for name, lo in (("eps", 0.0), ("c0", 0.0), ("amplitude", 0.0),
                      ("stretch", 0.0), ("dt", 0.0), ("snapshot_interval", 0.0)):
         if getattr(cfg, name) < lo:

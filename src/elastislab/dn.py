@@ -25,11 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import elliptic as el
+from .elliptic import DEFAULT_TOL
 from .errors import NotMeanZero, SolverDiverged
 from .geometry import CoordinateMap, mapped_gradient, normal_vector, tangent_vectors
-from .spectral import horizontal_derivative, wavenumbers
-
-DEFAULT_TOL = 1e-10
+from .spectral import _ksq, horizontal_derivative
 
 __all__ = [
     "apply_dn",
@@ -47,17 +46,12 @@ def _symbol_apply(g: np.ndarray, symbol: np.ndarray) -> np.ndarray:
     return np.fft.irfft2(np.fft.rfft2(g) * symbol, s=(n1, n2))
 
 
-def _kappa(n1: int, n2: int) -> np.ndarray:
-    k1, k2 = wavenumbers(n1, n2)
-    return np.sqrt(k1 * k1 + k2 * k2)
-
-
 def apply_dn(g: np.ndarray, cmap: CoordinateMap, via_solver: bool = False,
              tol: float = DEFAULT_TOL) -> np.ndarray:
     """Interface flux of the floor-clamped harmonic extension of g."""
     g = np.asarray(g, dtype=float)
     if cmap.is_flat and not via_solver:
-        return _symbol_apply(g, el.dn_symbol_dirichlet(_kappa(*g.shape)))
+        return _symbol_apply(g, el.dn_symbol_dirichlet(np.sqrt(_ksq(*g.shape))))
     u = el.harmonic_ext_dirichlet(g, cmap, via_solver=True, tol=tol)
     return el.boundary_flux_top(u, cmap)
 
@@ -67,7 +61,7 @@ def apply_dn_neumann(g: np.ndarray, cmap: CoordinateMap, via_solver: bool = Fals
     """Interface flux of the free-floor harmonic extension of g."""
     g = np.asarray(g, dtype=float)
     if cmap.is_flat and not via_solver:
-        return _symbol_apply(g, el.dn_symbol_neumann(_kappa(*g.shape)))
+        return _symbol_apply(g, el.dn_symbol_neumann(np.sqrt(_ksq(*g.shape))))
     u = el.harmonic_ext_neumann(g, cmap, via_solver=True, tol=tol)
     return el.boundary_flux_top(u, cmap)
 
@@ -96,19 +90,15 @@ def invert_dn_neumann(h: np.ndarray, cmap: CoordinateMap,
         return np.zeros_like(h)
     if abs(float(np.mean(h))) > 1e-8 * float(np.max(np.abs(h))):
         raise NotMeanZero(f"flux datum has mean {np.mean(h):.3e}")
-    kappa = _kappa(*h.shape)
-    if cmap.is_flat:
-        sym = el.dn_symbol_neumann(kappa)
-        inv = np.where(sym > 0, 1.0 / np.where(sym > 0, sym, 1.0), 0.0)
-        z = _symbol_apply(h, inv)
-        return z - z.mean()
-
-    sym = el.dn_symbol_neumann(kappa)
+    sym = el.dn_symbol_neumann(np.sqrt(_ksq(*h.shape)))
     inv = np.where(sym > 0, 1.0 / np.where(sym > 0, sym, 1.0), 0.0)
 
     def precond(r):
         z = _symbol_apply(r, inv)
         return z - z.mean()
+
+    if cmap.is_flat:
+        return precond(h)
 
     def apply(zz):
         out = apply_dn_neumann(zz, cmap, tol=0.01 * tol)

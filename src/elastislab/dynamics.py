@@ -33,6 +33,7 @@ from .errors import (
 from .geometry import (
     CoordinateMap,
     SlabGrid,
+    _node_to_cell,
     bottom_trace,
     build_map,
     map_time_derivative,
@@ -41,11 +42,10 @@ from .geometry import (
     thomas_batched,
     trace,
 )
-from .spectral import InterfaceField, horizontal_derivative, mollify, remove_mean
+from .spectral import horizontal_derivative, mollify, remove_mean
 from .elliptic import (
     DEFAULT_TOL,
     _metric_apply,
-    apply_operator,
     boundary_flux_top,
     grad_adjoint,
     grad_staggered,
@@ -53,6 +53,7 @@ from .elliptic import (
     poisson_dirichlet,
     solve_weak,
     volume_load,
+    volume_weights,
 )
 from .dn import apply_dn, invert_dn_neumann, material_dn_commutator
 
@@ -158,9 +159,6 @@ class FlowState:
     def grid(self) -> SlabGrid:
         return self.cmap.grid
 
-    def interface(self) -> InterfaceField:
-        return InterfaceField(self.f.copy())
-
     def with_fields(self, t, f, u, F) -> "FlowState":
         return FlowState(t, f, u, F, self.eps, self.s, self.c0,
                          self.regions, self.grid)
@@ -175,10 +173,6 @@ def kinematic_rate(state: FlowState) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # weak divergence and projections
-
-
-def _cell_average(w: np.ndarray) -> np.ndarray:
-    return 0.5 * (w[..., :-1] + w[..., 1:])
 
 
 def _piola_cell(cmap: CoordinateMap, v1, v2, v3):
@@ -207,7 +201,7 @@ def weak_div_load(v: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
     exactly annihilated on any map.
     """
     grid = cmap.grid
-    m1, m2, m3 = _piola_cell(cmap, *(_cell_average(v[a]) for a in range(3)))
+    m1, m2, m3 = _piola_cell(cmap, *(_node_to_cell(v[a]) for a in range(3)))
     w = grid.h1 * grid.h2 * grid.dz
     b = -grad_adjoint(w * m1, w * m2, w * m3, grid)
     area = grid.h1 * grid.h2
@@ -220,11 +214,7 @@ def weak_div_load(v: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
 
 def divergence_field(v: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
     """Nodal divergence estimate: the weak load scaled back to a density."""
-    grid = cmap.grid
-    w = np.full(grid.nz, grid.dz)
-    w[0] = w[-1] = 0.5 * grid.dz
-    return weak_div_load(v, cmap) / (grid.h1 * grid.h2 * w[None, None, :]
-                                     * cmap.jac)
+    return weak_div_load(v, cmap) / volume_weights(cmap)
 
 
 def divergence_residual(v: np.ndarray, cmap: CoordinateMap) -> float:
@@ -307,9 +297,9 @@ def _gradient_correction(cmap: CoordinateMap, psi: np.ndarray):
     q1, q2, q3 = _correction_cells(cmap, psi)
     g = mapped_gradient(psi, cmap)
     corr = np.empty((3,) + psi.shape)
-    corr[0] = g[0] + _minnorm_lift(q1 - _cell_average(g[0]))
-    corr[1] = g[1] + _minnorm_lift(q2 - _cell_average(g[1]))
-    corr[2] = g[2] + _anchored_lift(q3 - _cell_average(g[2]),
+    corr[0] = g[0] + _minnorm_lift(q1 - _node_to_cell(g[0]))
+    corr[1] = g[1] + _minnorm_lift(q2 - _node_to_cell(g[1]))
+    corr[2] = g[2] + _anchored_lift(q3 - _node_to_cell(g[2]),
                                     -bottom_trace(g[2]), "bottom")
     return corr
 
@@ -472,9 +462,9 @@ def bulk_rhs(state: FlowState, pressure: PressurePieces | None = None,
     moves the grid with its own interface velocity).
     """
     cmap = state.cmap
-    if pressure is None:
-        pressure = assemble_pressure(state, tol=tol)
     du, dF = _gradient_stack(state)
+    if pressure is None:
+        pressure = assemble_pressure(state, tol=tol, gradients=(du, dF))
     dp = mapped_gradient(pressure.total, cmap)
     dtf = kinematic_rate(state) if dtf_override is None else dtf_override
     dtphi = map_time_derivative(cmap, dtf)
@@ -667,11 +657,11 @@ def material_pressure_derivative(state: FlowState,
     """
     cmap = state.cmap
     grid = state.grid
+    du, dF = _gradient_stack(state)
     if pressure is None:
-        pressure = assemble_pressure(state, tol=tol)
+        pressure = assemble_pressure(state, tol=tol, gradients=(du, dF))
     p = pressure.total
     u, F = state.u, state.F
-    du, dF = _gradient_stack(state)
     dp = mapped_gradient(p, cmap)
     ddp = np.stack([mapped_gradient(dp[a], cmap) for a in range(3)])
     ddu = np.stack([
@@ -783,16 +773,17 @@ def _advance(state: FlowState, h: float, rate) -> FlowState:
                              state.u + h * du, state.F + h * dF)
 
 
-def _rk4(state: FlowState, dt: float, rhs):
-    k1 = rhs(state)
-    k2 = rhs(_advance(state, 0.5 * dt, k1))
-    k3 = rhs(_advance(state, 0.5 * dt, k2))
-    k4 = rhs(_advance(state, dt, k3))
+def _rk4(y, dt: float, rhs, advance):
+    """Classical RK4 over a tuple-valued rate; advance(y, h, k) = y + h k."""
+    k1 = rhs(y)
+    k2 = rhs(advance(y, 0.5 * dt, k1))
+    k3 = rhs(advance(y, 0.5 * dt, k2))
+    k4 = rhs(advance(y, dt, k3))
     comb = tuple(
         (a + 2.0 * b + 2.0 * c + d) / 6.0
         for a, b, c, d in zip(k1, k2, k3, k4)
     )
-    return _advance(state, dt, comb)
+    return advance(y, dt, comb)
 
 
 def _reproject(state: FlowState, threshold: float, tol: float):
@@ -836,10 +827,10 @@ def step(state: FlowState, dt: float,
         )
 
     def rhs(st):
-        pre = p0 if st is state else assemble_pressure(st, tol=tol)
-        return bulk_rhs(st, pressure=pre, tol=tol)
+        # later stages let bulk_rhs assemble from its own gradient stack
+        return bulk_rhs(st, pressure=p0 if st is state else None, tol=tol)
 
-    new = _rk4(state, dt, rhs)
+    new = _rk4(state, dt, rhs, _advance)
     new, flags = _reproject(new, reproject_threshold, tol)
     info = {
         "dt_bound": bound,
@@ -877,16 +868,7 @@ def step_theta(state: FlowState, theta: np.ndarray, dt: float,
                                st.F + h * k[3]),
                 th + h * k[1])
 
-    y = (state, theta)
-    k1 = rhs(y)
-    k2 = rhs(advance(y, 0.5 * dt, k1))
-    k3 = rhs(advance(y, 0.5 * dt, k2))
-    k4 = rhs(advance(y, dt, k3))
-    comb = tuple(
-        (a + 2.0 * b + 2.0 * c + d) / 6.0
-        for a, b, c, d in zip(k1, k2, k3, k4)
-    )
-    new, th_new = advance(y, dt, comb)
+    new, th_new = _rk4((state, theta), dt, rhs, advance)
     new, flags = _reproject(new, reproject_threshold, tol)
     info = {"reprojected": flags}
     return new, th_new, info

@@ -37,8 +37,17 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import PreconditionViolated, SolverDiverged
-from .geometry import CoordinateMap, SlabGrid, d3_node
-from .spectral import wavenumbers
+from .geometry import (
+    CoordinateMap,
+    SlabGrid,
+    _dh_pair,
+    _dh_pair_adjoint,
+    _node_to_cell,
+    mapped_gradient,
+    thomas_batched,
+    vertical_fem_rows,
+)
+from .spectral import _deriv_factors, _ksq
 
 DEFAULT_TOL = 1e-10
 MAXITER = 800
@@ -64,19 +73,6 @@ __all__ = [
 # spectral factors shared by the operator and its preconditioner
 
 @lru_cache(maxsize=32)
-def _deriv_factors(n1: int, n2: int):
-    """(i k1, i k2) rfft2 multipliers with Nyquist columns zeroed."""
-    k1, k2 = wavenumbers(n1, n2)
-    f1 = 1j * np.broadcast_to(k1, (n1, n2 // 2 + 1)).copy()
-    f2 = 1j * np.broadcast_to(k2, (n1, n2 // 2 + 1)).copy()
-    if n1 % 2 == 0:
-        f1[n1 // 2, :] = 0.0
-    if n2 % 2 == 0:
-        f2[:, n2 // 2] = 0.0
-    return f1, f2
-
-
-@lru_cache(maxsize=32)
 def _ksq_eff(n1: int, n2: int):
     """|k|^2 consistent with the zeroed-Nyquist derivative factors."""
     f1, f2 = _deriv_factors(n1, n2)
@@ -91,10 +87,6 @@ def _kernel_mask(n1: int, n2: int):
     all-Neumann operator (the mean mode plus zeroed Nyquist planes).
     """
     return _ksq_eff(n1, n2) == 0.0
-
-
-def _node_to_cell(w):
-    return 0.5 * (w[..., :-1] + w[..., 1:])
 
 
 def _cell_to_node_adjoint(p):
@@ -116,25 +108,6 @@ def _d3_cell_adjoint(p, dz):
     out[..., -1] = p[..., -1] / dz
     out[..., 1:-1] = (p[..., :-1] - p[..., 1:]) / dz
     return out
-
-
-def _dh_pair(w):
-    """Both horizontal spectral derivatives with one forward transform."""
-    n1, n2 = w.shape[0], w.shape[1]
-    f1, f2 = _deriv_factors(n1, n2)
-    c = np.fft.rfft2(w, axes=(0, 1))
-    d1 = np.fft.irfft2(c * f1[:, :, None], s=(n1, n2), axes=(0, 1))
-    d2 = np.fft.irfft2(c * f2[:, :, None], s=(n1, n2), axes=(0, 1))
-    return d1, d2
-
-
-def _dh_pair_adjoint(p1, p2):
-    """Adjoint of _dh_pair: -(d1 p1 + d2 p2), fused transforms."""
-    n1, n2 = p1.shape[0], p1.shape[1]
-    f1, f2 = _deriv_factors(n1, n2)
-    c = np.fft.rfft2(p1, axes=(0, 1)) * f1[:, :, None]
-    c += np.fft.rfft2(p2, axes=(0, 1)) * f2[:, :, None]
-    return -np.fft.irfft2(c, s=(n1, n2), axes=(0, 1))
 
 
 def grad_staggered(u: np.ndarray, grid: SlabGrid):
@@ -189,8 +162,6 @@ def energy_product(u: np.ndarray, v: np.ndarray, cmap: CoordinateMap) -> float:
 @lru_cache(maxsize=64)
 def _flat_rows(n1: int, n2: int, nz: int, z0: int, z1: int):
     """Tridiagonal rows of the flat operator on free levels [z0, z1)."""
-    from .geometry import vertical_fem_rows
-
     grid_dz = 1.0 / (nz - 1)
     ksq = _ksq_eff(n1, n2)[..., None]
     nfree = z1 - z0
@@ -215,8 +186,6 @@ def _flat_rows(n1: int, n2: int, nz: int, z0: int, z1: int):
 
 def _flat_solve(r: np.ndarray, grid: SlabGrid, z0: int, z1: int) -> np.ndarray:
     """Exact flat-operator solve on free levels (the CG preconditioner)."""
-    from .geometry import thomas_batched
-
     n1, n2 = grid.n1, grid.n2
     sub, diag, sup = _flat_rows(n1, n2, grid.nz, z0, z1)
     rhat = np.fft.rfft2(r, axes=(0, 1)) / (grid.h1 * grid.h2)
@@ -260,9 +229,7 @@ def _assemble_load(cmap, rhs, top, bottom):
     grid = cmap.grid
     b = np.zeros(grid.shape)
     if rhs is not None:
-        w = np.full(grid.nz, grid.dz)
-        w[0] = w[-1] = 0.5 * grid.dz
-        b -= grid.h1 * grid.h2 * w[None, None, :] * cmap.jac * rhs
+        b -= volume_weights(cmap) * rhs
     area = grid.h1 * grid.h2
     if top[0] == "neumann" and top[1] is not None:
         b[..., -1] += area * top[1]
@@ -430,15 +397,10 @@ def dn_symbol_neumann(kappa: np.ndarray) -> np.ndarray:
     return np.where(kappa > 0, kappa * (1.0 - e) / (1.0 + e), 0.0)
 
 
-def _flat_kappa(n1, n2):
-    k1, k2 = wavenumbers(n1, n2)
-    return np.sqrt(k1 * k1 + k2 * k2)
-
-
 def _flat_extension(g: np.ndarray, grid: SlabGrid, kind: str) -> np.ndarray:
     n1, n2 = grid.n1, grid.n2
     ghat = np.fft.rfft2(np.asarray(g, dtype=float))
-    prof = _stable_profiles(_flat_kappa(n1, n2), grid.y3, kind)
+    prof = _stable_profiles(np.sqrt(_ksq(n1, n2)), grid.y3, kind)
     return np.fft.irfft2(ghat[..., None] * prof, s=(n1, n2), axes=(0, 1))
 
 
@@ -499,8 +461,6 @@ def pressure_bilinear(v: np.ndarray, w: np.ndarray, cmap: CoordinateMap,
 
     v, w are physical vector fields stored on the slab, shape (3, ...).
     """
-    from .geometry import mapped_gradient
-
     gv = [mapped_gradient(v[a], cmap) for a in range(3)]
     gw = [mapped_gradient(w[a], cmap) for a in range(3)]
     tr = np.zeros(cmap.grid.shape)

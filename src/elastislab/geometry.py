@@ -1,4 +1,4 @@
-"""Reference slab, harmonic coordinate map, and bulk fields.
+"""Reference slab, harmonic coordinate map, and mapped bulk derivatives.
 
 The moving fluid domain (everything between the floor x3 = -1 and the
 graph interface x3 = f(x')) is pulled back to the fixed reference slab
@@ -27,12 +27,11 @@ import hashlib
 import numpy as np
 
 from .errors import DegenerateMap, GridMismatch
-from .spectral import wavenumbers
+from .spectral import _deriv_factors, _ksq, horizontal_derivative
 
 __all__ = [
     "SlabGrid",
     "CoordinateMap",
-    "BulkField",
     "build_map",
     "trace",
     "bottom_trace",
@@ -142,26 +141,30 @@ def d3_node(w: np.ndarray, dz: float) -> np.ndarray:
     return out
 
 
-def dh_bulk(w: np.ndarray, axis: int) -> np.ndarray:
-    """Spectral horizontal derivative of a bulk (n1, n2, nz) array."""
+def _node_to_cell(w):
+    """Vertical pair averages: node levels to cell midpoints."""
+    return 0.5 * (w[..., :-1] + w[..., 1:])
+
+
+def _dh_pair(w):
+    """Both horizontal spectral derivatives of a bulk (n1, n2, ...) array,
+    sharing one forward transform."""
     n1, n2 = w.shape[0], w.shape[1]
-    k1, k2 = wavenumbers(n1, n2)
+    f1, f2 = _deriv_factors(n1, n2)
     c = np.fft.rfft2(w, axes=(0, 1))
-    if axis == 1:
-        fac = (1j * k1)
-        if n1 % 2 == 0:
-            fac = fac.copy()
-            fac[n1 // 2] = 0.0
-        c *= fac[:, :, None]
-    elif axis == 2:
-        fac = (1j * k2)
-        if n2 % 2 == 0:
-            fac = fac.copy()
-            fac[:, n2 // 2] = 0.0
-        c *= fac[:, :, None]
-    else:
-        raise ValueError("axis must be 1 or 2")
-    return np.fft.irfft2(c, s=(n1, n2), axes=(0, 1))
+    d1 = np.fft.irfft2(c * f1[:, :, None], s=(n1, n2), axes=(0, 1))
+    c *= f2[:, :, None]
+    d2 = np.fft.irfft2(c, s=(n1, n2), axes=(0, 1))
+    return d1, d2
+
+
+def _dh_pair_adjoint(p1, p2):
+    """Adjoint of _dh_pair: -(d1 p1 + d2 p2), fused transforms."""
+    n1, n2 = p1.shape[0], p1.shape[1]
+    f1, f2 = _deriv_factors(n1, n2)
+    c = np.fft.rfft2(p1, axes=(0, 1)) * f1[:, :, None]
+    c += np.fft.rfft2(p2, axes=(0, 1)) * f2[:, :, None]
+    return -np.fft.irfft2(c, s=(n1, n2), axes=(0, 1))
 
 
 class CoordinateMap:
@@ -200,11 +203,10 @@ class CoordinateMap:
             self.phi2_cell = np.zeros(shape[:2] + (grid.ncells,))
             self.phi3_cell = np.ones(shape[:2] + (grid.ncells,))
         else:
-            self.phi1 = dh_bulk(phi, 1)
-            self.phi2 = dh_bulk(phi, 2)
+            self.phi1, self.phi2 = _dh_pair(phi)
             self.phi3 = d3_node(phi, dz)
-            self.phi1_cell = 0.5 * (self.phi1[..., :-1] + self.phi1[..., 1:])
-            self.phi2_cell = 0.5 * (self.phi2[..., :-1] + self.phi2[..., 1:])
+            self.phi1_cell = _node_to_cell(self.phi1)
+            self.phi2_cell = _node_to_cell(self.phi2)
             self.phi3_cell = np.diff(phi, axis=-1) / dz
         if np.min(self.phi3_cell) <= 0.0 or np.min(self.phi3) <= 0.0:
             raise DegenerateMap(
@@ -240,17 +242,12 @@ class CoordinateMap:
         return float(np.max(np.abs(rhs)) / scale)
 
 
-def _mode_ksq(n1: int, n2: int) -> np.ndarray:
-    k1, k2 = wavenumbers(n1, n2)
-    return (k1 * k1 + k2 * k2)
-
-
 def _map_solve(grid: SlabGrid, top: np.ndarray, bottom_value: float) -> np.ndarray:
     """Solve the discrete vertical harmonic problem per horizontal mode."""
     n1, n2, nz = grid.shape
     dz = grid.dz
     that = np.fft.rfft2(top) / (n1 * n2)
-    ksq = _mode_ksq(n1, n2)[..., None]
+    ksq = _ksq(n1, n2)[..., None]
     sub, diag = vertical_fem_rows(ksq, dz)
     nin = nz - 2
     rhs = np.zeros(that.shape + (nin,), dtype=complex)
@@ -269,7 +266,7 @@ def _map_apply_interior(grid: SlabGrid, phi: np.ndarray) -> np.ndarray:
     n1, n2, nz = grid.shape
     dz = grid.dz
     phat = np.fft.rfft2(phi, axes=(0, 1))
-    ksq = _mode_ksq(n1, n2)[..., None]
+    ksq = _ksq(n1, n2)[..., None]
     sub, diag = vertical_fem_rows(ksq, dz)
     out = (
         sub * phat[..., :-2] + diag * phat[..., 1:-1] + sub * phat[..., 2:]
@@ -306,12 +303,12 @@ def map_time_derivative(cmap: CoordinateMap, dtf: np.ndarray) -> np.ndarray:
     return _map_solve(cmap.grid, np.asarray(dtf, dtype=float), 0.0)
 
 
-def trace(w: np.ndarray, grid: SlabGrid | None = None) -> np.ndarray:
+def trace(w: np.ndarray) -> np.ndarray:
     """Values on the moving interface (top reference level)."""
     return np.asarray(w)[..., -1]
 
 
-def bottom_trace(w: np.ndarray, grid: SlabGrid | None = None) -> np.ndarray:
+def bottom_trace(w: np.ndarray) -> np.ndarray:
     """Values on the floor (bottom reference level)."""
     return np.asarray(w)[..., 0]
 
@@ -320,8 +317,7 @@ def mapped_gradient(w: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
     """Physical gradient of a slab-stored scalar, shape (3, n1, n2, nz)."""
     dz = cmap.grid.dz
     d3 = d3_node(w, dz)
-    d1 = dh_bulk(w, 1)
-    d2 = dh_bulk(w, 2)
+    d1, d2 = _dh_pair(w)
     if cmap.is_flat:
         return np.stack([d1, d2, d3])
     inv3 = 1.0 / cmap.phi3
@@ -334,8 +330,6 @@ def mapped_gradient(w: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
 
 def normal_vector(f: np.ndarray) -> np.ndarray:
     """Outward non-unit normal (-d1 f, -d2 f, 1) of the graph interface."""
-    from .spectral import horizontal_derivative
-
     f = np.asarray(f, dtype=float)
     d1 = horizontal_derivative(f, 1)
     d2 = horizontal_derivative(f, 2)
@@ -344,8 +338,6 @@ def normal_vector(f: np.ndarray) -> np.ndarray:
 
 def tangent_vectors(f: np.ndarray):
     """Coordinate tangents tau_1 = (1, 0, d1 f), tau_2 = (0, 1, d2 f)."""
-    from .spectral import horizontal_derivative
-
     f = np.asarray(f, dtype=float)
     d1 = horizontal_derivative(f, 1)
     d2 = horizontal_derivative(f, 2)
@@ -354,29 +346,3 @@ def tangent_vectors(f: np.ndarray):
     tau1 = np.stack([one, zero, d1])
     tau2 = np.stack([zero, one, d2])
     return tau1, tau2
-
-
-class BulkField:
-    """Scalar field on the reference slab with an attached grid.
-
-    Arithmetic stays in plain numpy inside the solvers; this wrapper is
-    the exchange type for snapshots and user-facing returns.
-    """
-
-    __slots__ = ("values", "grid")
-
-    def __init__(self, values: np.ndarray, grid: SlabGrid):
-        values = np.asarray(values, dtype=float)
-        if values.shape != grid.shape:
-            raise GridMismatch(f"{values.shape} vs {grid.shape}")
-        self.values = values
-        self.grid = grid
-
-    def trace(self) -> np.ndarray:
-        return trace(self.values)
-
-    def bottom_trace(self) -> np.ndarray:
-        return bottom_trace(self.values)
-
-    def copy(self) -> "BulkField":
-        return BulkField(self.values.copy(), self.grid)

@@ -23,7 +23,7 @@ import struct
 import numpy as np
 
 from .errors import GridMismatch
-from .geometry import CoordinateMap, SlabGrid
+from .geometry import CoordinateMap
 
 MAGIC = b"ESLB"
 VERSION = 1
@@ -58,7 +58,11 @@ def write_snapshot(path, values: np.ndarray, cmap: CoordinateMap, time: float):
 
 
 def read_snapshot(path) -> Snapshot:
-    """Read a snapshot written by write_snapshot."""
+    """Read a snapshot written by write_snapshot.
+
+    Raises GridMismatch when the payload size disagrees with the header
+    (a truncated or over-long file).
+    """
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         magic, version, n1, n2, nz, ncomp, time, digest = _HEADER.unpack(raw)
@@ -66,5 +70,10 @@ def read_snapshot(path) -> Snapshot:
             raise ValueError("not a slab snapshot file")
         if version != VERSION:
             raise ValueError(f"unsupported snapshot version {version}")
-        data = np.frombuffer(fh.read(), dtype=float).reshape(ncomp, n1, n2, nz)
+        payload = fh.read()
+    want = 8 * ncomp * n1 * n2 * nz
+    if len(payload) != want:
+        raise GridMismatch(f"snapshot payload is {len(payload)} bytes, "
+                           f"header ({ncomp}, {n1}, {n2}, {nz}) needs {want}")
+    data = np.frombuffer(payload, dtype=float).reshape(ncomp, n1, n2, nz)
     return Snapshot(data.copy(), time, digest, (n1, n2, nz))

@@ -25,7 +25,6 @@ import numpy as np
 from .errors import GridMismatch, NotMeanZero
 
 __all__ = [
-    "InterfaceField",
     "horizontal_derivative",
     "bessel_multiplier",
     "mollify",
@@ -51,18 +50,16 @@ def _ksq(n1: int, n2: int):
 
 
 @lru_cache(maxsize=32)
-def _deriv_factor(n1: int, n2: int, axis: int):
-    """1j*k multiplier with the Nyquist column removed."""
+def _deriv_factors(n1: int, n2: int):
+    """(i k1, i k2) rfft2 multipliers with the Nyquist rows/columns zeroed."""
     k1, k2 = wavenumbers(n1, n2)
-    if axis == 1:
-        fac = 1j * np.broadcast_to(k1, (n1, n2 // 2 + 1)).copy()
-        if n1 % 2 == 0:
-            fac[n1 // 2, :] = 0.0
-    else:
-        fac = 1j * np.broadcast_to(k2, (n1, n2 // 2 + 1)).copy()
-        if n2 % 2 == 0:
-            fac[:, n2 // 2] = 0.0
-    return fac
+    f1 = 1j * np.broadcast_to(k1, (n1, n2 // 2 + 1)).copy()
+    f2 = 1j * np.broadcast_to(k2, (n1, n2 // 2 + 1)).copy()
+    if n1 % 2 == 0:
+        f1[n1 // 2, :] = 0.0
+    if n2 % 2 == 0:
+        f2[:, n2 // 2] = 0.0
+    return f1, f2
 
 
 @lru_cache(maxsize=32)
@@ -106,7 +103,7 @@ def horizontal_derivative(g: np.ndarray, axis: int) -> np.ndarray:
         raise ValueError("axis must be 1 or 2")
     g = _as_plane(g)
     n1, n2 = g.shape
-    c = np.fft.rfft2(g) * _deriv_factor(n1, n2, axis)
+    c = np.fft.rfft2(g) * _deriv_factors(n1, n2)[axis - 1]
     return np.fft.irfft2(c, s=(n1, n2))
 
 
@@ -205,66 +202,3 @@ def remove_mean(g: np.ndarray, tol: float | None = None) -> np.ndarray:
     if tol is not None and abs(m) > tol:
         raise NotMeanZero(f"mean {m:.3e} exceeds {tol:.3e}")
     return g - m
-
-
-class InterfaceField:
-    """Real scalar field on the horizontal torus.
-
-    Thin wrapper that keeps the sample array and exposes the spectral
-    operations as methods.  Raw arrays remain the working currency inside
-    the package; this type marks interface-valued quantities at API
-    boundaries.
-    """
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: np.ndarray):
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 2:
-            raise ValueError("InterfaceField needs a 2d sample array")
-        self.values = values
-
-    @property
-    def shape(self):
-        return self.values.shape
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        return to_coeffs(self.values)
-
-    @classmethod
-    def from_coeffs(cls, c: np.ndarray, n1: int, n2: int) -> "InterfaceField":
-        return cls(from_coeffs(c, n1, n2))
-
-    def derivative(self, axis: int) -> "InterfaceField":
-        return InterfaceField(horizontal_derivative(self.values, axis))
-
-    def bessel(self, s: float) -> "InterfaceField":
-        return InterfaceField(bessel_multiplier(self.values, s))
-
-    def mollified(self, eps: float) -> "InterfaceField":
-        return InterfaceField(mollify(self.values, eps))
-
-    def norm(self, s: float = 0.0) -> float:
-        return sobolev_norm(self.values, s)
-
-    def mean(self) -> float:
-        return field_mean(self.values)
-
-    def __add__(self, other):
-        return InterfaceField(self.values + _vals(other))
-
-    def __sub__(self, other):
-        return InterfaceField(self.values - _vals(other))
-
-    def __mul__(self, scalar):
-        return InterfaceField(self.values * float(scalar))
-
-    __rmul__ = __mul__
-
-    def copy(self) -> "InterfaceField":
-        return InterfaceField(self.values.copy())
-
-
-def _vals(x):
-    return x.values if isinstance(x, InterfaceField) else np.asarray(x, dtype=float)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from elastislab.cli import _band, _smooth_flow
+
 
 @pytest.fixture
 def rng():
@@ -16,17 +18,7 @@ def torus_grid(n1, n2):
 
 def random_band_limited(rng, n1, n2, kmax, amplitude=1.0):
     """Real random field with modes only inside |k1|,|k2| <= kmax."""
-    c = np.zeros((n1, n2 // 2 + 1), dtype=complex)
-    k1 = np.fft.fftfreq(n1, d=1.0 / n1)[:, None]
-    k2 = np.fft.rfftfreq(n2, d=1.0 / n2)[None, :]
-    mask = (np.abs(k1) <= kmax) & (np.abs(k2) <= kmax)
-    c[mask] = rng.normal(size=mask.sum()) + 1j * rng.normal(size=mask.sum())
-    c[0, 0] = 0.0
-    g = np.fft.irfft2(c, s=(n1, n2))
-    peak = np.max(np.abs(g))
-    if peak > 0:
-        g *= amplitude / peak
-    return g
+    return _band(rng, n1, n2, kmax, amplitude)
 
 
 def sample_flow(n, nz, amp, eps, uscale=0.1):
@@ -36,26 +28,7 @@ def sample_flow(n, nz, amp, eps, uscale=0.1):
     cannot be divergence free with a sealed floor); perturbations scale
     with amp and vanish at the floor where required.
     """
-    from elastislab.geometry import SlabGrid
-    from elastislab.dynamics import prepare_initial_data
-
-    grid = SlabGrid(n, n, nz)
-    x1, x2 = grid.horizontal_meshes()
-    y = grid.y3
-    f0 = amp * (np.cos(x1) + 0.6 * np.sin(x2) + 0.3 * np.cos(x1 + 2 * x2))
-    u0 = np.zeros((3, n, n, nz))
-    u0[0] = uscale * amp * np.sin(x1)[..., None] * np.cos(np.pi * (y + 1) / 2)
-    u0[1] = uscale * amp * np.cos(x2)[..., None] * np.ones_like(y)
-    u0[2] = uscale * amp * (np.sin(x2) * np.cos(x1))[..., None] * (1 + y)
-    F0 = np.zeros((3, 3, n, n, nz))
-    F0[0, 0] = 1.0
-    F0[1, 1] = 1.0
-    F0[2, 0] = 0.5
-    F0[2, 1] = 0.2
-    F0[0, 1] = 0.2 * amp * np.sin(x2)[..., None]
-    F0[0, 2] = 0.1 * amp * np.sin(x1)[..., None] * (1 + y)
-    state, _ = prepare_initial_data(f0, u0, F0, eps=eps)
-    return state
+    return _smooth_flow(n, n, nz, amp, eps, uscale)
 
 
 def mixed_flow(n, nz, c0):

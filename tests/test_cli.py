@@ -56,11 +56,20 @@ class TestConfigParsing:
         for bad in ("16x16", "axbxc", "0x4x5"):
             with pytest.raises(ConfigInvalid):
                 cli._parse_grid(bad)
+        # well-formed but odd horizontal sizes fail validation, not SlabGrid
+        for n1, n2 in ((10, 9), (9, 10), (9, 9)):
+            with pytest.raises(ConfigInvalid, match="even"):
+                cli.preset("rest", n1=n1, n2=n2, nz=9)
 
     def test_validation_collects_field_messages(self):
         with pytest.raises(ConfigInvalid) as err:
             cli.preset("rest", t_final=-1.0, seed=-2)
         assert "t_final" in str(err.value) and "seed" in str(err.value)
+        # non-finite numbers are rejected before anything runs
+        for key in ("t_final", "dt", "eps", "output_interval"):
+            for value in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(ConfigInvalid, match=f"{key}: must be finite"):
+                    cli.preset("rest", **{key: value})
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ConfigInvalid, match="scenario"):
@@ -141,6 +150,8 @@ class TestRunCommand:
         path = _write(tmp_path, "schema = 1\nwhat = 1\n")
         assert cli.main(["run", "--config", str(path),
                          "--out", str(tmp_path / "x")]) == 2
+        assert cli.main(["run", "--grid", "10x9x9",
+                         "--out", str(tmp_path / "odd")]) == 2
 
 
 class TestChecksCommand:

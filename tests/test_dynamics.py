@@ -289,6 +289,21 @@ class TestStepping:
         with pytest.raises(PreconditionViolated):
             dyn.step(st, 2.0 * bound)
 
+    def test_gradient_stack_built_once_per_stage(self, monkeypatch):
+        # one stack for the initial pressure, then one per RK stage
+        st = sample_flow(8, 9, 0.05, 0.01)
+        dt = 0.5 * dyn.stable_dt(st)
+        calls = []
+        original = dyn._gradient_stack
+
+        def counted(state):
+            calls.append(state.t)
+            return original(state)
+
+        monkeypatch.setattr(dyn, "_gradient_stack", counted)
+        dyn.step(st, dt)
+        assert len(calls) == 5
+
     def test_invariants_persist_without_reprojection(self):
         st = sample_flow(16, 17, 1e-3, 0.0)
         for _ in range(40):

@@ -134,6 +134,22 @@ class TestMappedGradient:
         assert np.array_equal(geo.bottom_trace(w), w[:, :, 0])
 
 
+    def test_three_transforms_per_gradient(self, monkeypatch):
+        # both horizontal derivatives share one forward transform
+        grid = geo.SlabGrid(8, 8, 9)
+        X1, X2 = torus_grid(8, 8)
+        cmap = geo.build_map(0.05 * np.cos(X1), grid)
+        w = np.sin(X2)[..., None] * grid.y3
+        calls = []
+        for name in ("rfft2", "irfft2"):
+            def counted(*args, _fn=getattr(np.fft, name), **kwargs):
+                calls.append(_fn.__name__)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        geo.mapped_gradient(w, cmap)
+        assert sorted(calls) == ["irfft2", "irfft2", "rfft2"]
+
+
 class TestNormalsAndTangents:
     def test_orthogonality_exact(self, rng):
         n = 32
@@ -184,3 +200,14 @@ class TestSnapshots:
         cmap = geo.build_map(np.zeros((8, 8)), grid)
         with pytest.raises(GridMismatch):
             write_snapshot(tmp_path / "x", np.zeros((4, 4, 4)), cmap, 0.0)
+
+    def test_payload_size_guard(self, tmp_path):
+        grid = geo.SlabGrid(8, 8, 5)
+        cmap = geo.build_map(np.zeros((8, 8)), grid)
+        p = tmp_path / "state.snap"
+        write_snapshot(p, np.zeros(grid.shape), cmap, time=0.0)
+        raw = p.read_bytes()
+        for bad in (raw[:-16], raw + bytes(8)):
+            p.write_bytes(bad)
+            with pytest.raises(GridMismatch, match="2560"):
+                read_snapshot(p)
