@@ -29,6 +29,7 @@ from .errors import (
     ConfigInvalid,
     DegenerateMap,
     PreconditionViolated,
+    SolverDiverged,
     StabilityLost,
 )
 from .geometry import SlabGrid, build_map, mapped_gradient, normal_vector
@@ -260,8 +261,8 @@ def build_scenario(cfg: RunConfig):
         F0[1, 1] = cfg.stretch
     else:
         f0 = cfg.amplitude * np.cos(x1)
-        pot = harmonic_ext_neumann(np.cos(x1), build_map(f0, grid))
-        u0 = 0.4 * mapped_gradient(pot, build_map(f0, grid))
+        cmap = build_map(f0, grid)
+        u0 = 0.4 * mapped_gradient(harmonic_ext_neumann(np.cos(x1), cmap), cmap)
         F0[0, 0] = cfg.stretch
         F0[1, 1] = (0.15 + 0.85 * np.sin(x1) ** 2)[:, :, None]
         regions = (
@@ -315,16 +316,16 @@ def _write_snapshots(outdir: Path, state, index: int) -> None:
 def cmd_run(cfg: RunConfig, outdir: Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "config.resolved").write_text(config_text(cfg))
-    state = build_scenario(cfg)
     monitor = cfg.c0 > 0.0
-    dtcap = cfg.dt if cfg.dt > 0 else 0.5 * dyn.stable_dt(state)
 
     rows = []
 
     def emit(st):
-        pres = dyn.assemble_pressure(st)
-        rep = stab.stability_report(st, pressure=pres)
-        en = stab.energy_es_eps(st, pressure=pres, with_initial=False)
+        # every diagnostic below reads the state's pressure; solving it
+        # first keeps the start of an output phase at this call
+        dyn.assemble_pressure(st)
+        rep = stab.stability_report(st)
+        en = stab.energy_es_eps(st, with_initial=False)
         rows.append(stab.diagnostic_row(rep, en, dyn.invariant_report(st)))
         if monitor and not rep.ok:
             raise StabilityLost(
@@ -345,11 +346,17 @@ def cmd_run(cfg: RunConfig, outdir: Path) -> int:
     if cfg.snapshot_interval > 0:
         snap_every = max(1, round(cfg.snapshot_interval / cfg.output_interval))
 
-    series = [_mode_coefficient(state.f, cfg.mode1, cfg.mode2)]
+    state = None
+    dtcap = cfg.dt
+    series = []
     series_dt = None
     series_uniform = True
     reason, message, steps = "completed", "", 0
     try:
+        state = build_scenario(cfg)
+        if dtcap <= 0:
+            dtcap = 0.5 * dyn.stable_dt(state)
+        series.append(_mode_coefficient(state.f, cfg.mode1, cfg.mode2))
         emit(state)
         if snap_every:
             _write_snapshots(outdir, state, 0)
@@ -369,9 +376,11 @@ def cmd_run(cfg: RunConfig, outdir: Path) -> int:
             emit(state)
             if snap_every and iout % snap_every == 0:
                 _write_snapshots(outdir, state, iout)
-    except (StabilityLost, CeilingViolated, DegenerateMap) as exc:
+    except (StabilityLost, CeilingViolated, DegenerateMap,
+            PreconditionViolated, SolverDiverged) as exc:
         reason, message = type(exc).__name__, str(exc)
 
+    t_end = 0.0 if state is None else float(state.t)
     stab.write_diagnostics(outdir / "diagnostics.csv", rows)
     result = {
         "schema": SCHEMA_VERSION,
@@ -380,7 +389,7 @@ def cmd_run(cfg: RunConfig, outdir: Path) -> int:
         "seed": cfg.seed,
         "reason": reason,
         "message": message,
-        "t_end": float(state.t),
+        "t_end": t_end,
         "steps": steps,
         "dt": float(series_dt if series_dt is not None else dtcap),
     }
@@ -397,7 +406,7 @@ def cmd_run(cfg: RunConfig, outdir: Path) -> int:
     with open(outdir / "result.json", "w") as fh:
         json.dump(result, fh, indent=2)
         fh.write("\n")
-    print(f"run {cfg.scenario}: {reason} at t={state.t:.4f} "
+    print(f"run {cfg.scenario}: {reason} at t={t_end:.4f} "
           f"({steps} steps, {len(rows)} diagnostic rows)")
     if message:
         print(f"  {message}")

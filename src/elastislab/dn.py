@@ -21,6 +21,7 @@ product rule defect for one Poisson solve clamped on both boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,6 +42,18 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=32)
+def _flux_symbols(n1: int, n2: int):
+    """Flat rfft2 symbols (clamped, free, inverse of free) of the flux maps.
+
+    The inverse is zero on the kernel of the free symbol (the mean mode).
+    """
+    kappa = np.sqrt(_ksq(n1, n2))
+    free = el.dn_symbol_neumann(kappa)
+    inverse = np.where(free > 0, 1.0 / np.where(free > 0, free, 1.0), 0.0)
+    return el.dn_symbol_dirichlet(kappa), free, inverse
+
+
 def _symbol_apply(g: np.ndarray, symbol: np.ndarray) -> np.ndarray:
     n1, n2 = g.shape
     return np.fft.irfft2(np.fft.rfft2(g) * symbol, s=(n1, n2))
@@ -51,7 +64,7 @@ def apply_dn(g: np.ndarray, cmap: CoordinateMap, via_solver: bool = False,
     """Interface flux of the floor-clamped harmonic extension of g."""
     g = np.asarray(g, dtype=float)
     if cmap.is_flat and not via_solver:
-        return _symbol_apply(g, el.dn_symbol_dirichlet(np.sqrt(_ksq(*g.shape))))
+        return _symbol_apply(g, _flux_symbols(*g.shape)[0])
     u = el.harmonic_ext_dirichlet(g, cmap, via_solver=True, tol=tol)
     return el.boundary_flux_top(u, cmap)
 
@@ -61,7 +74,7 @@ def apply_dn_neumann(g: np.ndarray, cmap: CoordinateMap, via_solver: bool = Fals
     """Interface flux of the free-floor harmonic extension of g."""
     g = np.asarray(g, dtype=float)
     if cmap.is_flat and not via_solver:
-        return _symbol_apply(g, el.dn_symbol_neumann(np.sqrt(_ksq(*g.shape))))
+        return _symbol_apply(g, _flux_symbols(*g.shape)[1])
     u = el.harmonic_ext_neumann(g, cmap, via_solver=True, tol=tol)
     return el.boundary_flux_top(u, cmap)
 
@@ -90,8 +103,7 @@ def invert_dn_neumann(h: np.ndarray, cmap: CoordinateMap,
         return np.zeros_like(h)
     if abs(float(np.mean(h))) > 1e-8 * float(np.max(np.abs(h))):
         raise NotMeanZero(f"flux datum has mean {np.mean(h):.3e}")
-    sym = el.dn_symbol_neumann(np.sqrt(_ksq(*h.shape)))
-    inv = np.where(sym > 0, 1.0 / np.where(sym > 0, sym, 1.0), 0.0)
+    inv = _flux_symbols(*h.shape)[2]
 
     def precond(r):
         z = _symbol_apply(r, inv)

@@ -122,9 +122,13 @@ class FlowState:
     Construction normalizes the fields onto the constraint set: the
     interface mean is removed, and the floor rows of u3 and of every
     F[j, 3] are zeroed.  The Runge-Kutta stages rely on this overwrite.
+    f, u and F are then made read-only, so the quantities derived from
+    them on first use (pressure, invariant report, and the gradient stack
+    until bulk_rhs has read it) are kept on the state and never go stale.
     """
 
-    __slots__ = ("t", "f", "u", "F", "eps", "s", "c0", "regions", "cmap")
+    __slots__ = ("t", "f", "u", "F", "eps", "s", "c0", "regions", "cmap",
+                 "_gradients", "_pressure", "_invariants")
 
     def __init__(self, t, f, u, F, eps, s=4, c0=0.1, regions=None,
                  grid: SlabGrid | None = None):
@@ -145,6 +149,8 @@ class FlowState:
             )
         u[2, ..., 0] = 0.0
         F[:, 2, ..., 0] = 0.0
+        for a in (f, u, F):
+            a.flags.writeable = False
         self.t = float(t)
         self.f = f
         self.u = u
@@ -154,6 +160,9 @@ class FlowState:
         self.c0 = float(c0)
         self.regions = regions
         self.cmap = build_map(f, grid)
+        self._gradients = None
+        self._pressure = None
+        self._invariants = None
 
     @property
     def grid(self) -> SlabGrid:
@@ -407,65 +416,66 @@ def _gradient_stack(state: FlowState):
     return du, dF
 
 
-def assemble_pressure(state: FlowState, tol: float = DEFAULT_TOL,
-                      check: bool = False,
-                      gradients=None) -> PressurePieces:
-    """Solve for the pressure of the current state.
+def _gradients(state: FlowState):
+    """The state's gradient stack, built on first use and kept."""
+    if state._gradients is None:
+        state._gradients = _gradient_stack(state)
+    return state._gradients
+
+
+def assemble_pressure(state: FlowState) -> PressurePieces:
+    """Pressure of the state, solved at DEFAULT_TOL on first use and kept.
 
     The ring part carries the quadratic sources (velocity stretching
     minus elastic stretching) with zero interface value and natural
     floor; the bar part is harmonic with interface flux given by the
     regularizing surface operator, fixed by a mean-zero interface trace.
-
-    With check=True the bar trace is compared against the inverse-DN
-    route and the relative mismatch stored in info["bar_trace_check"].
     """
+    if state._pressure is not None:
+        return state._pressure
     cmap = state.cmap
-    du, dF = _gradient_stack(state) if gradients is None else gradients
+    du, dF = _gradients(state)
     src = np.zeros(state.grid.shape)
     for a in range(3):
         for b in range(3):
             src -= du[a][b] * du[b][a]
             for j in range(3):
                 src += dF[j, a][b] * dF[j, b][a]
-    ring = poisson_dirichlet(src, cmap, tol=tol)
+    ring = poisson_dirichlet(src, cmap, tol=DEFAULT_TOL)
     info = {}
     bar = None
     if state.eps != 0.0:
         lap_f = (horizontal_derivative(horizontal_derivative(state.f, 1), 1)
                  + horizontal_derivative(horizontal_derivative(state.f, 2), 2))
         flux = -state.eps * lap_f
-        bar, info_bar = solve_weak(cmap, top=("neumann", flux),
-                                   bottom=("neumann", None), tol=tol)
+        bar, info["bar"] = solve_weak(cmap, top=("neumann", flux),
+                                      bottom=("neumann", None),
+                                      tol=DEFAULT_TOL)
         bar = bar - np.mean(trace(bar))
-        info["bar"] = info_bar
-        if check:
-            want = -state.eps * invert_dn_neumann(lap_f, cmap, tol=0.1 * tol)
-            got = trace(bar)
-            denom = max(float(np.max(np.abs(want))), 1e-30)
-            info["bar_trace_check"] = float(
-                np.max(np.abs(got - want)) / denom)
-    return PressurePieces(ring, bar, volume_load(src, cmap), info)
+    state._pressure = PressurePieces(ring, bar, volume_load(src, cmap), info)
+    return state._pressure
 
 
 # ---------------------------------------------------------------------------
 # bulk rates
 
 
-def bulk_rhs(state: FlowState, pressure: PressurePieces | None = None,
-             tol: float = DEFAULT_TOL, dtf_override: np.ndarray | None = None):
+def bulk_rhs(state: FlowState, dtf_override: np.ndarray | None = None):
     """Reference-frame time derivatives of (f, u, F).
 
     Material momentum and transport rates plus the grid-motion correction
     dt(phi) d3(.) from the moving harmonic map.  The interface rate is
     the kinematic one unless dtf_override is given (the theta stepper
     moves the grid with its own interface velocity).
+
+    The rates are the last reader of the state's gradient stack in a
+    step, so the state lets it go here: a kept history of stepped states
+    then holds no stacks.
     """
     cmap = state.cmap
-    du, dF = _gradient_stack(state)
-    if pressure is None:
-        pressure = assemble_pressure(state, tol=tol, gradients=(du, dF))
-    dp = mapped_gradient(pressure.total, cmap)
+    dp = mapped_gradient(assemble_pressure(state).total, cmap)
+    du, dF = _gradients(state)
+    state._gradients = None
     dtf = kinematic_rate(state) if dtf_override is None else dtf_override
     dtphi = map_time_derivative(cmap, dtf)
     u, F = state.u, state.F
@@ -487,13 +497,7 @@ def bulk_rhs(state: FlowState, pressure: PressurePieces | None = None,
 # interface evolution identities
 
 
-def _surface_d(g: np.ndarray, axis: int) -> np.ndarray:
-    return horizontal_derivative(g, axis)
-
-
-def interface_theta_rhs(state: FlowState, theta: np.ndarray,
-                        pressure: PressurePieces | None = None,
-                        tol: float = DEFAULT_TOL) -> np.ndarray:
+def interface_theta_rhs(state: FlowState, theta: np.ndarray) -> np.ndarray:
     """Acceleration of the interface in the second-order formulation.
 
     Advection of theta, the quadratic surface Hessian terms from the
@@ -501,17 +505,17 @@ def interface_theta_rhs(state: FlowState, theta: np.ndarray,
     the interface, and the regularizing surface Laplacian.
     """
     cmap = state.cmap
-    if pressure is None:
-        pressure = assemble_pressure(state, tol=tol)
+    pressure = assemble_pressure(state)
     f = state.f
     ubar = [trace(state.u[a]) for a in range(2)]
     Fbar = [[trace(state.F[j, sidx]) for j in range(3)] for sidx in range(2)]
-    out = -2.0 * (ubar[0] * _surface_d(theta, 1)
-                  + ubar[1] * _surface_d(theta, 2))
+    out = -2.0 * (ubar[0] * horizontal_derivative(theta, 1)
+                  + ubar[1] * horizontal_derivative(theta, 2))
     hess = {}
     for sidx in range(2):
         for r in range(sidx, 2):
-            hess[(sidx, r)] = _surface_d(_surface_d(f, sidx + 1), r + 1)
+            hess[(sidx, r)] = horizontal_derivative(
+                horizontal_derivative(f, sidx + 1), r + 1)
             hess[(r, sidx)] = hess[(sidx, r)]
     for sidx in range(2):
         for r in range(2):
@@ -524,9 +528,7 @@ def interface_theta_rhs(state: FlowState, theta: np.ndarray,
     return out
 
 
-def interface_accel_rhs(state: FlowState,
-                        pressure: PressurePieces | None = None,
-                        ablate: str | None = None,
+def interface_accel_rhs(state: FlowState, ablate: str | None = None,
                         tol: float = DEFAULT_TOL):
     """Right-hand sides of the material second-derivative law for d_i f.
 
@@ -542,8 +544,7 @@ def interface_accel_rhs(state: FlowState,
     if ablate is not None and ablate not in ABLATABLE_TERMS:
         raise ValueError(f"unknown term {ablate!r}")
     cmap = state.cmap
-    if pressure is None:
-        pressure = assemble_pressure(state, tol=tol)
+    pressure = assemble_pressure(state)
     f = state.f
     dring = mapped_gradient(pressure.ring, cmap)
     d3ring_top = trace(dring[2])
@@ -551,11 +552,12 @@ def interface_accel_rhs(state: FlowState,
     ubar = [trace(state.u[a]) for a in range(3)]
     Fbar = [[trace(state.F[j, sidx]) for j in range(3)] for sidx in range(2)]
     theta = kinematic_rate(state)
-    df = [_surface_d(f, 1), _surface_d(f, 2)]
+    df = [horizontal_derivative(f, 1), horizontal_derivative(f, 2)]
     # material rate of the slopes: d_j(theta) + ubar . grad' d_j f
     dt_slope = [
-        _surface_d(theta, j + 1)
-        + ubar[0] * _surface_d(df[j], 1) + ubar[1] * _surface_d(df[j], 2)
+        horizontal_derivative(theta, j + 1)
+        + ubar[0] * horizontal_derivative(df[j], 1)
+        + ubar[1] * horizontal_derivative(df[j], 2)
         for j in range(2)
     ]
     if state.eps != 0.0:
@@ -563,7 +565,8 @@ def interface_accel_rhs(state: FlowState,
         dbar_top = [trace(dbar[0]), trace(dbar[1])]
 
     def column_d(g, j):
-        return Fbar[0][j] * _surface_d(g, 1) + Fbar[1][j] * _surface_d(g, 2)
+        return (Fbar[0][j] * horizontal_derivative(g, 1)
+                + Fbar[1][j] * horizontal_derivative(g, 2))
 
     out = []
     for i in range(2):
@@ -575,16 +578,18 @@ def interface_accel_rhs(state: FlowState,
             for j in range(3):
                 acc += column_d(column_d(di_f, j), j)
         if state.eps != 0.0 and ablate != "epsilon":
-            acc += state.eps * (_surface_d(_surface_d(di_f, 1), 1)
-                                + _surface_d(_surface_d(di_f, 2), 2))
+            acc += state.eps * (
+                horizontal_derivative(horizontal_derivative(di_f, 1), 1)
+                + horizontal_derivative(horizontal_derivative(di_f, 2), 2))
         if ablate != "stretch":
             for j in range(3):
                 for sidx in range(2):
-                    acc += 2.0 * _surface_d(Fbar[sidx][j], i + 1) \
+                    acc += 2.0 * horizontal_derivative(Fbar[sidx][j], i + 1) \
                         * column_d(df[sidx], j)
         if ablate != "velocity":
             for j in range(2):
-                acc -= 2.0 * _surface_d(ubar[j], i + 1) * dt_slope[j]
+                acc -= (2.0 * horizontal_derivative(ubar[j], i + 1)
+                        * dt_slope[j])
         if ablate != "pressure":
             ext = harmonic_ext_dirichlet(di_f, cmap, tol=tol)
             q = dring[i] + dring[2] * ext
@@ -592,7 +597,7 @@ def interface_accel_rhs(state: FlowState,
             acc -= sum(n[a] * trace(dq[a]) for a in range(3))
         if state.eps != 0.0 and ablate != "pbar":
             for sidx in range(2):
-                acc -= _surface_d(di_f, sidx + 1) * dbar_top[sidx]
+                acc -= horizontal_derivative(di_f, sidx + 1) * dbar_top[sidx]
         out.append(acc)
     return out[0], out[1]
 
@@ -618,13 +623,14 @@ def evo_residual(states, ablate: str | None = None,
     window = states[m - 2:m + 3]
 
     def slopes(st, i):
-        return _surface_d(st.f, i + 1)
+        return horizontal_derivative(st.f, i + 1)
 
     def material_rate(seq, k, gs):
         st = seq[k]
         ub = [trace(st.u[a]) for a in range(2)]
         ddt = (gs[k + 1] - gs[k - 1]) / (2.0 * dt)
-        return ddt + ub[0] * _surface_d(gs[k], 1) + ub[1] * _surface_d(gs[k], 2)
+        return (ddt + ub[0] * horizontal_derivative(gs[k], 1)
+                + ub[1] * horizontal_derivative(gs[k], 2))
 
     rhs = interface_accel_rhs(window[2], ablate=ablate, tol=tol)
     num = 0.0
@@ -634,7 +640,8 @@ def evo_residual(states, ablate: str | None = None,
         d1 = [material_rate(window, k, gs) for k in (1, 2, 3)]
         ub = [trace(window[2].u[a]) for a in range(2)]
         d2 = (d1[2] - d1[0]) / (2.0 * dt) \
-            + ub[0] * _surface_d(d1[1], 1) + ub[1] * _surface_d(d1[1], 2)
+            + ub[0] * horizontal_derivative(d1[1], 1) \
+            + ub[1] * horizontal_derivative(d1[1], 2)
         num += float(np.mean((d2 - rhs[i]) ** 2))
         den += float(np.mean(rhs[i] ** 2))
     return float(np.sqrt(num / max(den, 1e-30)))
@@ -645,7 +652,6 @@ def evo_residual(states, ablate: str | None = None,
 
 
 def material_pressure_derivative(state: FlowState,
-                                 pressure: PressurePieces | None = None,
                                  tol: float = DEFAULT_TOL) -> np.ndarray:
     """Material derivative of the pressure through its own boundary problem.
 
@@ -657,10 +663,8 @@ def material_pressure_derivative(state: FlowState,
     """
     cmap = state.cmap
     grid = state.grid
-    du, dF = _gradient_stack(state)
-    if pressure is None:
-        pressure = assemble_pressure(state, tol=tol, gradients=(du, dF))
-    p = pressure.total
+    du, dF = _gradients(state)
+    p = assemble_pressure(state).total
     u, F = state.u, state.F
     dp = mapped_gradient(p, cmap)
     ddp = np.stack([mapped_gradient(dp[a], cmap) for a in range(3)])
@@ -707,12 +711,13 @@ def material_pressure_derivative(state: FlowState,
     if state.eps != 0.0:
         f = state.f
         theta = kinematic_rate(state)
-        lap = lambda g: (_surface_d(_surface_d(g, 1), 1)
-                         + _surface_d(_surface_d(g, 2), 2))
+        lap = lambda g: (
+            horizontal_derivative(horizontal_derivative(g, 1), 1)
+            + horizontal_derivative(horizontal_derivative(g, 2), 2))
         ubar = [trace(u[a]) for a in range(2)]
         lap_f = lap(f)
-        dt_lap = lap(theta) + ubar[0] * _surface_d(lap_f, 1) \
-            + ubar[1] * _surface_d(lap_f, 2)
+        dt_lap = lap(theta) + ubar[0] * horizontal_derivative(lap_f, 1) \
+            + ubar[1] * horizontal_derivative(lap_f, 2)
         # the flux inversions sit behind an O(dz^2) consistency error, so
         # pushing them below 1e-9 only stalls the boundary iteration
         dn_tol = max(0.1 * tol, 1e-9)
@@ -733,9 +738,7 @@ def material_pressure_derivative(state: FlowState,
 # time stepping
 
 
-def stable_dt(state: FlowState,
-              pressure: PressurePieces | None = None,
-              tol: float = DEFAULT_TOL) -> float:
+def stable_dt(state: FlowState) -> float:
     """Conservative step bound from advection and wave stiffness.
 
     Half the minimum of the advective crossing time and the reciprocal
@@ -743,8 +746,6 @@ def stable_dt(state: FlowState,
     estimated from the current interface trace.
     """
     grid = state.grid
-    if pressure is None:
-        pressure = assemble_pressure(state, tol=tol)
     cmap = state.cmap
     umax = float(np.max(np.abs(state.u)))
     hmin = min(grid.h1, grid.h2, grid.dz * float(np.min(cmap.jac)))
@@ -753,7 +754,7 @@ def stable_dt(state: FlowState,
     for j in range(3):
         for sidx in range(2):
             fmax = max(fmax, float(np.max(np.abs(trace(state.F[j, sidx])))))
-    taylor = -trace(mapped_gradient(pressure.total, cmap)[2])
+    taylor = -trace(mapped_gradient(assemble_pressure(state).total, cmap)[2])
     amax = max(float(np.max(taylor)), 0.0)
     wave = kmax * (fmax + np.sqrt(state.eps) * np.sqrt(kmax)) \
         + np.sqrt(amax * kmax)
@@ -789,21 +790,15 @@ def _rk4(y, dt: float, rhs, advance):
 def _reproject(state: FlowState, threshold: float, tol: float):
     """Re-enforce the constraints when the monitored residuals drift."""
     cmap = state.cmap
-    flags = {"u": False, "F": False}
+    rep = invariant_report(state)
+    flags = {"u": rep["div_u"] > threshold,
+             "F": max(rep["div_F"], rep["trace_F"]) > threshold}
     u, F = state.u, state.F
-    if divergence_residual(u, cmap) > threshold:
+    if flags["u"]:
         u, _ = project_div(u, cmap, tol=tol)
-        flags["u"] = True
-    redo = any(
-        divergence_residual(F[j], cmap) > threshold
-        or normal_trace_defect(F[j], cmap) > threshold
-        for j in range(3)
-    )
-    if redo:
-        F = F.copy()
-        for j in range(3):
-            F[j], _ = project_div_normal(F[j], cmap, tol=tol)
-        flags["F"] = True
+    if flags["F"]:
+        F = np.stack([project_div_normal(F[j], cmap, tol=tol)[0]
+                      for j in range(3)])
     if flags["u"] or flags["F"]:
         state = state.with_fields(state.t, state.f, u, F)
     return state, flags
@@ -817,30 +812,18 @@ def step(state: FlowState, dt: float,
     The step size must satisfy the stable_dt bound.  After the update
     the divergence and interface-trace invariants are measured and the
     fields re-projected when any exceeds the threshold; info records the
-    residuals and whether a re-projection fired.
+    invariant report of the new state and whether a re-projection fired.
+    tol is the tolerance of the re-projection solves; the stage pressures
+    are the states' own, solved at DEFAULT_TOL.
     """
-    p0 = assemble_pressure(state, tol=tol)
-    bound = stable_dt(state, pressure=p0)
+    bound = stable_dt(state)
     if dt > bound * (1.0 + 1e-12):
         raise PreconditionViolated(
             f"dt = {dt:.3e} exceeds the stable bound {bound:.3e}"
         )
-
-    def rhs(st):
-        # later stages let bulk_rhs assemble from its own gradient stack
-        return bulk_rhs(st, pressure=p0 if st is state else None, tol=tol)
-
-    new = _rk4(state, dt, rhs, _advance)
+    new = _rk4(state, dt, bulk_rhs, _advance)
     new, flags = _reproject(new, reproject_threshold, tol)
-    info = {
-        "dt_bound": bound,
-        "reprojected": flags,
-        "div_u": divergence_residual(new.u, new.cmap),
-        "div_F": max(divergence_residual(new.F[j], new.cmap)
-                     for j in range(3)),
-        "trace_F": max(normal_trace_defect(new.F[j], new.cmap)
-                       for j in range(3)),
-    }
+    info = {"dt_bound": bound, "reprojected": flags, **invariant_report(new)}
     return new, info
 
 
@@ -856,11 +839,9 @@ def step_theta(state: FlowState, theta: np.ndarray, dt: float,
 
     def rhs(pair):
         st, th = pair
-        pre = assemble_pressure(st, tol=tol)
-        dtheta = interface_theta_rhs(st, th, pressure=pre, tol=tol)
-        dtf, du, dF = bulk_rhs(st, pressure=pre, tol=tol,
-                               dtf_override=th - np.mean(th))
-        return (th - np.mean(th), dtheta, du, dF)
+        dtheta = interface_theta_rhs(st, th)
+        dtf, du, dF = bulk_rhs(st, dtf_override=th - np.mean(th))
+        return (dtf, dtheta, du, dF)
 
     def advance(pair, h, k):
         st, th = pair
@@ -879,7 +860,7 @@ def step_theta(state: FlowState, theta: np.ndarray, dt: float,
 
 
 def _resample_columns(field: np.ndarray, phi_old: np.ndarray,
-                      phi_new: np.ndarray, y3: np.ndarray) -> np.ndarray:
+                      phi_new: np.ndarray) -> np.ndarray:
     """Reinterpret a slab field on a new map at equal physical heights.
 
     Column by column the old profile is read as a function of physical
@@ -895,15 +876,22 @@ def _resample_columns(field: np.ndarray, phi_old: np.ndarray,
 
 
 def invariant_report(state: FlowState) -> dict:
-    """Constraint residuals of a state (monitored quantities only)."""
-    cmap = state.cmap
-    return {
-        "div_u": divergence_residual(state.u, cmap),
-        "div_F": max(divergence_residual(state.F[j], cmap) for j in range(3)),
-        "trace_F": max(normal_trace_defect(state.F[j], cmap)
-                       for j in range(3)),
-        "f_mean": abs(float(np.mean(state.f))),
-    }
+    """Constraint residuals of a state (monitored quantities only).
+
+    Measured on first use and kept on the state; each call returns a
+    fresh dict.
+    """
+    if state._invariants is None:
+        cmap = state.cmap
+        state._invariants = {
+            "div_u": divergence_residual(state.u, cmap),
+            "div_F": max(divergence_residual(state.F[j], cmap)
+                         for j in range(3)),
+            "trace_F": max(normal_trace_defect(state.F[j], cmap)
+                           for j in range(3)),
+            "f_mean": abs(float(np.mean(state.f))),
+        }
+    return dict(state._invariants)
 
 
 def prepare_initial_data(f0: np.ndarray, u0: np.ndarray, F0: np.ndarray,
@@ -918,8 +906,8 @@ def prepare_initial_data(f0: np.ndarray, u0: np.ndarray, F0: np.ndarray,
     interface flux.  With eps = 0 the state passes through unchanged up
     to the solver tolerance.
 
-    Returns (state, info) where info records the constraint defects
-    before and after the projections.
+    Returns (state, info) where info holds the invariant reports before
+    and after the projections.
     """
     f0 = np.asarray(f0, dtype=float)
     f0 = f0 - np.mean(f0)
@@ -930,29 +918,24 @@ def prepare_initial_data(f0: np.ndarray, u0: np.ndarray, F0: np.ndarray,
     f_eps = remove_mean(mollify(f0, eps), tol=None)
     cmap0 = build_map(f0, grid)
     cmap = build_map(f_eps, grid)
-    y3 = grid.y3
     if eps == 0.0:
         u = u0
         F = F0
     else:
         u = np.stack([
-            _resample_columns(u0[a], cmap0.phi, cmap.phi, y3)
-            for a in range(3)
+            _resample_columns(u0[a], cmap0.phi, cmap.phi) for a in range(3)
         ])
         F = np.stack([
             np.stack([
-                _resample_columns(F0[j, a], cmap0.phi, cmap.phi, y3)
+                _resample_columns(F0[j, a], cmap0.phi, cmap.phi)
                 for a in range(3)
             ])
             for j in range(3)
         ])
     u[2, ..., 0] = 0.0
     F[:, 2, ..., 0] = 0.0
-    before = {
-        "div_u": divergence_residual(u, cmap),
-        "div_F": max(divergence_residual(F[j], cmap) for j in range(3)),
-        "trace_F": max(normal_trace_defect(F[j], cmap) for j in range(3)),
-    }
+    before = invariant_report(FlowState(0.0, f_eps, u, F, eps, s=s, c0=c0,
+                                        grid=grid))
     u, _ = project_div(u, cmap, tol=tol)
     for j in range(3):
         F[j], _ = project_div_normal(F[j], cmap, tol=tol)

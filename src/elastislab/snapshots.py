@@ -22,7 +22,7 @@ import struct
 
 import numpy as np
 
-from .errors import GridMismatch
+from .errors import GridMismatch, PreconditionViolated
 from .geometry import CoordinateMap
 
 MAGIC = b"ESLB"
@@ -60,16 +60,22 @@ def write_snapshot(path, values: np.ndarray, cmap: CoordinateMap, time: float):
 def read_snapshot(path) -> Snapshot:
     """Read a snapshot written by write_snapshot.
 
-    Raises GridMismatch when the payload size disagrees with the header
+    Raises PreconditionViolated when the file is not a snapshot of this
+    format version (wrong magic or version), and GridMismatch when it is
+    shorter than the header or its payload size disagrees with the header
     (a truncated or over-long file).
     """
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
-        magic, version, n1, n2, nz, ncomp, time, digest = _HEADER.unpack(raw)
-        if magic != MAGIC:
-            raise ValueError("not a slab snapshot file")
+        if raw[:len(MAGIC)] != MAGIC:
+            raise PreconditionViolated("not a slab snapshot file")
+        if len(raw) < _HEADER.size:
+            raise GridMismatch(f"snapshot file is {len(raw)} bytes, "
+                               f"the header alone needs {_HEADER.size}")
+        _, version, n1, n2, nz, ncomp, time, digest = _HEADER.unpack(raw)
         if version != VERSION:
-            raise ValueError(f"unsupported snapshot version {version}")
+            raise PreconditionViolated(
+                f"unsupported snapshot version {version}")
         payload = fh.read()
     want = 8 * ncomp * n1 * n2 * nz
     if len(payload) != want:

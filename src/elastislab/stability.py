@@ -40,7 +40,7 @@ from .elliptic import (
     volume_weights,
     weight_field,
 )
-from .dynamics import FlowState, PressurePieces, assemble_pressure, kinematic_rate
+from .dynamics import FlowState, assemble_pressure, kinematic_rate
 
 __all__ = [
     "DIAGNOSTIC_COLUMNS",
@@ -112,12 +112,8 @@ class TaylorCoefficient:
     nsq: np.ndarray
 
 
-def taylor_coefficient(state: FlowState,
-                       pressure: PressurePieces | None = None,
-                       tol: float = DEFAULT_TOL) -> TaylorCoefficient:
-    if pressure is None:
-        pressure = assemble_pressure(state, tol=tol)
-    grad = mapped_gradient(pressure.total, state.cmap)
+def taylor_coefficient(state: FlowState) -> TaylorCoefficient:
+    grad = mapped_gradient(assemble_pressure(state).total, state.cmap)
     gtr = [trace(grad[a]) for a in range(3)]
     n = normal_vector(state.f)
     normal = -(n[0] * gtr[0] + n[1] * gtr[1] + n[2] * gtr[2])
@@ -221,11 +217,8 @@ def _masked_min(field: np.ndarray, mask: np.ndarray) -> float:
     return float(np.min(field[mask]))
 
 
-def stability_report(state: FlowState,
-                     pressure: PressurePieces | None = None,
-                     regions=None,
-                     enforce: bool = False,
-                     tol: float = DEFAULT_TOL) -> StabilityReport:
+def stability_report(state: FlowState, regions=None,
+                     enforce: bool = False) -> StabilityReport:
     """Evaluate both stability minima against the c0/2 threshold.
 
     The Taylor coefficient is thresholded in its -N . grad p form over
@@ -235,7 +228,7 @@ def stability_report(state: FlowState,
     halt.
     """
     reg = _resolve_regions(state, regions)
-    tay = taylor_coefficient(state, pressure, tol=tol)
+    tay = taylor_coefficient(state)
     lam = _state_lambda(state)
     thresh = 0.5 * state.c0
     tmin = _masked_min(tay.normal, reg.mask1)
@@ -260,9 +253,7 @@ def stability_report(state: FlowState,
 # weight construction
 
 
-def coercivity_weight(state: FlowState,
-                      taylor: TaylorCoefficient | None = None,
-                      regions=None,
+def coercivity_weight(state: FlowState, regions=None,
                       tol: float = DEFAULT_TOL):
     """Interior weight for the boundary energy, with its construction log.
 
@@ -285,9 +276,7 @@ def coercivity_weight(state: FlowState,
         return field, {"ctilde": 0.0, "clip": 0.0,
                        "abar_min": 0.0, "abar_max": 0.0}
     reg = _resolve_regions(state, regions)
-    if taylor is None:
-        taylor = taylor_coefficient(state, tol=tol)
-    a = taylor.vertical
+    a = taylor_coefficient(state).vertical
     ctilde = max(0.0, c0 - float(np.min(a))) + c0
     abar = a + reg.phi * ctilde
     clip = max(0.0, c0 - float(np.min(abar)))
@@ -377,11 +366,37 @@ def _extension_energy2(g: np.ndarray, cmap: CoordinateMap, weight, tol):
     return float(np.sum(w * weight * dens)), float(np.sum(w * dens))
 
 
+def _slope_terms(state: FlowState, slopes, theta: np.ndarray, order: float,
+                 weight: np.ndarray, tol: float):
+    """Interface terms of the smoothed slopes <grad'>^order slopes[i].
+
+    Returns the (dt, elastic, weighted-extension, plain-extension) sums;
+    transports use the velocity and column traces of state, and the
+    extensions its map.
+    """
+    ubar = [trace(state.u[0]), trace(state.u[1])]
+    Fbar = state.F[:, :2, :, :, -1]
+    dt_term = 0.0
+    elastic_term = 0.0
+    weighted_ext = 0.0
+    plain_ext = 0.0
+    for i, slope in enumerate(slopes, 1):
+        w_i = bessel_multiplier(slope, order)
+        dt_term += _surface_norm2(
+            bessel_multiplier(horizontal_derivative(theta, i), order)
+            + _transport(w_i, ubar[0], ubar[1]))
+        for k in range(3):
+            elastic_term += _surface_norm2(_transport(w_i, Fbar[k, 0], Fbar[k, 1]))
+        wext, pext = _extension_energy2(w_i, state.cmap, weight, tol)
+        weighted_ext += wext
+        plain_ext += pext
+    return dt_term, elastic_term, weighted_ext, plain_ext
+
+
 def energy_es_eps(state: FlowState,
                   s: int | None = None,
                   weight: np.ndarray | None = None,
                   regions=None,
-                  pressure: PressurePieces | None = None,
                   with_initial: bool = True,
                   tol: float = DEFAULT_TOL) -> EnergyReport:
     """Graded energy of a state at Sobolev index s.
@@ -402,40 +417,22 @@ def energy_es_eps(state: FlowState,
         raise PreconditionViolated(f"energy index must be an integer >= 4, got {s}")
     cmap = state.cmap
     if weight is None:
-        if pressure is None:
-            pressure = assemble_pressure(state, tol=tol)
-        weight, _ = coercivity_weight(
-            state, taylor_coefficient(state, pressure, tol=tol),
-            regions=regions, tol=tol)
+        weight, _ = coercivity_weight(state, regions=regions, tol=tol)
 
     theta = kinematic_rate(state)
-    ubar = [trace(state.u[0]), trace(state.u[1])]
-    Fbar = state.F[:, :2, :, :, -1]
-
-    dt_term = 0.0
-    elastic_term = 0.0
+    slopes = [horizontal_derivative(state.f, i) for i in (1, 2)]
+    dt_term, elastic_term, weighted_ext, plain_ext = _slope_terms(
+        state, slopes, theta, s - 1.5, weight, tol)
     eps_term = 0.0
-    weighted_ext = 0.0
-    plain_ext = 0.0
-    order = s - 1.5
-    for i in (1, 2):
-        slope = horizontal_derivative(state.f, i)
-        w_i = bessel_multiplier(slope, order)
-        dt_term += _surface_norm2(
-            bessel_multiplier(horizontal_derivative(theta, i), order)
-            + _transport(w_i, ubar[0], ubar[1]))
-        for k in range(3):
-            elastic_term += _surface_norm2(_transport(w_i, Fbar[k, 0], Fbar[k, 1]))
+    for slope in slopes:
         eps_term += state.eps * _surface_norm2(slope, s - 0.5)
-        wext, pext = _extension_energy2(w_i, cmap, weight, tol)
-        weighted_ext += wext
-        plain_ext += pext
 
     u_hs = bulk_hs_norm2(state.u, cmap, int(s))
     F_hs = bulk_hs_norm2(state.F, cmap, int(s))
 
     m0 = m_eps = None
     if with_initial:
+        Fbar = state.F[:, :2, :, :, -1]
         m0 = _surface_norm2(state.f, s) + u_hs + F_hs
         for k in range(3):
             m0 += _surface_norm2(
@@ -483,30 +480,14 @@ def difference_energy(a: FlowState, b: FlowState,
     s = a.s if s is None else s
     if s < 4 or s != int(s):
         raise PreconditionViolated(f"energy index must be an integer >= 4, got {s}")
-    cmap = a.cmap
     if weight is None:
         weight = np.full(a.grid.shape, a.c0)
 
     fd = a.f - b.f
     theta_d = kinematic_rate(a) - kinematic_rate(b)
-    ubar = [trace(a.u[0]), trace(a.u[1])]
-    Fbar = a.F[:, :2, :, :, -1]
-
-    dt_term = 0.0
-    elastic_term = 0.0
-    weighted_ext = 0.0
-    plain_ext = 0.0
-    order = s - 2.5
-    for i in (1, 2):
-        w_i = bessel_multiplier(horizontal_derivative(fd, i), order)
-        dt_term += _surface_norm2(
-            bessel_multiplier(horizontal_derivative(theta_d, i), order)
-            + _transport(w_i, ubar[0], ubar[1]))
-        for k in range(3):
-            elastic_term += _surface_norm2(_transport(w_i, Fbar[k, 0], Fbar[k, 1]))
-        wext, pext = _extension_energy2(w_i, cmap, weight, tol)
-        weighted_ext += wext
-        plain_ext += pext
+    slopes = [horizontal_derivative(fd, i) for i in (1, 2)]
+    dt_term, elastic_term, weighted_ext, plain_ext = _slope_terms(
+        a, slopes, theta_d, s - 2.5, weight, tol)
 
     flat = build_map(np.zeros_like(a.f), a.grid)
     u_hs = bulk_hs_norm2(a.u - b.u, flat, int(s) - 1)

@@ -146,6 +146,21 @@ class TestRunCommand:
         assert result["rel_error"] < 0.05
         assert result["measured_omega"] == pytest.approx(1.0, abs=0.02)
 
+    @pytest.mark.parametrize("body, reason", [
+        ("scenario = elastic-mode\ngrid = 8x8x9\ndt = 5.0\n",
+         "PreconditionViolated"),
+        ("scenario = mixed-regions\ngrid = 8x8x9\namplitude = 2.0\n",
+         "DegenerateMap"),
+    ], ids=["dt-above-bound", "degenerate-map"])
+    def test_failed_run_records_reason(self, tmp_path, body, reason):
+        out = tmp_path / "fail"
+        path = _write(tmp_path, "schema = 1\n" + body)
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 3
+        result = json.loads((out / "result.json").read_text())
+        assert result["reason"] == reason
+        assert result["message"]
+        assert (out / "diagnostics.csv").exists()
+
     def test_invalid_config_exit_code(self, tmp_path):
         path = _write(tmp_path, "schema = 1\nwhat = 1\n")
         assert cli.main(["run", "--config", str(path),

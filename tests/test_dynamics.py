@@ -4,6 +4,7 @@ the interface acceleration residual and initial-data preparation."""
 import numpy as np
 import pytest
 
+from elastislab import dn
 from elastislab import dynamics as dyn
 from elastislab.errors import (
     CeilingViolated,
@@ -20,6 +21,7 @@ from elastislab.geometry import (
     mapped_gradient,
     trace,
 )
+from elastislab.spectral import horizontal_derivative
 
 from conftest import sample_flow
 
@@ -83,6 +85,11 @@ class TestFlowState:
         with pytest.raises(GridMismatch):
             dyn.FlowState(0.0, np.zeros((8, 6)), np.zeros((3, 8, 8, 9)),
                           np.zeros((3, 3, 8, 8, 9)), eps=0.0)
+
+    def test_fields_are_read_only(self):
+        st = sample_flow(8, 9, 0.05, 0.0)
+        with pytest.raises(ValueError):
+            st.u[0, 0, 0, 0] = 1.0
 
     def test_kinematic_rate_mean_free(self):
         st = sample_flow(8, 9, 0.05, 0.0)
@@ -226,8 +233,12 @@ class TestPressure:
         # same boundary value from the one-solve route and from the
         # inverse flux operator applied to the surface Laplacian
         st = sample_flow(16, 17, 0.05, 0.02)
-        pr = dyn.assemble_pressure(st, check=True)
-        assert pr.info["bar_trace_check"] < 1e-8
+        got = trace(dyn.assemble_pressure(st).bar)
+        lap_f = (horizontal_derivative(horizontal_derivative(st.f, 1), 1)
+                 + horizontal_derivative(horizontal_derivative(st.f, 2), 2))
+        want = -st.eps * dn.invert_dn_neumann(lap_f, st.cmap, tol=1e-11)
+        denom = max(float(np.max(np.abs(want))), 1e-30)
+        assert np.max(np.abs(got - want)) / denom < 1e-8
 
     def test_bar_trace_flat_symbol_limit(self):
         # leading order in the slope: eps * delta * cos(x1) / tanh(1)
@@ -259,10 +270,11 @@ class TestPressure:
 class TestSteadyStates:
     def test_rest_is_exact(self):
         n, nz = 8, 9
+        F = np.zeros((3, 3, n, n, nz))
+        F[0, 0] = 1.0
+        F[1, 1] = 1.0
         st = dyn.FlowState(0.0, np.zeros((n, n)), np.zeros((3, n, n, nz)),
-                           np.zeros((3, 3, n, n, nz)), eps=0.0)
-        st.F[0, 0] = 1.0
-        st.F[1, 1] = 1.0
+                           F, eps=0.0)
         new, _ = dyn.step(st, 0.05)
         assert np.max(np.abs(new.f)) == 0.0
         assert np.max(np.abs(new.u)) == 0.0
@@ -270,12 +282,13 @@ class TestSteadyStates:
 
     def test_uniform_shear_background_is_exact(self):
         n, nz = 8, 9
+        F = np.zeros((3, 3, n, n, nz))
+        F[0, 0] = 1.0
+        F[1, 1] = 1.0
+        F[2, 0] = 0.4
+        F[2, 1] = -0.3
         st = dyn.FlowState(0.0, np.zeros((n, n)), np.zeros((3, n, n, nz)),
-                           np.zeros((3, 3, n, n, nz)), eps=0.01)
-        st.F[0, 0] = 1.0
-        st.F[1, 1] = 1.0
-        st.F[2, 0] = 0.4
-        st.F[2, 1] = -0.3
+                           F, eps=0.01)
         new, _ = dyn.step(st, 0.05)
         assert np.max(np.abs(new.f)) == 0.0
         assert np.max(np.abs(new.u)) == 0.0
@@ -289,10 +302,8 @@ class TestStepping:
         with pytest.raises(PreconditionViolated):
             dyn.step(st, 2.0 * bound)
 
-    def test_gradient_stack_built_once_per_stage(self, monkeypatch):
-        # one stack for the initial pressure, then one per RK stage
-        st = sample_flow(8, 9, 0.05, 0.01)
-        dt = 0.5 * dyn.stable_dt(st)
+    @staticmethod
+    def _count_stacks(monkeypatch):
         calls = []
         original = dyn._gradient_stack
 
@@ -301,8 +312,23 @@ class TestStepping:
             return original(state)
 
         monkeypatch.setattr(dyn, "_gradient_stack", counted)
+        return calls
+
+    def test_gradient_stack_built_once_per_stage(self, monkeypatch):
+        # stable_dt already built the stack of st, which keeps it; the
+        # step builds one for each of the three later stages
+        st = sample_flow(8, 9, 0.05, 0.01)
+        dt = 0.5 * dyn.stable_dt(st)
+        calls = self._count_stacks(monkeypatch)
         dyn.step(st, dt)
-        assert len(calls) == 5
+        assert len(calls) == 3
+
+    def test_theta_step_builds_one_stack_per_stage(self, monkeypatch):
+        # the theta and bulk rates of a stage share the stage state's stack
+        st = sample_flow(8, 9, 0.05, 0.01)
+        calls = self._count_stacks(monkeypatch)
+        dyn.step_theta(st, dyn.kinematic_rate(st), 0.01)
+        assert len(calls) == 4
 
     def test_invariants_persist_without_reprojection(self):
         st = sample_flow(16, 17, 1e-3, 0.0)

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from elastislab import geometry as geo
-from elastislab.errors import DegenerateMap, GridMismatch
+from elastislab.errors import DegenerateMap, GridMismatch, PreconditionViolated
 from elastislab.snapshots import read_snapshot, write_snapshot
 
 from conftest import torus_grid
@@ -211,3 +211,18 @@ class TestSnapshots:
             p.write_bytes(bad)
             with pytest.raises(GridMismatch, match="2560"):
                 read_snapshot(p)
+
+    @pytest.mark.parametrize("corrupt, error, match", [
+        (lambda raw: raw[:24], GridMismatch, "24 bytes.* 64"),
+        (lambda raw: b"XXXX" + raw[4:], PreconditionViolated, "not a slab"),
+        (lambda raw: raw[:4] + (2).to_bytes(4, "little") + raw[8:],
+         PreconditionViolated, "version 2"),
+    ], ids=["short", "magic", "version"])
+    def test_header_guard(self, tmp_path, corrupt, error, match):
+        grid = geo.SlabGrid(8, 8, 5)
+        cmap = geo.build_map(np.zeros((8, 8)), grid)
+        p = tmp_path / "state.snap"
+        write_snapshot(p, np.zeros(grid.shape), cmap, time=0.0)
+        p.write_bytes(corrupt(p.read_bytes()))
+        with pytest.raises(error, match=match):
+            read_snapshot(p)
