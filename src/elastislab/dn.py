@@ -95,10 +95,13 @@ def invert_dn_neumann(h: np.ndarray, cmap: CoordinateMap,
     boundary recurrence bottoms out at the inner solver noise; the loop
     keeps the best iterate and stops once the residual stagnates.  The
     best iterate is accepted down to STALL_TOL relative; beyond that the
-    datum is declared unreachable and SolverDiverged is raised.
+    datum is declared unreachable and SolverDiverged is raised, as it is
+    at once for a non-finite datum.
     """
     h = np.asarray(h, dtype=float)
     hnorm = float(np.linalg.norm(h))
+    if not np.isfinite(hnorm):
+        raise SolverDiverged("flux datum is not finite")
     if hnorm == 0.0:
         return np.zeros_like(h)
     if abs(float(np.mean(h))) > 1e-8 * float(np.max(np.abs(h))):
@@ -208,18 +211,16 @@ def material_dn_commutator(g: np.ndarray, u: np.ndarray, cmap: CoordinateMap,
     grid = cmap.grid
     w = el.harmonic_ext_neumann(g, cmap, tol=tol)
     gw = mapped_gradient(w, cmap)
-    du = [mapped_gradient(u[a], cmap) for a in range(3)]
+    du = mapped_gradient(u, cmap)
+    d2w = mapped_gradient(gw, cmap)
 
     # [Lap, D_t] source: 2 grad u : grad^2 w + (Lap u) . grad w
     src = np.zeros(grid.shape)
     for b in range(3):
-        d2wb = mapped_gradient(gw[b], cmap)
         for a in range(3):
-            src += 2.0 * du[b][a] * d2wb[a]
-        lap_ub = np.zeros(grid.shape)
-        for a in range(3):
-            lap_ub += mapped_gradient(du[b][a], cmap)[a]
-        src += lap_ub * gw[b]
+            src += 2.0 * du[b][a] * d2w[b][a]
+        d2ub = mapped_gradient(du[b], cmap)
+        src += sum(d2ub[a][a] for a in range(3)) * gw[b]
     v1 = el.poisson_dirichlet(src, cmap, tol=tol)
     term1 = el.boundary_flux_top(v1, cmap, el.volume_load(src, cmap))
 
@@ -236,8 +237,7 @@ def material_dn_commutator(g: np.ndarray, u: np.ndarray, cmap: CoordinateMap,
     ngradu = [sum(n[a] * du[b][a][..., -1] for a in range(3)) for b in range(3)]
     term3 = -sum(gw[b][..., -1] * ngradu[b] for b in range(3))
 
-    u_trace = np.stack([u[a][..., -1] for a in range(3)])
-    frame = dt_normal(u_trace, cmap.f)
+    frame = dt_normal(u[..., -1], cmap.f)
     g1 = horizontal_derivative(g, 1)
     g2 = horizontal_derivative(g, 2)
     nbar_g = apply_dn_neumann(g, cmap, tol=tol)

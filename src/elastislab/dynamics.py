@@ -119,7 +119,8 @@ class FlowState:
         regions, passed through to the diagnostics.
     cmap : CoordinateMap for f, built on construction.
 
-    Construction normalizes the fields onto the constraint set: the
+    Construction rejects non-finite f, u or F with PreconditionViolated,
+    then normalizes the fields onto the constraint set: the
     interface mean is removed, and the floor rows of u3 and of every
     F[j, 3] are zeroed.  The Runge-Kutta stages rely on this overwrite.
     f, u and F are then made read-only, so the quantities derived from
@@ -141,6 +142,10 @@ class FlowState:
             raise GridMismatch(f"plane shapes: f {f.shape}, u {u.shape}")
         if grid is None:
             grid = SlabGrid(f.shape[0], f.shape[1], u.shape[-1])
+        for name, a in (("f", f), ("u", u), ("F", F)):
+            # min/max see NaN and inf with no field-sized temporary
+            if not (np.isfinite(a.min()) and np.isfinite(a.max())):
+                raise PreconditionViolated(f"{name} has non-finite entries")
         f = f - np.mean(f)
         ceiling = 1.0 - c0
         if np.max(np.abs(f)) >= ceiling:
@@ -406,13 +411,15 @@ class PressurePieces:
 
 
 def _gradient_stack(state: FlowState):
-    """Mapped gradients of u and of all deformation components."""
+    """Mapped gradients of u and of all deformation components.
+
+    One batched call per column, written in place: a nine-field batch or
+    a final stack of the columns would raise a step's peak memory."""
     cmap = state.cmap
-    du = np.stack([mapped_gradient(state.u[a], cmap) for a in range(3)])
-    dF = np.stack([
-        np.stack([mapped_gradient(state.F[j, a], cmap) for a in range(3)])
-        for j in range(3)
-    ])
+    du = mapped_gradient(state.u, cmap)
+    dF = np.empty((3,) + du.shape)
+    for j in range(3):
+        dF[j] = mapped_gradient(state.F[j], cmap)
     return du, dF
 
 
@@ -667,24 +674,15 @@ def material_pressure_derivative(state: FlowState,
     p = assemble_pressure(state).total
     u, F = state.u, state.F
     dp = mapped_gradient(p, cmap)
-    ddp = np.stack([mapped_gradient(dp[a], cmap) for a in range(3)])
-    ddu = np.stack([
-        np.stack([mapped_gradient(du[a][b], cmap) for b in range(3)])
-        for a in range(3)
-    ])
-    ddF = np.stack([
-        np.stack([
-            np.stack([mapped_gradient(dF[j, a][b], cmap) for b in range(3)])
-            for a in range(3)
-        ])
-        for j in range(3)
-    ])
+    ddp = mapped_gradient(dp, cmap)
+    ddu = mapped_gradient(du, cmap)
+    ddF = mapped_gradient(dF, cmap)
     # acceleration field D_t u = -grad p + sum_j (F_j . grad) F_j
     acc = np.empty_like(u)
     for a in range(3):
         acc[a] = -dp[a] + sum(F[j, b] * dF[j, a][b]
                               for j in range(3) for b in range(3))
-    dacc = np.stack([mapped_gradient(acc[a], cmap) for a in range(3)])
+    dacc = mapped_gradient(acc, cmap)
 
     src = np.zeros(grid.shape)
     for sidx in range(3):
@@ -861,17 +859,16 @@ def step_theta(state: FlowState, theta: np.ndarray, dt: float,
 
 def _resample_columns(field: np.ndarray, phi_old: np.ndarray,
                       phi_new: np.ndarray) -> np.ndarray:
-    """Reinterpret a slab field on a new map at equal physical heights.
+    """Reinterpret slab fields on a new map at equal physical heights.
 
     Column by column the old profile is read as a function of physical
     height and sampled at the new map's node heights (linear in the
     vertical; values beyond the old range are clamped to the end values).
+    Leading axes of field are batch axes.
     """
     out = np.empty_like(field)
-    n1, n2 = field.shape[:2]
-    for i in range(n1):
-        for j in range(n2):
-            out[i, j] = np.interp(phi_new[i, j], phi_old[i, j], field[i, j])
+    for idx in np.ndindex(field.shape[:-1]):
+        out[idx] = np.interp(phi_new[idx[-2:]], phi_old[idx[-2:]], field[idx])
     return out
 
 
@@ -922,16 +919,8 @@ def prepare_initial_data(f0: np.ndarray, u0: np.ndarray, F0: np.ndarray,
         u = u0
         F = F0
     else:
-        u = np.stack([
-            _resample_columns(u0[a], cmap0.phi, cmap.phi) for a in range(3)
-        ])
-        F = np.stack([
-            np.stack([
-                _resample_columns(F0[j, a], cmap0.phi, cmap.phi)
-                for a in range(3)
-            ])
-            for j in range(3)
-        ])
+        u = _resample_columns(u0, cmap0.phi, cmap.phi)
+        F = _resample_columns(F0, cmap0.phi, cmap.phi)
     u[2, ..., 0] = 0.0
     F[:, 2, ..., 0] = 0.0
     before = invariant_report(FlowState(0.0, f_eps, u, F, eps, s=s, c0=c0,

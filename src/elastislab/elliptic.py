@@ -219,8 +219,6 @@ def bulk_l2_norm(field: np.ndarray, cmap: CoordinateMap) -> float:
     """L^2 norm over the moving domain of a scalar or stacked components."""
     w = volume_weights(cmap)
     field = np.asarray(field)
-    if field.ndim == 4:
-        return float(np.sqrt(np.sum(w[None] * field ** 2)))
     return float(np.sqrt(np.sum(w * field ** 2)))
 
 
@@ -323,6 +321,8 @@ def _pcg(cmap, bf, z0, z1, tol, project_constants, x0):
         if project_constants:
             r -= np.mean(r)
         rel = float(np.linalg.norm(r)) / bnorm
+        if not np.isfinite(rel):
+            raise SolverDiverged(f"pcg residual is not finite after {it} its")
         if rel <= tol:
             return x, it, rel
         z = _flat_solve(r, grid, z0, z1)
@@ -461,8 +461,8 @@ def pressure_bilinear(v: np.ndarray, w: np.ndarray, cmap: CoordinateMap,
 
     v, w are physical vector fields stored on the slab, shape (3, ...).
     """
-    gv = [mapped_gradient(v[a], cmap) for a in range(3)]
-    gw = [mapped_gradient(w[a], cmap) for a in range(3)]
+    gv = mapped_gradient(v, cmap)
+    gw = mapped_gradient(w, cmap)
     tr = np.zeros(cmap.grid.shape)
     for a in range(3):
         for b in range(3):

@@ -147,24 +147,24 @@ def _node_to_cell(w):
 
 
 def _dh_pair(w):
-    """Both horizontal spectral derivatives of a bulk (n1, n2, ...) array,
-    sharing one forward transform."""
-    n1, n2 = w.shape[0], w.shape[1]
+    """Both horizontal spectral derivatives of a bulk (..., n1, n2, nz)
+    array, sharing one forward transform."""
+    n1, n2 = w.shape[-3], w.shape[-2]
     f1, f2 = _deriv_factors(n1, n2)
-    c = np.fft.rfft2(w, axes=(0, 1))
-    d1 = np.fft.irfft2(c * f1[:, :, None], s=(n1, n2), axes=(0, 1))
+    c = np.fft.rfft2(w, axes=(-3, -2))
+    d1 = np.fft.irfft2(c * f1[:, :, None], s=(n1, n2), axes=(-3, -2))
     c *= f2[:, :, None]
-    d2 = np.fft.irfft2(c, s=(n1, n2), axes=(0, 1))
+    d2 = np.fft.irfft2(c, s=(n1, n2), axes=(-3, -2))
     return d1, d2
 
 
 def _dh_pair_adjoint(p1, p2):
     """Adjoint of _dh_pair: -(d1 p1 + d2 p2), fused transforms."""
-    n1, n2 = p1.shape[0], p1.shape[1]
+    n1, n2 = p1.shape[-3], p1.shape[-2]
     f1, f2 = _deriv_factors(n1, n2)
-    c = np.fft.rfft2(p1, axes=(0, 1)) * f1[:, :, None]
-    c += np.fft.rfft2(p2, axes=(0, 1)) * f2[:, :, None]
-    return -np.fft.irfft2(c, s=(n1, n2), axes=(0, 1))
+    c = np.fft.rfft2(p1, axes=(-3, -2)) * f1[:, :, None]
+    c += np.fft.rfft2(p2, axes=(-3, -2)) * f2[:, :, None]
+    return -np.fft.irfft2(c, s=(n1, n2), axes=(-3, -2))
 
 
 class CoordinateMap:
@@ -314,18 +314,23 @@ def bottom_trace(w: np.ndarray) -> np.ndarray:
 
 
 def mapped_gradient(w: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
-    """Physical gradient of a slab-stored scalar, shape (3, n1, n2, nz)."""
+    """Physical gradient of slab-stored scalars w, shape (..., n1, n2, nz).
+
+    Leading axes are batch axes, transformed in one call; the result has
+    shape (..., 3, n1, n2, nz) and its entry [i] is mapped_gradient(w[i]).
+    """
     dz = cmap.grid.dz
     d3 = d3_node(w, dz)
     d1, d2 = _dh_pair(w)
     if cmap.is_flat:
-        return np.stack([d1, d2, d3])
+        return np.stack([d1, d2, d3], axis=-4)
     inv3 = 1.0 / cmap.phi3
-    return np.stack([
-        d1 - cmap.phi1 * inv3 * d3,
-        d2 - cmap.phi2 * inv3 * d3,
-        inv3 * d3,
-    ])
+    # filled in place: a stack of the components would hold them twice
+    g = np.empty(w.shape[:-3] + (3,) + w.shape[-3:])
+    np.subtract(d1, cmap.phi1 * inv3 * d3, out=g[..., 0, :, :, :])
+    np.subtract(d2, cmap.phi2 * inv3 * d3, out=g[..., 1, :, :, :])
+    np.multiply(inv3, d3, out=g[..., 2, :, :, :])
+    return g
 
 
 def normal_vector(f: np.ndarray) -> np.ndarray:

@@ -34,7 +34,6 @@ from .geometry import (
 from .spectral import bessel_multiplier, horizontal_derivative, mollify, sobolev_norm
 from .elliptic import (
     DEFAULT_TOL,
-    bulk_l2_norm,
     dn_symbol_dirichlet,
     harmonic_ext_dirichlet,
     volume_weights,
@@ -337,16 +336,22 @@ def bulk_hs_norm2(field: np.ndarray, cmap: CoordinateMap, s: int) -> float:
     Sums squared L^2 norms of all mapped derivatives up to order s,
     counting mixed derivatives once per ordering; an equivalent norm at
     fixed grid, and cheap.  Leading axes of the field are batch axes.
+    The ladder is walked depth first, one batched gradient per node, so
+    memory grows with s, not with 3^s.
     """
     if s < 0 or s != int(s):
         raise PreconditionViolated(f"derivative order must be a whole number, got {s}")
-    shape = cmap.grid.shape
-    level = np.asarray(field, dtype=float).reshape((-1,) + shape)
-    total = float(np.sum(bulk_l2_norm(level, cmap) ** 2))
-    for _ in range(int(s)):
-        level = np.concatenate([mapped_gradient(comp, cmap) for comp in level])
-        total += float(np.sum(bulk_l2_norm(level, cmap) ** 2))
-    return total
+    w = volume_weights(cmap)
+
+    def walk(level, depth):
+        total = float(np.sum(w * level ** 2))
+        if depth:
+            g = mapped_gradient(level, cmap)
+            total += sum(walk(g[:, a], depth - 1) for a in range(3))
+        return total
+
+    field = np.asarray(field, dtype=float)
+    return walk(field.reshape((-1,) + cmap.grid.shape), int(s))
 
 
 def _surface_norm2(g: np.ndarray, s: float = 0.0) -> float:
@@ -577,7 +582,7 @@ def divcurl_ingredients(v: np.ndarray, cmap: CoordinateMap, s: int,
     tangential-derivative normal traces, and the H^(s-1) norm of the
     field itself.
     """
-    grads = [mapped_gradient(v[a], cmap) for a in range(3)]
+    grads = mapped_gradient(v, cmap)
     curl = np.stack([
         grads[2][1] - grads[1][2],
         grads[0][2] - grads[2][0],

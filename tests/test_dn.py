@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from elastislab import dn
-from elastislab.errors import NotMeanZero
+from elastislab.errors import NotMeanZero, SolverDiverged
 from elastislab.geometry import SlabGrid, build_map
 from elastislab.spectral import horizontal_derivative as hd
 
@@ -90,6 +90,14 @@ class TestDualityAndInversion:
         flat = _flat(16, 17)
         with pytest.raises(NotMeanZero):
             dn.invert_dn_neumann(np.full((16, 16), 0.3), flat)
+
+    @pytest.mark.parametrize("curved", [False, True])
+    def test_invert_rejects_non_finite_datum(self, curved):
+        cmap = _curved(8, 9) if curved else _flat(8, 9)
+        h = np.zeros((8, 8))
+        h[2, 5] = np.nan
+        with pytest.raises(SolverDiverged):
+            dn.invert_dn_neumann(h, cmap)
 
 
 class TestMovingNormal:

@@ -86,6 +86,14 @@ class TestFlowState:
             dyn.FlowState(0.0, np.zeros((8, 6)), np.zeros((3, 8, 8, 9)),
                           np.zeros((3, 3, 8, 8, 9)), eps=0.0)
 
+    def test_non_finite_interface_rejected(self):
+        n, nz = 8, 9
+        f = 0.05 * np.cos(_coords(n)[0])
+        f[3, 2] = np.nan
+        with pytest.raises(PreconditionViolated):
+            dyn.FlowState(0.0, f, np.zeros((3, n, n, nz)),
+                          np.zeros((3, 3, n, n, nz)), eps=0.0)
+
     def test_fields_are_read_only(self):
         st = sample_flow(8, 9, 0.05, 0.0)
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from elastislab import elliptic as el
-from elastislab.errors import PreconditionViolated
+from elastislab.errors import PreconditionViolated, SolverDiverged
 from elastislab.geometry import SlabGrid, build_map
 
 from conftest import random_band_limited
@@ -155,6 +155,22 @@ class TestFlatSolves:
 
 
 class TestCurvedSolves:
+    def test_non_finite_load_fails_fast(self, monkeypatch):
+        cmap = _wavy_map(8, 8, 9)
+        rhs = np.zeros(cmap.grid.shape)
+        rhs[3, 4, 5] = np.nan
+        calls = []
+        original = el.apply_operator
+
+        def counted(u, cmap):
+            calls.append(1)
+            return original(u, cmap)
+
+        monkeypatch.setattr(el, "apply_operator", counted)
+        with pytest.raises(SolverDiverged):
+            el.solve_weak(cmap, rhs=rhs)
+        assert len(calls) <= 2
+
     def test_manufactured_solution_second_order(self):
         # physical field sin(x1)cos(x2)(x3+1)^2 composed with the map
         errs = []

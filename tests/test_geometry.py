@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from elastislab import geometry as geo
 from elastislab.errors import DegenerateMap, GridMismatch, PreconditionViolated
@@ -148,6 +149,30 @@ class TestMappedGradient:
             monkeypatch.setattr(np.fft, name, counted)
         geo.mapped_gradient(w, cmap)
         assert sorted(calls) == ["irfft2", "irfft2", "rfft2"]
+
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n1=st.integers(2, 6).map(lambda k: 2 * k),
+        n2=st.integers(2, 6).map(lambda k: 2 * k),
+        nz=st.integers(3, 9),
+        amplitude=st.one_of(st.just(0.0), st.floats(0.01, 0.3)),
+        batch=st.sampled_from([(), (3,), (3, 3)]),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_batched_call_equals_stacked_calls(self, n1, n2, nz, amplitude,
+                                               batch, seed):
+        rng = np.random.default_rng(seed)
+        grid = geo.SlabGrid(n1, n2, nz)
+        X1, X2 = torus_grid(n1, n2)
+        f = amplitude * np.cos(X1 + rng.uniform(0, 2 * np.pi)) * np.cos(X2)
+        cmap = geo.build_map(f, grid)
+        w = rng.normal(size=batch + grid.shape)
+        g = geo.mapped_gradient(w, cmap)
+        comps = w.reshape((-1,) + grid.shape)
+        stacked = np.stack([geo.mapped_gradient(c, cmap) for c in comps])
+        assert g.shape == batch + (3,) + grid.shape
+        assert np.array_equal(g, stacked.reshape(g.shape))
 
 
 class TestNormalsAndTangents:

@@ -1,13 +1,15 @@
 """Non-collinearity modulus, Taylor coefficient, region machinery, energy
 functionals, difference energy and the linear dispersion formula."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from elastislab import stability as stab
 from elastislab.errors import GridMismatch, PreconditionViolated, StabilityLost
 from elastislab.geometry import SlabGrid, build_map, mapped_gradient
-from elastislab.elliptic import harmonic_ext_neumann
+from elastislab.elliptic import bulk_l2_norm, harmonic_ext_neumann
 from elastislab.dynamics import FlowState, step
 
 from conftest import mixed_flow, sample_flow
@@ -265,6 +267,45 @@ class TestBulkLadderNorm:
         want = (s + 1) * 2 * np.pi ** 2
         got = stab.bulk_hs_norm2(field, flat, s)
         assert abs(got - want) / want < 1e-12
+
+    @staticmethod
+    def _curved_map(n, nz):
+        grid = SlabGrid(n, n, nz)
+        x1, x2 = grid.horizontal_meshes()
+        return build_map(0.15 * np.cos(x1) + 0.1 * np.sin(x1 + x2), grid)
+
+    @staticmethod
+    def _ordering_sum(field, cmap, s):
+        """Every ordering of every derivative held level by level."""
+        level = np.asarray(field, dtype=float).reshape((-1,) + cmap.grid.shape)
+        total = bulk_l2_norm(level, cmap) ** 2
+        for _ in range(s):
+            level = np.concatenate([mapped_gradient(c, cmap) for c in level])
+            total += bulk_l2_norm(level, cmap) ** 2
+        return total
+
+    @pytest.mark.parametrize("batch", [(), (3,), (3, 3)])
+    def test_matches_ordering_sum(self, rng, batch):
+        cmap = self._curved_map(8, 9)
+        field = rng.normal(size=batch + cmap.grid.shape)
+        for s in range(5):
+            want = self._ordering_sum(field, cmap, s)
+            got = stab.bulk_hs_norm2(field, cmap, s)
+            assert abs(got - want) <= 1e-12 * want
+
+    def test_peak_memory_grows_with_order_not_its_power(self, rng):
+        # holding every ordering at s = 4 would peak about 9x its s = 2 peak
+        cmap = self._curved_map(8, 9)
+        F = rng.normal(size=(3, 3) + cmap.grid.shape)
+        peaks = {}
+        for s in (2, 4):
+            tracemalloc.start()
+            try:
+                stab.bulk_hs_norm2(F, cmap, s)
+                peaks[s] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4] < 3 * peaks[2]
 
     def test_order_guard(self):
         flat = build_map(np.zeros((8, 8)), SlabGrid(8, 8, 5))
