@@ -126,10 +126,12 @@ class FlowState:
     f, u and F are then made read-only, so the quantities derived from
     them on first use (pressure, invariant report, and the gradient stack
     until bulk_rhs has read it) are kept on the state and never go stale.
+    A state made by with_fields starts its pressure solves from its
+    parent's pressure; a directly constructed one solves cold.
     """
 
     __slots__ = ("t", "f", "u", "F", "eps", "s", "c0", "regions", "cmap",
-                 "_gradients", "_pressure", "_invariants")
+                 "_gradients", "_pressure", "_invariants", "_hint")
 
     def __init__(self, t, f, u, F, eps, s=4, c0=0.1, regions=None,
                  grid: SlabGrid | None = None):
@@ -168,14 +170,20 @@ class FlowState:
         self._gradients = None
         self._pressure = None
         self._invariants = None
+        self._hint = None
 
     @property
     def grid(self) -> SlabGrid:
         return self.cmap.grid
 
     def with_fields(self, t, f, u, F) -> "FlowState":
-        return FlowState(t, f, u, F, self.eps, self.s, self.c0,
-                         self.regions, self.grid)
+        """New state with the same parameters; its pressure solves start
+        from this state's pressure (or from this state's own start when
+        it never solved one)."""
+        new = FlowState(t, f, u, F, self.eps, self.s, self.c0,
+                        self.regions, self.grid)
+        new._hint = self._pressure if self._pressure is not None else self._hint
+        return new
 
 
 def kinematic_rate(state: FlowState) -> np.ndarray:
@@ -398,7 +406,11 @@ def project_div_normal(v: np.ndarray, cmap: CoordinateMap,
 
 
 class PressurePieces:
-    """Pressure split: total = ring (bilinear part) + bar (regularization)."""
+    """Pressure split: total = ring (bilinear part) + bar (regularization).
+
+    info maps "ring", and "bar" when there is a bar part, to the solve's
+    iterations and final relative residual.
+    """
 
     __slots__ = ("total", "ring", "bar", "ring_load", "info")
 
@@ -437,10 +449,14 @@ def assemble_pressure(state: FlowState) -> PressurePieces:
     minus elastic stretching) with zero interface value and natural
     floor; the bar part is harmonic with interface flux given by the
     regularizing surface operator, fixed by a mean-zero interface trace.
+    Both solves start from the parent state's pieces when the state was
+    made by with_fields, so they agree with a cold solve to the solver
+    tolerance, not bit for bit.
     """
     if state._pressure is not None:
         return state._pressure
     cmap = state.cmap
+    hint, state._hint = state._hint, None
     du, dF = _gradients(state)
     src = np.zeros(state.grid.shape)
     for a in range(3):
@@ -448,8 +464,11 @@ def assemble_pressure(state: FlowState) -> PressurePieces:
             src -= du[a][b] * du[b][a]
             for j in range(3):
                 src += dF[j, a][b] * dF[j, b][a]
-    ring = poisson_dirichlet(src, cmap, tol=DEFAULT_TOL)
     info = {}
+    ring, info["ring"] = solve_weak(
+        cmap, rhs=src, top=("dirichlet", np.zeros(state.f.shape)),
+        bottom=("neumann", None), tol=DEFAULT_TOL,
+        x0=None if hint is None else hint.ring)
     bar = None
     if state.eps != 0.0:
         lap_f = (horizontal_derivative(horizontal_derivative(state.f, 1), 1)
@@ -457,7 +476,8 @@ def assemble_pressure(state: FlowState) -> PressurePieces:
         flux = -state.eps * lap_f
         bar, info["bar"] = solve_weak(cmap, top=("neumann", flux),
                                       bottom=("neumann", None),
-                                      tol=DEFAULT_TOL)
+                                      tol=DEFAULT_TOL,
+                                      x0=None if hint is None else hint.bar)
         bar = bar - np.mean(trace(bar))
     state._pressure = PressurePieces(ring, bar, volume_load(src, cmap), info)
     return state._pressure

@@ -18,9 +18,13 @@ boundary fluxes are recovered variationally as the operator residual at
 constrained rows divided by the horizontal cell area.
 
 Solves run matrix-free preconditioned CG; the preconditioner inverts
-the flat-map (K = I) operator exactly, one tridiagonal system per
-horizontal mode, so flat solves converge in a single iteration and
-near-flat ones in a handful.
+the flat-map (K = I) operator exactly, so flat solves converge in a
+single iteration and near-flat ones in a handful.  Per horizontal mode
+that operator is S + |k|^2 M with the same vertical stiffness S and
+mass M for every mode, so one cached eigenbasis of the pair (fast
+diagonalization) turns the inverse into a vertical matrix product, a
+diagonal scaling between horizontal transforms, and the transposed
+product.
 
 Flat fast path
 --------------
@@ -44,7 +48,6 @@ from .geometry import (
     _dh_pair_adjoint,
     _node_to_cell,
     mapped_gradient,
-    thomas_batched,
     vertical_fem_rows,
 )
 from .spectral import _deriv_factors, _ksq
@@ -128,13 +131,14 @@ def grad_adjoint(q1, q2, q3, grid: SlabGrid):
 
 
 def _metric_apply(cmap: CoordinateMap, q1, q2, q3):
+    """K q with the entries of CoordinateMap.metric_cell, read in place."""
     if cmap.is_flat:
         return q1, q2, q3
-    k11, k22, k33, k13, k23 = cmap.metric_cell()
+    p1, p2, p3 = cmap.phi1_cell, cmap.phi2_cell, cmap.phi3_cell
     return (
-        k11 * q1 + k13 * q3,
-        k22 * q2 + k23 * q3,
-        k13 * q1 + k23 * q2 + k33 * q3,
+        p3 * q1 - p1 * q3,
+        p3 * q2 - p2 * q3,
+        -p1 * q1 - p2 * q2 + cmap.k33 * q3,
     )
 
 
@@ -157,43 +161,78 @@ def energy_product(u: np.ndarray, v: np.ndarray, cmap: CoordinateMap) -> float:
 
 
 # ---------------------------------------------------------------------------
-# flat per-mode preconditioner
+# flat preconditioner: one vertical eigenbasis shared by all modes
+
+def _vertical_matrix(ksq: float, nz: int, z0: int, z1: int) -> np.ndarray:
+    """Dense per-mode flat operator S + ksq M on free levels [z0, z1);
+    a free boundary level carries a half row."""
+    sub, diag = vertical_fem_rows(ksq, 1.0 / (nz - 1))
+    n = z1 - z0
+    a = (np.diag(np.full(n, diag)) + np.diag(np.full(n - 1, sub), 1)
+         + np.diag(np.full(n - 1, sub), -1))
+    if z0 == 0:
+        a[0, 0] *= 0.5
+    if z1 == nz:
+        a[-1, -1] *= 0.5
+    return a
+
 
 @lru_cache(maxsize=64)
-def _flat_rows(n1: int, n2: int, nz: int, z0: int, z1: int):
-    """Tridiagonal rows of the flat operator on free levels [z0, z1)."""
-    grid_dz = 1.0 / (nz - 1)
-    ksq = _ksq_eff(n1, n2)[..., None]
-    nfree = z1 - z0
-    sub = np.zeros(ksq.shape[:2] + (nfree,))
-    diag = np.zeros_like(sub)
-    sup = np.zeros_like(sub)
-    interior_off, interior_diag = vertical_fem_rows(ksq[..., 0:1], grid_dz)
-    half_diag = 0.5 * interior_diag
-    sub[:] = interior_off
-    sup[:] = interior_off
-    diag[:] = interior_diag
-    if z0 == 0:  # bottom level is free: half row
-        diag[..., 0] = half_diag[..., 0]
-    if z1 == nz:  # top level is free: half row
-        diag[..., -1] = half_diag[..., 0]
+def _flat_eigen(n1: int, n2: int, nz: int, z0: int, z1: int):
+    """Fast-diagonal form of the flat operator on free levels [z0, z1).
+
+    Every horizontal mode shares the stiffness S and mass M, so one
+    eigenbasis V of the (S + M)-whitened M, with V^T (S + M) V = I and
+    V^T M V = diag(mu), diagonalizes them all:
+
+        (S + |k|^2 M)^-1 = V diag(1 / (1 + (|k|^2 - 1) mu)) V^T.
+
+    Returns (V, inv, kernel): inv holds those factors per (mode,
+    eigenvector) with the 1/(h1 h2) load scaling folded in.  In the
+    all-Neumann case the vertical constant (index c, mu = 1) is dropped
+    on the kernel modes and kernel = (c, w): the eigen coordinates y of
+    a vertically mean-free field have y[c] = -(y . w), w[c] = 0.
+    Otherwise kernel is None.
+    """
+    stiff = _vertical_matrix(0.0, nz, z0, z1)
+    both = _vertical_matrix(1.0, nz, z0, z1)  # S + M, positive definite
+    linv = np.linalg.inv(np.linalg.cholesky(both))
+    mu, q = np.linalg.eigh(linv @ (both - stiff) @ linv.T)
+    v = linv.T @ q
+    area = (2.0 * np.pi / n1) * (2.0 * np.pi / n2)
+    denom = area * (1.0 + (_ksq_eff(n1, n2)[..., None] - 1.0) * mu)
+    kernel = None
     if z0 == 0 and z1 == nz:
-        # all-Neumann: zero-symbol blocks are singular on vertical
-        # constants; pin their first row so the solve stays bounded
-        diag[_kernel_mask(n1, n2), 0] += 1.0
-    return sub, diag, sup
+        c = int(np.argmax(mu))
+        denom[_kernel_mask(n1, n2), c] = np.inf
+        colsum = v.sum(axis=0)
+        w = colsum / colsum[c]
+        w[c] = 0.0
+        w.flags.writeable = False
+        kernel = (c, w)
+    inv = 1.0 / denom
+    for a in (v, inv):
+        a.flags.writeable = False
+    return v, inv, kernel
 
 
 def _flat_solve(r: np.ndarray, grid: SlabGrid, z0: int, z1: int) -> np.ndarray:
-    """Exact flat-operator solve on free levels (the CG preconditioner)."""
+    """Exact flat-operator solve on free levels (the CG preconditioner).
+
+    V acts along z only, so it commutes with the horizontal transform
+    and is applied in physical space as one real matrix product.
+    """
     n1, n2 = grid.n1, grid.n2
-    sub, diag, sup = _flat_rows(n1, n2, grid.nz, z0, z1)
-    rhat = np.fft.rfft2(r, axes=(0, 1)) / (grid.h1 * grid.h2)
-    x = thomas_batched(sub, diag, sup, rhat)
-    if z0 == 0 and z1 == grid.nz:
+    v, inv, kernel = _flat_eigen(n1, n2, grid.nz, z0, z1)
+    shape = r.shape
+    y = np.fft.rfft2((r.reshape(-1, shape[-1]) @ v).reshape(shape), axes=(0, 1))
+    y *= inv
+    if kernel is not None:
+        c, w = kernel
         mask = _kernel_mask(n1, n2)
-        x[mask, :] -= np.mean(x[mask, :], axis=-1, keepdims=True)
-    return np.fft.irfft2(x, s=(n1, n2), axes=(0, 1))
+        y[mask, c] = -(y[mask] @ w)
+    x = np.fft.irfft2(y, s=(n1, n2), axes=(0, 1))
+    return (x.reshape(-1, shape[-1]) @ v.T).reshape(shape)
 
 
 def _project_kernel(r: np.ndarray, grid: SlabGrid) -> np.ndarray:

@@ -26,7 +26,7 @@ import hashlib
 
 import numpy as np
 
-from .errors import DegenerateMap, GridMismatch
+from .errors import DegenerateMap, GridMismatch, PreconditionViolated
 from .spectral import _deriv_factors, _ksq, horizontal_derivative
 
 __all__ = [
@@ -181,6 +181,10 @@ class CoordinateMap:
     phi1, phi2, phi3 : arrays (n1, n2, nz)
         Node-collocated derivatives of phi (spectral horizontal, second
         order vertical).
+    k33 : array (n1, n2, nz - 1)
+        The metric entry (1 + phi1^2 + phi2^2) / phi3 at cell midpoints,
+        computed once; the other entries of metric_cell are cell
+        derivatives of phi up to sign.
     jac : array (n1, n2, nz)
         Jacobian determinant of the map at nodes (equals phi3).
     is_flat : bool
@@ -213,6 +217,8 @@ class CoordinateMap:
                 f"d3 phi reaches {min(np.min(self.phi3_cell), np.min(self.phi3)):.3e}"
             )
         self.jac = self.phi3
+        p1, p2, p3 = self.phi1_cell, self.phi2_cell, self.phi3_cell
+        self.k33 = (1.0 + p1 * p1 + p2 * p2) / p3
 
     def metric_cell(self):
         """Flux-form metric K = J Jinv Jinv^T at vertical cell midpoints.
@@ -220,13 +226,8 @@ class CoordinateMap:
         Returns the six independent entries (k11, k22, k33, k13, k23);
         k12 vanishes for a graph map.
         """
-        p1, p2, p3 = self.phi1_cell, self.phi2_cell, self.phi3_cell
-        k11 = p3
-        k22 = p3
-        k33 = (1.0 + p1 * p1 + p2 * p2) / p3
-        k13 = -p1
-        k23 = -p2
-        return k11, k22, k33, k13, k23
+        p3 = self.phi3_cell
+        return p3, p3, self.k33, -self.phi1_cell, -self.phi2_cell
 
     def content_hash(self) -> bytes:
         """Digest identifying grid and interface (used by snapshots)."""
@@ -279,13 +280,15 @@ def build_map(f: np.ndarray, grid: SlabGrid) -> CoordinateMap:
 
     Solves the discrete Laplace problem for the vertical map with
     Dirichlet data f on top and -1 on the floor, one tridiagonal system
-    per horizontal mode.  Raises DegenerateMap when the resulting map
-    is not one-to-one (d3 phi <= 0 somewhere), which happens when f
-    dips near the floor.
+    per horizontal mode.  Raises PreconditionViolated on a non-finite f,
+    and DegenerateMap when the resulting map is not one-to-one
+    (d3 phi <= 0 somewhere), which happens when f dips near the floor.
     """
     f = np.asarray(f, dtype=float)
     if f.shape != (grid.n1, grid.n2):
         raise GridMismatch(f"f shape {f.shape} vs grid {(grid.n1, grid.n2)}")
+    if not (np.isfinite(f.min()) and np.isfinite(f.max())):
+        raise PreconditionViolated("interface has non-finite entries")
     if np.max(np.abs(f)) >= 1.0:
         raise DegenerateMap("interface touches or crosses the floor depth")
     if np.all(f == 0.0):

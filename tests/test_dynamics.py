@@ -268,6 +268,20 @@ class TestPressure:
         pr = dyn.assemble_pressure(st)
         assert np.allclose(pr.total, pr.ring + pr.bar)
 
+    def test_stage_state_warm_starts_from_parent(self):
+        st = sample_flow(16, 17, 0.15, 0.02)
+        stage = dyn._advance(st, 0.01, dyn.bulk_rhs(st))
+        assert stage._hint is dyn.assemble_pressure(st)
+        cold = dyn.FlowState(stage.t, stage.f, stage.u, stage.F, stage.eps)
+        warm_pr = dyn.assemble_pressure(stage)
+        cold_pr = dyn.assemble_pressure(cold)
+        assert stage._hint is None
+        for part in ("ring", "bar"):
+            assert (warm_pr.info[part]["iterations"]
+                    < cold_pr.info[part]["iterations"])
+            got, want = getattr(warm_pr, part), getattr(cold_pr, part)
+            assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
+
     def test_no_regularization_no_bar(self):
         st = sample_flow(16, 17, 0.05, 0.0)
         pr = dyn.assemble_pressure(st)

@@ -3,10 +3,16 @@ manufactured solutions on curved maps, boundary flux recovery."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from elastislab import elliptic as el
 from elastislab.errors import PreconditionViolated, SolverDiverged
-from elastislab.geometry import SlabGrid, build_map
+from elastislab.geometry import (
+    SlabGrid,
+    build_map,
+    thomas_batched,
+    vertical_fem_rows,
+)
 
 from conftest import random_band_limited
 
@@ -51,6 +57,17 @@ class TestOperatorAlgebra:
     def test_constants_in_kernel(self):
         cmap = _wavy_map(16, 12, 17)
         assert np.max(np.abs(el.apply_operator(np.ones(cmap.grid.shape), cmap))) < 1e-12
+
+    def test_metric_apply_equals_metric_cell_formula(self, rng):
+        cmap = _wavy_map(16, 12, 17, a1=0.25, a2=0.15)
+        q = tuple(rng.standard_normal((16, 12, cmap.grid.ncells))
+                  for _ in range(3))
+        k11, k22, k33, k13, k23 = cmap.metric_cell()
+        want = (k11 * q[0] + k13 * q[2],
+                k22 * q[1] + k23 * q[2],
+                k13 * q[0] + k23 * q[1] + k33 * q[2])
+        for got, exp in zip(el._metric_apply(cmap, *q), want):
+            assert np.array_equal(got, exp)
 
     def test_energy_product_matches_operator(self, rng):
         cmap = _wavy_map(16, 12, 17)
@@ -152,6 +169,53 @@ class TestFlatSolves:
             d -= d.mean()
             errs.append(np.max(np.abs(d)))
         assert np.log2(errs[0] / errs[1]) > 1.9
+
+
+def _thomas_flat_solve(r, grid, z0, z1):
+    """Flat-operator solve by one tridiagonal system per horizontal mode
+    (reference for the fast-diagonal preconditioner)."""
+    n1, n2, nz = grid.shape
+    ksq = el._ksq_eff(n1, n2)[..., None]
+    off, mid = vertical_fem_rows(ksq, grid.dz)
+    off = np.broadcast_to(off, ksq.shape[:2] + (z1 - z0,))
+    diag = np.broadcast_to(mid, off.shape).copy()
+    if z0 == 0:
+        diag[..., 0] *= 0.5
+    if z1 == nz:
+        diag[..., -1] *= 0.5
+    neumann_all = z0 == 0 and z1 == nz
+    mask = el._kernel_mask(n1, n2)
+    if neumann_all:
+        # pin the singular kernel blocks, then take their mean-free solution
+        diag[mask, 0] += 1.0
+    rhat = np.fft.rfft2(r, axes=(0, 1)) / (grid.h1 * grid.h2)
+    x = thomas_batched(off, diag, off, rhat)
+    if neumann_all:
+        x[mask, :] -= np.mean(x[mask, :], axis=-1, keepdims=True)
+    return np.fft.irfft2(x, s=(n1, n2), axes=(0, 1))
+
+
+class TestFlatPreconditioner:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n1=st.integers(2, 8).map(lambda k: 2 * k),
+        n2=st.integers(2, 8).map(lambda k: 2 * k),
+        nz=st.integers(3, 17),
+        levels=st.sampled_from(["dirichlet-both", "dirichlet-top",
+                                "neumann-both"]),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_matches_tridiagonal_solve(self, n1, n2, nz, levels, seed):
+        grid = SlabGrid(n1, n2, nz)
+        z0, z1 = {"dirichlet-both": (1, nz - 1),
+                  "dirichlet-top": (0, nz - 1),
+                  "neumann-both": (0, nz)}[levels]
+        r = np.random.default_rng(seed).standard_normal((n1, n2, z1 - z0))
+        if levels == "neumann-both":
+            r = el._project_kernel(r, grid)
+        got = el._flat_solve(r, grid, z0, z1)
+        want = _thomas_flat_solve(r, grid, z0, z1)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestCurvedSolves:

@@ -70,6 +70,15 @@ class TestBuildMap:
         order = np.log2(errs[0] / errs[1])
         assert order > 1.9
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_interface_rejected(self, bad):
+        grid = geo.SlabGrid(8, 8, 9)
+        X1, _ = torus_grid(8, 8)
+        f = 0.1 * np.cos(X1)
+        f[3, 5] = bad
+        with pytest.raises(PreconditionViolated, match="non-finite"):
+            geo.build_map(f, grid)
+
     def test_degenerate_map_raises(self):
         grid = geo.SlabGrid(16, 16, 17)
         X1, _ = torus_grid(16, 16)
