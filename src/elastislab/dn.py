@@ -233,7 +233,7 @@ def material_dn_commutator(g: np.ndarray, u: np.ndarray, cmap: CoordinateMap,
 
     # surface terms: normal derivative of u against the extension
     # gradient, plus the moving-normal decomposition
-    n = normal_vector(cmap.f)
+    n = cmap.normal
     ngradu = [sum(n[a] * du[b][a][..., -1] for a in range(3)) for b in range(3)]
     term3 = -sum(gw[b][..., -1] * ngradu[b] for b in range(3))
 

@@ -21,6 +21,8 @@ solve.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import (
@@ -38,8 +40,6 @@ from .geometry import (
     build_map,
     map_time_derivative,
     mapped_gradient,
-    normal_vector,
-    thomas_batched,
     trace,
 )
 from .spectral import horizontal_derivative, mollify, remove_mean
@@ -186,10 +186,20 @@ class FlowState:
         return new
 
 
+def _normal_flux(v: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
+    """Interface flux v.N of a slab-stored vector field."""
+    n = cmap.normal
+    return sum(n[a] * trace(v[a]) for a in range(3))
+
+
+def _surface_laplacian(g: np.ndarray) -> np.ndarray:
+    return (horizontal_derivative(horizontal_derivative(g, 1), 1)
+            + horizontal_derivative(horizontal_derivative(g, 2), 2))
+
+
 def kinematic_rate(state: FlowState) -> np.ndarray:
     """Interface velocity u.N from the velocity trace, mean removed."""
-    n = normal_vector(state.f)
-    dtf = sum(n[a] * trace(state.u[a]) for a in range(3))
+    dtf = _normal_flux(state.u, state.cmap)
     return dtf - np.mean(dtf)
 
 
@@ -227,9 +237,7 @@ def weak_div_load(v: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
     w = grid.h1 * grid.h2 * grid.dz
     b = -grad_adjoint(w * m1, w * m2, w * m3, grid)
     area = grid.h1 * grid.h2
-    n = normal_vector(cmap.f)
-    vn = sum(n[a] * trace(v[a]) for a in range(3))
-    b[..., -1] += area * vn
+    b[..., -1] += area * _normal_flux(v, cmap)
     b[..., 0] += -area * bottom_trace(v[2])
     return b
 
@@ -253,29 +261,28 @@ def divergence_residual(v: np.ndarray, cmap: CoordinateMap) -> float:
 def normal_trace_defect(v: np.ndarray, cmap: CoordinateMap,
                         target: np.ndarray | None = None) -> float:
     """Max-norm of v.N - target on the interface."""
-    n = normal_vector(cmap.f)
-    vn = sum(n[a] * trace(v[a]) for a in range(3))
+    vn = _normal_flux(v, cmap)
     if target is not None:
         vn = vn - target
     return float(np.max(np.abs(vn)))
 
 
+@lru_cache(maxsize=16)
+def _lift_matrix(nc: int) -> np.ndarray:
+    """(A A^T)^-1 A for the node-to-cell averaging A of nc cells."""
+    a = 0.5 * (np.eye(nc, nc + 1) + np.eye(nc, nc + 1, 1))
+    m = np.linalg.solve(a @ a.T, a)
+    m.flags.writeable = False
+    return m
+
+
 def _minnorm_lift(q: np.ndarray) -> np.ndarray:
     """Node field whose vertical pair averages equal q, minimal L2 norm.
 
-    Solves (A A^T) y = q with A the node-to-cell averaging and returns
-    A^T y; the normal-equation matrix is tridiagonal (1/4, 1/2, 1/4).
+    That is A^T (A A^T)^-1 q with A the node-to-cell averaging, applied
+    along the last axis as one product with a cached matrix.
     """
-    nc = q.shape[-1]
-    sub = np.full(nc, 0.25)
-    diag = np.full(nc, 0.5)
-    sup = np.full(nc, 0.25)
-    y = thomas_batched(sub, diag, sup, q)
-    out = np.empty(q.shape[:-1] + (nc + 1,))
-    out[..., 0] = 0.5 * y[..., 0]
-    out[..., -1] = 0.5 * y[..., -1]
-    out[..., 1:-1] = 0.5 * (y[..., :-1] + y[..., 1:])
-    return out
+    return q @ _lift_matrix(q.shape[-1])
 
 
 def _anchored_lift(q: np.ndarray, anchor: np.ndarray, where: str) -> np.ndarray:
@@ -376,7 +383,6 @@ def project_div_normal(v: np.ndarray, cmap: CoordinateMap,
             f"mean target flux {float(np.mean(target)):.3e} cannot be "
             "reached with a sealed floor"
         )
-    n = normal_vector(cmap.f)
     work = np.array(v, dtype=float)
     floor0 = bottom_trace(work[2]).copy()
     if np.any(floor0 != 0.0):
@@ -385,7 +391,7 @@ def project_div_normal(v: np.ndarray, cmap: CoordinateMap,
     info = {"rounds": 0, "iterations": 0, "trace_defect": np.inf}
     last = np.inf
     for _ in range(rounds):
-        d = sum(n[a] * trace(work[a]) for a in range(3)) - target
+        d = _normal_flux(work, cmap) - target
         b = -weak_div_load(work, cmap)
         b[..., -1] += area * d
         psi, inf = solve_weak(cmap, top=("neumann", None),
@@ -471,9 +477,7 @@ def assemble_pressure(state: FlowState) -> PressurePieces:
         x0=None if hint is None else hint.ring)
     bar = None
     if state.eps != 0.0:
-        lap_f = (horizontal_derivative(horizontal_derivative(state.f, 1), 1)
-                 + horizontal_derivative(horizontal_derivative(state.f, 2), 2))
-        flux = -state.eps * lap_f
+        flux = -state.eps * _surface_laplacian(state.f)
         bar, info["bar"] = solve_weak(cmap, top=("neumann", flux),
                                       bottom=("neumann", None),
                                       tol=DEFAULT_TOL,
@@ -575,7 +579,6 @@ def interface_accel_rhs(state: FlowState, ablate: str | None = None,
     f = state.f
     dring = mapped_gradient(pressure.ring, cmap)
     d3ring_top = trace(dring[2])
-    n = normal_vector(f)
     ubar = [trace(state.u[a]) for a in range(3)]
     Fbar = [[trace(state.F[j, sidx]) for j in range(3)] for sidx in range(2)]
     theta = kinematic_rate(state)
@@ -605,9 +608,7 @@ def interface_accel_rhs(state: FlowState, ablate: str | None = None,
             for j in range(3):
                 acc += column_d(column_d(di_f, j), j)
         if state.eps != 0.0 and ablate != "epsilon":
-            acc += state.eps * (
-                horizontal_derivative(horizontal_derivative(di_f, 1), 1)
-                + horizontal_derivative(horizontal_derivative(di_f, 2), 2))
+            acc += state.eps * _surface_laplacian(di_f)
         if ablate != "stretch":
             for j in range(3):
                 for sidx in range(2):
@@ -621,7 +622,7 @@ def interface_accel_rhs(state: FlowState, ablate: str | None = None,
             ext = harmonic_ext_dirichlet(di_f, cmap, tol=tol)
             q = dring[i] + dring[2] * ext
             dq = mapped_gradient(q, cmap)
-            acc -= sum(n[a] * trace(dq[a]) for a in range(3))
+            acc -= _normal_flux(dq, cmap)
         if state.eps != 0.0 and ablate != "pbar":
             for sidx in range(2):
                 acc -= horizontal_derivative(di_f, sidx + 1) * dbar_top[sidx]
@@ -729,12 +730,10 @@ def material_pressure_derivative(state: FlowState,
     if state.eps != 0.0:
         f = state.f
         theta = kinematic_rate(state)
-        lap = lambda g: (
-            horizontal_derivative(horizontal_derivative(g, 1), 1)
-            + horizontal_derivative(horizontal_derivative(g, 2), 2))
         ubar = [trace(u[a]) for a in range(2)]
-        lap_f = lap(f)
-        dt_lap = lap(theta) + ubar[0] * horizontal_derivative(lap_f, 1) \
+        lap_f = _surface_laplacian(f)
+        dt_lap = _surface_laplacian(theta) \
+            + ubar[0] * horizontal_derivative(lap_f, 1) \
             + ubar[1] * horizontal_derivative(lap_f, 2)
         # the flux inversions sit behind an O(dz^2) consistency error, so
         # pushing them below 1e-9 only stalls the boundary iteration

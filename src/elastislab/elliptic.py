@@ -21,10 +21,10 @@ Solves run matrix-free preconditioned CG; the preconditioner inverts
 the flat-map (K = I) operator exactly, so flat solves converge in a
 single iteration and near-flat ones in a handful.  Per horizontal mode
 that operator is S + |k|^2 M with the same vertical stiffness S and
-mass M for every mode, so one cached eigenbasis of the pair (fast
-diagonalization) turns the inverse into a vertical matrix product, a
-diagonal scaling between horizontal transforms, and the transposed
-product.
+mass M for every mode, so the cached eigenbasis of the pair that the
+harmonic map also uses (geometry.vertical_eigen, fast diagonalization)
+turns the inverse into a vertical matrix product, a diagonal scaling
+between horizontal transforms, and the transposed product.
 
 Flat fast path
 --------------
@@ -48,7 +48,7 @@ from .geometry import (
     _dh_pair_adjoint,
     _node_to_cell,
     mapped_gradient,
-    vertical_fem_rows,
+    vertical_eigen,
 )
 from .spectral import _deriv_factors, _ksq
 
@@ -163,42 +163,19 @@ def energy_product(u: np.ndarray, v: np.ndarray, cmap: CoordinateMap) -> float:
 # ---------------------------------------------------------------------------
 # flat preconditioner: one vertical eigenbasis shared by all modes
 
-def _vertical_matrix(ksq: float, nz: int, z0: int, z1: int) -> np.ndarray:
-    """Dense per-mode flat operator S + ksq M on free levels [z0, z1);
-    a free boundary level carries a half row."""
-    sub, diag = vertical_fem_rows(ksq, 1.0 / (nz - 1))
-    n = z1 - z0
-    a = (np.diag(np.full(n, diag)) + np.diag(np.full(n - 1, sub), 1)
-         + np.diag(np.full(n - 1, sub), -1))
-    if z0 == 0:
-        a[0, 0] *= 0.5
-    if z1 == nz:
-        a[-1, -1] *= 0.5
-    return a
-
-
 @lru_cache(maxsize=64)
 def _flat_eigen(n1: int, n2: int, nz: int, z0: int, z1: int):
     """Fast-diagonal form of the flat operator on free levels [z0, z1).
 
-    Every horizontal mode shares the stiffness S and mass M, so one
-    eigenbasis V of the (S + M)-whitened M, with V^T (S + M) V = I and
-    V^T M V = diag(mu), diagonalizes them all:
-
-        (S + |k|^2 M)^-1 = V diag(1 / (1 + (|k|^2 - 1) mu)) V^T.
-
-    Returns (V, inv, kernel): inv holds those factors per (mode,
-    eigenvector) with the 1/(h1 h2) load scaling folded in.  In the
+    Returns (V, inv, kernel) for the eigen pair (V, mu) of
+    geometry.vertical_eigen: inv holds 1 / (1 + (|k|^2 - 1) mu) per
+    (mode, eigenvector) with the 1/(h1 h2) load scaling folded in.  In the
     all-Neumann case the vertical constant (index c, mu = 1) is dropped
     on the kernel modes and kernel = (c, w): the eigen coordinates y of
     a vertically mean-free field have y[c] = -(y . w), w[c] = 0.
     Otherwise kernel is None.
     """
-    stiff = _vertical_matrix(0.0, nz, z0, z1)
-    both = _vertical_matrix(1.0, nz, z0, z1)  # S + M, positive definite
-    linv = np.linalg.inv(np.linalg.cholesky(both))
-    mu, q = np.linalg.eigh(linv @ (both - stiff) @ linv.T)
-    v = linv.T @ q
+    v, mu = vertical_eigen(nz, z0, z1)
     area = (2.0 * np.pi / n1) * (2.0 * np.pi / n2)
     denom = area * (1.0 + (_ksq_eff(n1, n2)[..., None] - 1.0) * mu)
     kernel = None
@@ -211,8 +188,7 @@ def _flat_eigen(n1: int, n2: int, nz: int, z0: int, z1: int):
         w.flags.writeable = False
         kernel = (c, w)
     inv = 1.0 / denom
-    for a in (v, inv):
-        a.flags.writeable = False
+    inv.flags.writeable = False
     return v, inv, kernel
 
 

@@ -10,7 +10,8 @@ the vertical map phi(y', y3) has to be solved for:
 
 The vertical discretization is linear finite elements on a uniform node
 ladder (second order), the horizontal one is Fourier collocation, so
-phi splits into independent tridiagonal solves per horizontal mode.
+phi splits into per-mode vertical solves, all diagonalized by the one
+cached eigenbasis of vertical_eigen.
 
 Physical derivatives of a field w stored on the slab follow the chain
 rule through the graph map:
@@ -22,6 +23,7 @@ rule through the graph map:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 import hashlib
 
 import numpy as np
@@ -89,36 +91,6 @@ class SlabGrid:
     def shape(self):
         return (self.n1, self.n2, self.nz)
 
-    def check_same(self, other: "SlabGrid"):
-        if self != other:
-            raise GridMismatch(f"{self.shape} vs {other.shape}")
-
-
-def thomas_batched(sub, diag, sup, rhs):
-    """Solve batched tridiagonal systems along the last axis.
-
-    sub[..., i] multiplies x[..., i-1] in equation i (sub[..., 0] unused),
-    sup[..., i] multiplies x[..., i+1] (sup[..., -1] unused).  All inputs
-    broadcast against rhs; rhs may be complex.
-    """
-    n = rhs.shape[-1]
-    sub = np.broadcast_to(sub, rhs.shape)
-    diag = np.broadcast_to(diag, rhs.shape)
-    sup = np.broadcast_to(sup, rhs.shape)
-    cp = np.empty_like(np.broadcast_to(diag, rhs.shape), dtype=rhs.dtype)
-    dp = np.empty_like(rhs)
-    cp[..., 0] = sup[..., 0] / diag[..., 0]
-    dp[..., 0] = rhs[..., 0] / diag[..., 0]
-    for i in range(1, n):
-        denom = diag[..., i] - sub[..., i] * cp[..., i - 1]
-        cp[..., i] = sup[..., i] / denom
-        dp[..., i] = (rhs[..., i] - sub[..., i] * dp[..., i - 1]) / denom
-    x = np.empty_like(rhs)
-    x[..., -1] = dp[..., -1]
-    for i in range(n - 2, -1, -1):
-        x[..., i] = dp[..., i] - cp[..., i] * x[..., i + 1]
-    return x
-
 
 def vertical_fem_rows(ksq: np.ndarray, dz: float):
     """Interior-row coefficients of the per-mode vertical operator.
@@ -130,6 +102,43 @@ def vertical_fem_rows(ksq: np.ndarray, dz: float):
     sub = -1.0 / dz + ksq * dz / 4.0
     diag = 2.0 / dz + ksq * dz / 2.0
     return sub, diag
+
+
+def _vertical_matrix(ksq: float, nz: int, z0: int, z1: int) -> np.ndarray:
+    """Dense per-mode operator S + ksq M on free levels [z0, z1); a free
+    boundary level carries a half row."""
+    sub, diag = vertical_fem_rows(ksq, 1.0 / (nz - 1))
+    n = z1 - z0
+    a = (np.diag(np.full(n, diag)) + np.diag(np.full(n - 1, sub), 1)
+         + np.diag(np.full(n - 1, sub), -1))
+    if z0 == 0:
+        a[0, 0] *= 0.5
+    if z1 == nz:
+        a[-1, -1] *= 0.5
+    return a
+
+
+@lru_cache(maxsize=64)
+def vertical_eigen(nz: int, z0: int, z1: int):
+    """One vertical eigenbasis for every horizontal mode on levels [z0, z1).
+
+    Every mode's operator is S + |k|^2 M with the same stiffness S and
+    mass M, so the eigenbasis V of the (S + M)-whitened M, with
+    V^T (S + M) V = I and V^T M V = diag(mu), diagonalizes them all
+    (fast diagonalization):
+
+        (S + |k|^2 M)^-1 = V diag(1 / (1 + (|k|^2 - 1) mu)) V^T.
+
+    Returns (V, mu), both read-only.
+    """
+    stiff = _vertical_matrix(0.0, nz, z0, z1)
+    both = _vertical_matrix(1.0, nz, z0, z1)  # S + M, positive definite
+    linv = np.linalg.inv(np.linalg.cholesky(both))
+    mu, q = np.linalg.eigh(linv @ (both - stiff) @ linv.T)
+    v = linv.T @ q
+    for a in (v, mu):
+        a.flags.writeable = False
+    return v, mu
 
 
 def d3_node(w: np.ndarray, dz: float) -> np.ndarray:
@@ -190,6 +199,9 @@ class CoordinateMap:
     is_flat : bool
         True when f is identically zero, enabling the analytic per-mode
         fast paths downstream.
+    normal : array (3, n1, n2)
+        Outward non-unit normal of the interface (normal_vector(f)),
+        computed on first use.
     """
 
     def __init__(self, grid: SlabGrid, f: np.ndarray, phi: np.ndarray):
@@ -220,6 +232,10 @@ class CoordinateMap:
         p1, p2, p3 = self.phi1_cell, self.phi2_cell, self.phi3_cell
         self.k33 = (1.0 + p1 * p1 + p2 * p2) / p3
 
+    @cached_property
+    def normal(self) -> np.ndarray:
+        return normal_vector(self.f)
+
     def metric_cell(self):
         """Flux-form metric K = J Jinv Jinv^T at vertical cell midpoints.
 
@@ -243,23 +259,28 @@ class CoordinateMap:
         return float(np.max(np.abs(rhs)) / scale)
 
 
-def _map_solve(grid: SlabGrid, top: np.ndarray, bottom_value: float) -> np.ndarray:
-    """Solve the discrete vertical harmonic problem per horizontal mode."""
-    n1, n2, nz = grid.shape
-    dz = grid.dz
-    that = np.fft.rfft2(top) / (n1 * n2)
+@lru_cache(maxsize=32)
+def _map_profiles(n1: int, n2: int, nz: int) -> np.ndarray:
+    """Read-only per-mode vertical map profiles for unit top and zero floor
+    data, (n1, n2 // 2 + 1, nz), solved in the shared eigenbasis with the
+    true |k|^2 of the map operator."""
+    v, mu = vertical_eigen(nz, 1, nz - 1)
     ksq = _ksq(n1, n2)[..., None]
-    sub, diag = vertical_fem_rows(ksq, dz)
-    nin = nz - 2
-    rhs = np.zeros(that.shape + (nin,), dtype=complex)
-    bhat = np.zeros_like(that)
-    bhat[0, 0] = bottom_value
-    rhs[..., 0] -= sub[..., 0] * bhat[..., None][..., 0]
-    rhs[..., -1] -= sub[..., 0] * that[..., None][..., 0]
-    x = thomas_batched(sub, diag, sub, rhs)
-    phat = np.concatenate([bhat[..., None], x, that[..., None]], axis=-1)
-    phi = np.fft.irfft2(phat * (n1 * n2), s=(n1, n2), axes=(0, 1))
-    return phi
+    sub, _ = vertical_fem_rows(ksq, 1.0 / (nz - 1))
+    prof = np.zeros(ksq.shape[:2] + (nz,))
+    prof[..., 1:-1] = (-sub * v[-1] / (1.0 + (ksq - 1.0) * mu)) @ v.T
+    prof[..., -1] = 1.0
+    prof.flags.writeable = False
+    return prof
+
+
+def _map_solve(grid: SlabGrid, top: np.ndarray, bottom_value: float) -> np.ndarray:
+    """Solve the discrete vertical harmonic problem per horizontal mode;
+    the floor datum reaches only the mean mode, whose profile is linear."""
+    n1, n2, nz = grid.shape
+    that = np.fft.rfft2(top)[..., None] * _map_profiles(n1, n2, nz)
+    phi = np.fft.irfft2(that, s=(n1, n2), axes=(0, 1))
+    return phi - bottom_value * grid.y3
 
 
 def _map_apply_interior(grid: SlabGrid, phi: np.ndarray) -> np.ndarray:
@@ -279,9 +300,9 @@ def build_map(f: np.ndarray, grid: SlabGrid) -> CoordinateMap:
     """Harmonic coordinate map for interface f over the reference slab.
 
     Solves the discrete Laplace problem for the vertical map with
-    Dirichlet data f on top and -1 on the floor, one tridiagonal system
-    per horizontal mode.  Raises PreconditionViolated on a non-finite f,
-    and DegenerateMap when the resulting map is not one-to-one
+    Dirichlet data f on top and -1 on the floor, one cached vertical
+    profile per horizontal mode.  Raises PreconditionViolated on a
+    non-finite f, and DegenerateMap when the resulting map is not one-to-one
     (d3 phi <= 0 somewhere), which happens when f dips near the floor.
     """
     f = np.asarray(f, dtype=float)
@@ -291,10 +312,6 @@ def build_map(f: np.ndarray, grid: SlabGrid) -> CoordinateMap:
         raise PreconditionViolated("interface has non-finite entries")
     if np.max(np.abs(f)) >= 1.0:
         raise DegenerateMap("interface touches or crosses the floor depth")
-    if np.all(f == 0.0):
-        y3 = grid.y3
-        phi = np.broadcast_to(y3, (grid.n1, grid.n2, grid.nz)).copy()
-        return CoordinateMap(grid, f.copy(), phi)
     phi = _map_solve(grid, f, -1.0)
     phi[..., -1] = f
     phi[..., 0] = -1.0

@@ -114,7 +114,7 @@ class TaylorCoefficient:
 def taylor_coefficient(state: FlowState) -> TaylorCoefficient:
     grad = mapped_gradient(assemble_pressure(state).total, state.cmap)
     gtr = [trace(grad[a]) for a in range(3)]
-    n = normal_vector(state.f)
+    n = state.cmap.normal
     normal = -(n[0] * gtr[0] + n[1] * gtr[1] + n[2] * gtr[2])
     nsq = n[0] ** 2 + n[1] ** 2 + n[2] ** 2
     return TaylorCoefficient(normal=normal, vertical=-gtr[2], nsq=nsq)

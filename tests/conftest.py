@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from elastislab.cli import _band, _smooth_flow
+from elastislab.geometry import vertical_fem_rows
+from elastislab.spectral import _ksq
 
 
 @pytest.fixture
@@ -19,6 +21,49 @@ def torus_grid(n1, n2):
 def random_band_limited(rng, n1, n2, kmax, amplitude=1.0):
     """Real random field with modes only inside |k1|,|k2| <= kmax."""
     return _band(rng, n1, n2, kmax, amplitude)
+
+
+def thomas_batched(sub, diag, sup, rhs):
+    """Solve batched tridiagonal systems along the last axis (reference).
+
+    sub[..., i] multiplies x[..., i-1] in equation i (sub[..., 0] unused),
+    sup[..., i] multiplies x[..., i+1] (sup[..., -1] unused).  All inputs
+    broadcast against rhs; rhs may be complex.
+    """
+    n = rhs.shape[-1]
+    sub = np.broadcast_to(sub, rhs.shape)
+    diag = np.broadcast_to(diag, rhs.shape)
+    sup = np.broadcast_to(sup, rhs.shape)
+    cp = np.empty_like(diag, dtype=rhs.dtype)
+    dp = np.empty_like(rhs)
+    cp[..., 0] = sup[..., 0] / diag[..., 0]
+    dp[..., 0] = rhs[..., 0] / diag[..., 0]
+    for i in range(1, n):
+        denom = diag[..., i] - sub[..., i] * cp[..., i - 1]
+        cp[..., i] = sup[..., i] / denom
+        dp[..., i] = (rhs[..., i] - sub[..., i] * dp[..., i - 1]) / denom
+    x = np.empty_like(rhs)
+    x[..., -1] = dp[..., -1]
+    for i in range(n - 2, -1, -1):
+        x[..., i] = dp[..., i] - cp[..., i] * x[..., i + 1]
+    return x
+
+
+def thomas_map_solve(grid, top, bottom_value):
+    """Vertical harmonic map problem by one tridiagonal system per
+    horizontal mode (reference for geometry._map_solve)."""
+    n1, n2, nz = grid.shape
+    that = np.fft.rfft2(top) / (n1 * n2)
+    ksq = _ksq(n1, n2)[..., None]
+    sub, diag = vertical_fem_rows(ksq, grid.dz)
+    rhs = np.zeros(that.shape + (nz - 2,), dtype=complex)
+    bhat = np.zeros_like(that)
+    bhat[0, 0] = bottom_value
+    rhs[..., 0] -= sub[..., 0] * bhat
+    rhs[..., -1] -= sub[..., 0] * that
+    x = thomas_batched(sub, diag, sub, rhs)
+    phat = np.concatenate([bhat[..., None], x, that[..., None]], axis=-1)
+    return np.fft.irfft2(phat * (n1 * n2), s=(n1, n2), axes=(0, 1))
 
 
 def sample_flow(n, nz, amp, eps, uscale=0.1):

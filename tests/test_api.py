@@ -1,7 +1,10 @@
-"""Public names: every layer's __all__ resolves, and the package's own
-export list is pinned."""
+"""Public names and imports: every layer's __all__ resolves, the
+package's own export list is pinned, and every import is declared."""
 
+import ast
 import importlib
+import pathlib
+import sys
 
 import pytest
 
@@ -41,3 +44,33 @@ def test_layer_all_resolves(layer):
 def test_package_all_is_pinned():
     assert elastislab.__all__ == PACKAGE_ALL
     assert all(hasattr(elastislab, name) for name in PACKAGE_ALL)
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TEST_PACKAGES = {"pytest", "hypothesis", "elastislab", "conftest"}
+
+
+def _imported_packages(path):
+    """Top-level packages of the absolute imports in one source file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("folder, extra", [
+    ("src/elastislab", set()),
+    ("tests", TEST_PACKAGES),
+], ids=["src", "tests"])
+def test_imports_are_declared(folder, extra):
+    # numpy is the one runtime dependency; tests add only the [test] extra
+    allowed = set(sys.stdlib_module_names) | {"numpy"} | extra
+    found = {
+        path.name: sorted(_imported_packages(path) - allowed)
+        for path in sorted((ROOT / folder).glob("*.py"))
+    }
+    assert not {name: bad for name, bad in found.items() if bad}

@@ -3,6 +3,7 @@ the interface acceleration residual and initial-data preparation."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from elastislab import dn
 from elastislab import dynamics as dyn
@@ -131,6 +132,29 @@ class TestWeakDivergence:
         r32 = dyn.divergence_residual(v32, m32)
         assert r16 < 2e-3
         assert r32 < 0.3 * r16
+
+
+class TestMinNormLift:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n1=st.integers(2, 16).map(lambda k: 2 * k),
+        n2=st.integers(2, 16).map(lambda k: 2 * k),
+        nz=st.integers(3, 50),
+        amplitude=st.floats(0.01, 0.3),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_pair_averages_and_kernel_orthogonality(self, n1, n2, nz,
+                                                    amplitude, seed):
+        q = amplitude * np.random.default_rng(seed).standard_normal(
+            (n1, n2, nz - 1))
+        out = dyn._minnorm_lift(q)
+        assert out.shape == (n1, n2, nz)
+        avg = 0.5 * (out[..., :-1] + out[..., 1:])
+        assert np.max(np.abs(avg - q)) <= 1e-13 * np.max(np.abs(q))
+        # minimal norm: no component along the kernel of the averaging
+        alt = (-1.0) ** np.arange(nz)
+        bound = 1e-13 * np.linalg.norm(out, axis=-1) * np.sqrt(nz)
+        assert np.all(np.abs(out @ alt) <= bound)
 
 
 class TestProjectDiv:

@@ -10,11 +10,10 @@ from elastislab.errors import PreconditionViolated, SolverDiverged
 from elastislab.geometry import (
     SlabGrid,
     build_map,
-    thomas_batched,
     vertical_fem_rows,
 )
 
-from conftest import random_band_limited
+from conftest import random_band_limited, thomas_batched
 
 
 def _coords(n1, n2):

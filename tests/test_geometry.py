@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from elastislab import geometry as geo
 from elastislab.errors import DegenerateMap, GridMismatch, PreconditionViolated
 from elastislab.snapshots import read_snapshot, write_snapshot
 
-from conftest import torus_grid
+from conftest import (
+    random_band_limited,
+    thomas_batched,
+    thomas_map_solve,
+    torus_grid,
+)
 
 
 def single_mode_map_oracle(delta, grid):
@@ -28,10 +32,10 @@ class TestThomas:
             sup = rng.normal(size=n)
             diag = rng.normal(size=n) + 8.0
             rhs = rng.normal(size=(3, n))
-            x = geo.thomas_batched(sub, diag, sup, rhs)
+            x = thomas_batched(sub, diag, sup, rhs)
             mat = np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
             for b in range(3):
-                expect = scipy.linalg.solve(mat, rhs[b])
+                expect = np.linalg.solve(mat, rhs[b])
                 assert np.allclose(x[b], expect, atol=1e-9)
 
 
@@ -42,6 +46,35 @@ class TestBuildMap:
         assert cmap.is_flat
         assert np.allclose(cmap.phi, np.broadcast_to(grid.y3, grid.shape))
         assert np.allclose(cmap.phi3, 1.0)
+
+    @pytest.mark.parametrize("nz", [3, 9, 50, 99, 104])
+    def test_flat_map_boundary_rows_exact(self, nz):
+        grid = geo.SlabGrid(4, 6, nz)
+        phi = geo.build_map(np.zeros((4, 6)), grid).phi
+        assert np.all(phi[..., -1] == 0.0)
+        assert np.all(phi[..., 0] == -1.0)
+        assert np.array_equal(phi[..., 1:-1],
+                              np.broadcast_to(grid.y3[1:-1], (4, 6, nz - 2)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n1=st.integers(2, 16).map(lambda k: 2 * k),
+        n2=st.integers(2, 16).map(lambda k: 2 * k),
+        nz=st.integers(3, 50),
+        amplitude=st.one_of(st.just(0.0), st.floats(0.01, 0.3)),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_map_matches_tridiagonal_solve(self, n1, n2, nz, amplitude, seed):
+        rng = np.random.default_rng(seed)
+        grid = geo.SlabGrid(n1, n2, nz)
+        f = random_band_limited(rng, n1, n2, 1, amplitude)
+        cmap = geo.build_map(f, grid)
+        want = thomas_map_solve(grid, f, -1.0)
+        assert np.max(np.abs(cmap.phi - want)) <= 1e-13
+        g = rng.standard_normal((n1, n2))
+        g *= amplitude / np.max(np.abs(g))
+        want = thomas_map_solve(grid, g, 0.0)
+        assert np.max(np.abs(geo.map_time_derivative(cmap, g) - want)) <= 1e-13
 
     def test_boundary_values_exact(self, rng):
         grid = geo.SlabGrid(16, 16, 17)
