@@ -1,6 +1,8 @@
 """Config parsing, scenario presets, run artifacts and the check suite."""
 
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +162,32 @@ class TestRunCommand:
         assert result["reason"] == reason
         assert result["message"]
         assert (out / "diagnostics.csv").exists()
+
+    def test_outputs_retain_no_arrays(self, tmp_path, monkeypatch):
+        # each output does the same work, so the traced heap after the
+        # last one is the heap after the first plus the recorded rows
+        energy = cli.stab.energy_es_eps
+        current = []
+
+        def traced(*args, **kwargs):
+            out = energy(*args, **kwargs)
+            gc.collect()
+            current.append(tracemalloc.get_traced_memory()[0])
+            return out
+
+        monkeypatch.setattr(cli.stab, "energy_es_eps", traced)
+        # c0 = 0 turns the stability monitor off: on a grid this small the
+        # mixed-regions preset halts at t = 0
+        path = _write(tmp_path, "schema = 1\nscenario = mixed-regions\n"
+                                "grid = 8x8x9\nc0 = 0\n")
+        tracemalloc.start()
+        try:
+            assert cli.main(["run", "--config", str(path),
+                             "--out", str(tmp_path / "mixed")]) == 0
+        finally:
+            tracemalloc.stop()
+        assert len(current) == 5
+        assert current[-1] <= current[0] + 64 * 1024
 
     def test_invalid_config_exit_code(self, tmp_path):
         path = _write(tmp_path, "schema = 1\nwhat = 1\n")
