@@ -23,8 +23,11 @@ single iteration and near-flat ones in a handful.  Per horizontal mode
 that operator is S + |k|^2 M with the same vertical stiffness S and
 mass M for every mode, so the cached eigenbasis of the pair that the
 harmonic map also uses (geometry.vertical_eigen, fast diagonalization)
-turns the inverse into a vertical matrix product, a diagonal scaling
-between horizontal transforms, and the transposed product.
+and the real orthonormal Fourier bases of spectral._fourier_basis turn
+the inverse into real matrix products along z, x1 and x2 around one
+diagonal scaling.  The whole bulk path (derivatives, operator,
+preconditioner, kernel projection) is real matrix products; only the
+2-D interface helpers and the flat closed forms below use FFTs.
 
 Flat fast path
 --------------
@@ -50,7 +53,7 @@ from .geometry import (
     mapped_gradient,
     vertical_eigen,
 )
-from .spectral import _deriv_factors, _ksq
+from .spectral import _fourier_basis, _ksq
 
 DEFAULT_TOL = 1e-10
 MAXITER = 800
@@ -70,26 +73,6 @@ __all__ = [
     "volume_weights",
     "bulk_l2_norm",
 ]
-
-
-# ---------------------------------------------------------------------------
-# spectral factors shared by the operator and its preconditioner
-
-@lru_cache(maxsize=32)
-def _ksq_eff(n1: int, n2: int):
-    """|k|^2 consistent with the zeroed-Nyquist derivative factors."""
-    f1, f2 = _deriv_factors(n1, n2)
-    return (f1.imag ** 2 + f2.imag ** 2)
-
-
-@lru_cache(maxsize=32)
-def _kernel_mask(n1: int, n2: int):
-    """Modes annihilated by both horizontal derivatives.
-
-    Vertically constant fields on these modes span the kernel of the
-    all-Neumann operator (the mean mode plus zeroed Nyquist planes).
-    """
-    return _ksq_eff(n1, n2) == 0.0
 
 
 def _cell_to_node_adjoint(p):
@@ -169,19 +152,22 @@ def _flat_eigen(n1: int, n2: int, nz: int, z0: int, z1: int):
 
     Returns (V, inv, kernel) for the eigen pair (V, mu) of
     geometry.vertical_eigen: inv holds 1 / (1 + (|k|^2 - 1) mu) per
-    (mode, eigenvector) with the 1/(h1 h2) load scaling folded in.  In the
-    all-Neumann case the vertical constant (index c, mu = 1) is dropped
-    on the kernel modes and kernel = (c, w): the eigen coordinates y of
-    a vertically mean-free field have y[c] = -(y . w), w[c] = 0.
-    Otherwise kernel is None.
+    (Q1 column, Q2 column, eigenvector), |k|^2 being the D^T D eigenvalues
+    of spectral._fourier_basis, with the 1/(h1 h2) load scaling folded
+    in.  In the all-Neumann case the vertical constant (index c, mu = 1)
+    is dropped on the four kernel columns (constant or Nyquist along each
+    axis, the corners [::n - 1]) and kernel = (c, w): the eigen
+    coordinates y of a vertically mean-free field have y[c] = -(y . w),
+    w[c] = 0.  Otherwise kernel is None.
     """
     v, mu = vertical_eigen(nz, z0, z1)
+    ksq = _fourier_basis(n1)[1][:, None, None] + _fourier_basis(n2)[1][:, None]
     area = (2.0 * np.pi / n1) * (2.0 * np.pi / n2)
-    denom = area * (1.0 + (_ksq_eff(n1, n2)[..., None] - 1.0) * mu)
+    denom = area * (1.0 + (ksq - 1.0) * mu)
     kernel = None
     if z0 == 0 and z1 == nz:
         c = int(np.argmax(mu))
-        denom[_kernel_mask(n1, n2), c] = np.inf
+        denom[::n1 - 1, ::n2 - 1, c] = np.inf
         colsum = v.sum(axis=0)
         w = colsum / colsum[c]
         w[c] = 0.0
@@ -195,28 +181,31 @@ def _flat_eigen(n1: int, n2: int, nz: int, z0: int, z1: int):
 def _flat_solve(r: np.ndarray, grid: SlabGrid, z0: int, z1: int) -> np.ndarray:
     """Exact flat-operator solve on free levels (the CG preconditioner).
 
-    V acts along z only, so it commutes with the horizontal transform
-    and is applied in physical space as one real matrix product.
+    Real matrix products only: r @ V along z, Q1^T along axis 0, Q2^T
+    along axis 1, the diagonal scaling, then Q2, Q1 and V^T back.
     """
     n1, n2 = grid.n1, grid.n2
     v, inv, kernel = _flat_eigen(n1, n2, grid.nz, z0, z1)
+    q1, q2 = _fourier_basis(n1)[0], _fourier_basis(n2)[0]
     shape = r.shape
-    y = np.fft.rfft2((r.reshape(-1, shape[-1]) @ v).reshape(shape), axes=(0, 1))
+    y = (r.reshape(-1, shape[-1]) @ v).reshape(n1, -1)
+    y = np.matmul(q2.T, (q1.T @ y).reshape(shape))
     y *= inv
     if kernel is not None:
         c, w = kernel
-        mask = _kernel_mask(n1, n2)
-        y[mask, c] = -(y[mask] @ w)
-    x = np.fft.irfft2(y, s=(n1, n2), axes=(0, 1))
-    return (x.reshape(-1, shape[-1]) @ v.T).reshape(shape)
+        corners = y[::n1 - 1, ::n2 - 1]
+        corners[..., c] = -(corners @ w)
+    x = (q1 @ np.matmul(q2, y).reshape(n1, -1)).reshape(-1, shape[-1])
+    return (x @ v.T).reshape(shape)
 
 
 def _project_kernel(r: np.ndarray, grid: SlabGrid) -> np.ndarray:
-    """Remove the all-Neumann kernel component (spectral, exact)."""
-    c = np.fft.rfft2(r, axes=(0, 1))
-    mask = _kernel_mask(grid.n1, grid.n2)
-    c[mask, :] -= np.mean(c[mask, :], axis=-1, keepdims=True)
-    return np.fft.irfft2(c, s=(grid.n1, grid.n2), axes=(0, 1))
+    """Remove the all-Neumann kernel component: the vertical mean of the
+    coefficients on the four constant/Nyquist products of Q1 and Q2."""
+    e1 = _fourier_basis(grid.n1)[0][:, ::grid.n1 - 1]
+    e2 = _fourier_basis(grid.n2)[0][:, ::grid.n2 - 1]
+    mean = e1 @ (e1.T @ np.mean(r, axis=-1) @ e2) @ e2.T
+    return r - mean[..., None]
 
 
 # ---------------------------------------------------------------------------

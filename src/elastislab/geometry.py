@@ -11,7 +11,10 @@ the vertical map phi(y', y3) has to be solved for:
 The vertical discretization is linear finite elements on a uniform node
 ladder (second order), the horizontal one is Fourier collocation, so
 phi splits into per-mode vertical solves, all diagonalized by the one
-cached eigenbasis of vertical_eigen.
+cached eigenbasis of vertical_eigen.  Horizontal derivatives of bulk
+fields are products with the real differentiation matrix of
+spectral._deriv_matrix along each axis; the map solve and the interface
+helpers stay on 2-D FFTs.
 
 Physical derivatives of a field w stored on the slab follow the chain
 rule through the graph map:
@@ -29,7 +32,7 @@ import hashlib
 import numpy as np
 
 from .errors import DegenerateMap, GridMismatch, PreconditionViolated
-from .spectral import _deriv_factors, _ksq, horizontal_derivative
+from .spectral import _deriv_matrix, _ksq, horizontal_derivative
 
 __all__ = [
     "SlabGrid",
@@ -157,23 +160,25 @@ def _node_to_cell(w):
 
 def _dh_pair(w):
     """Both horizontal spectral derivatives of a bulk (..., n1, n2, nz)
-    array, sharing one forward transform."""
+    array as real matrix products along axes -3 and -2.
+
+    The first row along each axis is subtracted first, so a field that is
+    constant along that axis differentiates to exactly 0.
+    """
     n1, n2 = w.shape[-3], w.shape[-2]
-    f1, f2 = _deriv_factors(n1, n2)
-    c = np.fft.rfft2(w, axes=(-3, -2))
-    d1 = np.fft.irfft2(c * f1[:, :, None], s=(n1, n2), axes=(-3, -2))
-    c *= f2[:, :, None]
-    d2 = np.fft.irfft2(c, s=(n1, n2), axes=(-3, -2))
-    return d1, d2
+    t = w - w[..., :1, :, :]
+    d1 = (_deriv_matrix(n1) @ t.reshape(w.shape[:-2] + (-1,))).reshape(w.shape)
+    np.subtract(w, w[..., :1, :], out=t)
+    return d1, np.matmul(_deriv_matrix(n2), t)
 
 
 def _dh_pair_adjoint(p1, p2):
-    """Adjoint of _dh_pair: -(d1 p1 + d2 p2), fused transforms."""
+    """Adjoint of _dh_pair: D1^T p1 + D2^T p2."""
     n1, n2 = p1.shape[-3], p1.shape[-2]
-    f1, f2 = _deriv_factors(n1, n2)
-    c = np.fft.rfft2(p1, axes=(-3, -2)) * f1[:, :, None]
-    c += np.fft.rfft2(p2, axes=(-3, -2)) * f2[:, :, None]
-    return -np.fft.irfft2(c, s=(n1, n2), axes=(-3, -2))
+    out = np.matmul(_deriv_matrix(n2).T, p2)
+    flat = p1.reshape(p1.shape[:-2] + (-1,))
+    out += (_deriv_matrix(n1).T @ flat).reshape(p1.shape)
+    return out
 
 
 class CoordinateMap:

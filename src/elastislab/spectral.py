@@ -63,6 +63,38 @@ def _deriv_factors(n1: int, n2: int):
 
 
 @lru_cache(maxsize=32)
+def _deriv_matrix(n: int) -> np.ndarray:
+    """Read-only real n x n matrix of d/dx on n samples (Nyquist zeroed),
+    made exactly antisymmetric."""
+    d = horizontal_derivative(np.eye(n), 1)
+    d = 0.5 * (d - d.T)
+    d.flags.writeable = False
+    return d
+
+
+@lru_cache(maxsize=32)
+def _fourier_basis(n: int):
+    """Real orthonormal Fourier basis Q on n samples and the eigenvalue
+    of D^T D (D = _deriv_matrix(n)) on each column, both read-only.
+
+    Columns: the constant, cos/sin pairs for k = 1 .. n/2 - 1 (eigenvalue
+    k^2), then the Nyquist mode (eigenvalue 0, as D zeroes it).
+    """
+    x = 2.0 * np.pi * np.arange(n) / n
+    k = np.arange(1, n // 2)
+    q = np.empty((n, n))
+    q[:, 0] = 1.0 / np.sqrt(n)
+    q[:, 1:-1:2] = np.sqrt(2.0 / n) * np.cos(np.outer(x, k))
+    q[:, 2:-1:2] = np.sqrt(2.0 / n) * np.sin(np.outer(x, k))
+    q[:, -1] = (-1.0) ** np.arange(n) / np.sqrt(n)
+    lam = np.zeros(n)
+    lam[1:-1:2] = lam[2:-1:2] = k * k
+    for a in (q, lam):
+        a.flags.writeable = False
+    return q, lam
+
+
+@lru_cache(maxsize=32)
 def _parseval_weight(n1: int, n2: int):
     """Multiplicity of each rfft2 column under conjugate symmetry."""
     w = np.full(n2 // 2 + 1, 2.0)

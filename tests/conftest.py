@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from elastislab.cli import _band, _smooth_flow
-from elastislab.geometry import vertical_fem_rows
-from elastislab.spectral import _ksq
+from elastislab.geometry import vertical_eigen, vertical_fem_rows
+from elastislab.spectral import _deriv_factors, _ksq
 
 
 @pytest.fixture
@@ -64,6 +64,69 @@ def thomas_map_solve(grid, top, bottom_value):
     x = thomas_batched(sub, diag, sub, rhs)
     phat = np.concatenate([bhat[..., None], x, that[..., None]], axis=-1)
     return np.fft.irfft2(phat * (n1 * n2), s=(n1, n2), axes=(0, 1))
+
+
+def ksq_eff(n1, n2):
+    """|k|^2 of the zeroed-Nyquist derivative factors, rfft2 layout."""
+    f1, f2 = _deriv_factors(n1, n2)
+    return f1.imag ** 2 + f2.imag ** 2
+
+
+def kernel_mask(n1, n2):
+    """rfft2 modes annihilated by both horizontal derivatives."""
+    return ksq_eff(n1, n2) == 0.0
+
+
+def fft_dh_pair(w):
+    """Both horizontal derivatives of (..., n1, n2, nz) by 2-D transforms
+    (reference for geometry._dh_pair)."""
+    n1, n2 = w.shape[-3], w.shape[-2]
+    f1, f2 = _deriv_factors(n1, n2)
+    c = np.fft.rfft2(w, axes=(-3, -2))
+    d1 = np.fft.irfft2(c * f1[:, :, None], s=(n1, n2), axes=(-3, -2))
+    d2 = np.fft.irfft2(c * f2[:, :, None], s=(n1, n2), axes=(-3, -2))
+    return d1, d2
+
+
+def fft_dh_pair_adjoint(p1, p2):
+    """-(d1 p1 + d2 p2) by 2-D transforms (reference for
+    geometry._dh_pair_adjoint)."""
+    n1, n2 = p1.shape[-3], p1.shape[-2]
+    f1, f2 = _deriv_factors(n1, n2)
+    c = np.fft.rfft2(p1, axes=(-3, -2)) * f1[:, :, None]
+    c += np.fft.rfft2(p2, axes=(-3, -2)) * f2[:, :, None]
+    return -np.fft.irfft2(c, s=(n1, n2), axes=(-3, -2))
+
+
+def fft_flat_solve(r, grid, z0, z1):
+    """Flat-operator solve with the vertical eigenbasis between 2-D
+    transforms (reference for elliptic._flat_solve)."""
+    n1, n2, nz = grid.shape
+    v, mu = vertical_eigen(nz, z0, z1)
+    denom = grid.h1 * grid.h2 * (1.0 + (ksq_eff(n1, n2)[..., None] - 1.0) * mu)
+    mask = kernel_mask(n1, n2)
+    neumann_all = z0 == 0 and z1 == nz
+    if neumann_all:
+        c = int(np.argmax(mu))
+        denom[mask, c] = np.inf
+        w = v.sum(axis=0) / v.sum(axis=0)[c]
+        w[c] = 0.0
+    shape = r.shape
+    y = np.fft.rfft2((r.reshape(-1, shape[-1]) @ v).reshape(shape), axes=(0, 1))
+    y *= 1.0 / denom
+    if neumann_all:
+        y[mask, c] = -(y[mask] @ w)
+    x = np.fft.irfft2(y, s=(n1, n2), axes=(0, 1))
+    return (x.reshape(-1, shape[-1]) @ v.T).reshape(shape)
+
+
+def fft_project_kernel(r, grid):
+    """All-Neumann kernel removal by 2-D transforms (reference for
+    elliptic._project_kernel)."""
+    c = np.fft.rfft2(r, axes=(0, 1))
+    mask = kernel_mask(grid.n1, grid.n2)
+    c[mask, :] -= np.mean(c[mask, :], axis=-1, keepdims=True)
+    return np.fft.irfft2(c, s=(grid.n1, grid.n2), axes=(0, 1))
 
 
 def sample_flow(n, nz, amp, eps, uscale=0.1):

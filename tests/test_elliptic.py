@@ -13,7 +13,14 @@ from elastislab.geometry import (
     vertical_fem_rows,
 )
 
-from conftest import random_band_limited, thomas_batched
+from conftest import (
+    fft_flat_solve,
+    fft_project_kernel,
+    kernel_mask,
+    ksq_eff,
+    random_band_limited,
+    thomas_batched,
+)
 
 
 def _coords(n1, n2):
@@ -174,7 +181,7 @@ def _thomas_flat_solve(r, grid, z0, z1):
     """Flat-operator solve by one tridiagonal system per horizontal mode
     (reference for the fast-diagonal preconditioner)."""
     n1, n2, nz = grid.shape
-    ksq = el._ksq_eff(n1, n2)[..., None]
+    ksq = ksq_eff(n1, n2)[..., None]
     off, mid = vertical_fem_rows(ksq, grid.dz)
     off = np.broadcast_to(off, ksq.shape[:2] + (z1 - z0,))
     diag = np.broadcast_to(mid, off.shape).copy()
@@ -183,7 +190,7 @@ def _thomas_flat_solve(r, grid, z0, z1):
     if z1 == nz:
         diag[..., -1] *= 0.5
     neumann_all = z0 == 0 and z1 == nz
-    mask = el._kernel_mask(n1, n2)
+    mask = kernel_mask(n1, n2)
     if neumann_all:
         # pin the singular kernel blocks, then take their mean-free solution
         diag[mask, 0] += 1.0
@@ -215,6 +222,31 @@ class TestFlatPreconditioner:
         got = el._flat_solve(r, grid, z0, z1)
         want = _thomas_flat_solve(r, grid, z0, z1)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n1=st.integers(2, 16).map(lambda k: 2 * k),
+        n2=st.integers(2, 16).map(lambda k: 2 * k),
+        nz=st.integers(3, 17),
+        levels=st.sampled_from(["dirichlet-both", "dirichlet-top",
+                                "neumann-both"]),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_matrix_products_match_transforms(self, n1, n2, nz, levels,
+                                              seed):
+        grid = SlabGrid(n1, n2, nz)
+        z0, z1 = {"dirichlet-both": (1, nz - 1),
+                  "dirichlet-top": (0, nz - 1),
+                  "neumann-both": (0, nz)}[levels]
+        r = np.random.default_rng(seed).standard_normal((n1, n2, z1 - z0))
+        if levels == "neumann-both":
+            got = el._project_kernel(r, grid)
+            want = fft_project_kernel(r, grid)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+            r = want
+        got = el._flat_solve(r, grid, z0, z1)
+        want = fft_flat_solve(r, grid, z0, z1)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 class TestCurvedSolves:

@@ -9,6 +9,8 @@ from elastislab.errors import DegenerateMap, GridMismatch, PreconditionViolated
 from elastislab.snapshots import read_snapshot, write_snapshot
 
 from conftest import (
+    fft_dh_pair,
+    fft_dh_pair_adjoint,
     random_band_limited,
     thomas_batched,
     thomas_map_solve,
@@ -177,21 +179,63 @@ class TestMappedGradient:
         assert np.array_equal(geo.bottom_trace(w), w[:, :, 0])
 
 
-    def test_three_transforms_per_gradient(self, monkeypatch):
-        # both horizontal derivatives share one forward transform
+    def test_no_fft_on_the_bulk_path(self, monkeypatch):
+        # bulk derivatives, the operator, the preconditioner and the kernel
+        # projection are real matrix products once their matrices are cached
+        from elastislab import elliptic as el
         grid = geo.SlabGrid(8, 8, 9)
         X1, X2 = torus_grid(8, 8)
         cmap = geo.build_map(0.05 * np.cos(X1), grid)
         w = np.sin(X2)[..., None] * grid.y3
-        calls = []
-        for name in ("rfft2", "irfft2"):
-            def counted(*args, _fn=getattr(np.fft, name), **kwargs):
-                calls.append(_fn.__name__)
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(np.fft, name, counted)
-        geo.mapped_gradient(w, cmap)
-        assert sorted(calls) == ["irfft2", "irfft2", "rfft2"]
 
+        def run():
+            geo.mapped_gradient(w, cmap)
+            el.apply_operator(w, cmap)
+            for z0, z1 in ((1, 8), (0, 8), (0, 9)):
+                el._flat_solve(w[..., z0:z1], grid, z0, z1)
+            el._project_kernel(w, grid)
+
+        run()
+        calls = []
+        for name in dir(np.fft):
+            fn = getattr(np.fft, name)
+            if callable(fn) and not name.startswith("_"):
+                def counted(*args, _name=name, _fn=fn, **kwargs):
+                    calls.append(_name)
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(np.fft, name, counted)
+        run()
+        assert calls == []
+
+    def test_horizontal_constants_differentiate_to_zero(self, rng):
+        col = rng.normal(size=9)
+        const = np.broadcast_to(col, (8, 6, 9))
+        d1, d2 = geo._dh_pair(const)
+        assert np.array_equal(d1, np.zeros(const.shape))
+        assert np.array_equal(d2, np.zeros(const.shape))
+        # constant along one axis only: that derivative is exactly zero
+        rows = np.broadcast_to(rng.normal(size=(6, 9)), (3, 8, 6, 9))
+        assert np.array_equal(geo._dh_pair(rows)[0], np.zeros(rows.shape))
+        cols = np.broadcast_to(rng.normal(size=(8, 1, 9)), (8, 6, 9))
+        assert np.array_equal(geo._dh_pair(cols)[1], np.zeros(cols.shape))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n1=st.integers(2, 16).map(lambda k: 2 * k),
+        n2=st.integers(2, 16).map(lambda k: 2 * k),
+        nz=st.integers(3, 17),
+        batch=st.sampled_from([(), (3,)]),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_matrix_pair_matches_transforms(self, n1, n2, nz, batch, seed):
+        rng = np.random.default_rng(seed)
+        shape = batch + (n1, n2, nz)
+        w, p1, p2 = (rng.standard_normal(shape) for _ in range(3))
+        for got, want in zip(geo._dh_pair(w), fft_dh_pair(w)):
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        got = geo._dh_pair_adjoint(p1, p2)
+        want = fft_dh_pair_adjoint(p1, p2)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     @settings(max_examples=30, deadline=None)
     @given(
