@@ -23,11 +23,10 @@ single iteration and near-flat ones in a handful.  Per horizontal mode
 that operator is S + |k|^2 M with the same vertical stiffness S and
 mass M for every mode, so the cached eigenbasis of the pair that the
 harmonic map also uses (geometry.vertical_eigen, fast diagonalization)
-and the real orthonormal Fourier bases of spectral._fourier_basis turn
-the inverse into real matrix products along z, x1 and x2 around one
-diagonal scaling.  The whole bulk path (derivatives, operator,
-preconditioner, kernel projection) is real matrix products; only the
-2-D interface helpers and the flat closed forms below use FFTs.
+and the real Fourier bases of spectral._fourier_basis turn the inverse
+into real matrix products around one diagonal scaling.  The bulk path
+runs on real matrices; the 2-D interface helpers of spectral and the
+flat closed forms below stay on FFTs.
 
 Flat fast path
 --------------
@@ -152,13 +151,12 @@ def _flat_eigen(n1: int, n2: int, nz: int, z0: int, z1: int):
 
     Returns (V, inv, kernel) for the eigen pair (V, mu) of
     geometry.vertical_eigen: inv holds 1 / (1 + (|k|^2 - 1) mu) per
-    (Q1 column, Q2 column, eigenvector), |k|^2 being the D^T D eigenvalues
-    of spectral._fourier_basis, with the 1/(h1 h2) load scaling folded
-    in.  In the all-Neumann case the vertical constant (index c, mu = 1)
-    is dropped on the four kernel columns (constant or Nyquist along each
-    axis, the corners [::n - 1]) and kernel = (c, w): the eigen
-    coordinates y of a vertically mean-free field have y[c] = -(y . w),
-    w[c] = 0.  Otherwise kernel is None.
+    (Q1 column, Q2 column, eigenvector) of spectral._fourier_basis with
+    the 1/(h1 h2) load scaling folded in.  In the all-Neumann case the
+    vertical constant (index c, mu = 1) is dropped on the kernel columns
+    (constant or Nyquist on both axes, [::n - 1]) and kernel = (c, w): the
+    eigen coordinates y of a vertically mean-free field have
+    y[c] = -(y . w), w[c] = 0.  Otherwise kernel is None.
     """
     v, mu = vertical_eigen(nz, z0, z1)
     ksq = _fourier_basis(n1)[1][:, None, None] + _fourier_basis(n2)[1][:, None]
@@ -188,8 +186,13 @@ def _flat_solve(r: np.ndarray, grid: SlabGrid, z0: int, z1: int) -> np.ndarray:
     v, inv, kernel = _flat_eigen(n1, n2, grid.nz, z0, z1)
     q1, q2 = _fourier_basis(n1)[0], _fourier_basis(n2)[0]
     shape = r.shape
-    y = (r.reshape(-1, shape[-1]) @ v).reshape(n1, -1)
-    y = np.matmul(q2.T, (q1.T @ y).reshape(shape))
+    y = (r.reshape(-1, shape[-1]) @ v).reshape(shape)
+    # the first row along each axis goes to the constant column alone, so
+    # data constant along an axis get exactly zero other coefficients
+    a = (q1.T @ (y - y[:1]).reshape(n1, -1)).reshape(shape)
+    a[0] += np.sqrt(n1) * y[0]
+    y = np.matmul(q2.T, a - a[:, :1])
+    y[:, 0] += np.sqrt(n2) * a[:, 0]
     y *= inv
     if kernel is not None:
         c, w = kernel

@@ -11,10 +11,9 @@ the vertical map phi(y', y3) has to be solved for:
 The vertical discretization is linear finite elements on a uniform node
 ladder (second order), the horizontal one is Fourier collocation, so
 phi splits into per-mode vertical solves, all diagonalized by the one
-cached eigenbasis of vertical_eigen.  Horizontal derivatives of bulk
-fields are products with the real differentiation matrix of
-spectral._deriv_matrix along each axis; the map solve and the interface
-helpers stay on 2-D FFTs.
+cached eigenbasis of vertical_eigen.  Bulk horizontal derivatives are
+real matrix products (spectral._deriv_matrix); the map solve and the
+2-D interface helpers stay on FFTs.
 
 Physical derivatives of a field w stored on the slab follow the chain
 rule through the graph map:
@@ -173,11 +172,12 @@ def _dh_pair(w):
 
 
 def _dh_pair_adjoint(p1, p2):
-    """Adjoint of _dh_pair: D1^T p1 + D2^T p2."""
+    """Adjoint of _dh_pair: D1^T p1 + D2^T p2, with the same first-row
+    subtraction (D^T annihilates constants as D does)."""
     n1, n2 = p1.shape[-3], p1.shape[-2]
-    out = np.matmul(_deriv_matrix(n2).T, p2)
-    flat = p1.reshape(p1.shape[:-2] + (-1,))
-    out += (_deriv_matrix(n1).T @ flat).reshape(p1.shape)
+    out = np.matmul(_deriv_matrix(n2).T, p2 - p2[..., :1, :])
+    t = p1 - p1[..., :1, :, :]
+    out += (_deriv_matrix(n1).T @ t.reshape(p1.shape[:-2] + (-1,))).reshape(p1.shape)
     return out
 
 

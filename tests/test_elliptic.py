@@ -223,6 +223,20 @@ class TestFlatPreconditioner:
         want = _thomas_flat_solve(r, grid, z0, z1)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
+    @pytest.mark.parametrize("z0, z1", [(1, 8), (0, 8), (0, 9)])
+    def test_axis_constant_data_stays_axis_constant(self, rng, z0, z1):
+        # a load constant along x2 (or x1) gets a solution constant along
+        # it, exactly: no rounding leaks into the other coefficients
+        grid = SlabGrid(8, 6, 9)
+        for shape in ((8, 1, z1 - z0), (1, 6, z1 - z0)):
+            r = np.broadcast_to(rng.standard_normal(shape),
+                                (8, 6, z1 - z0)).copy()
+            if z1 == 9:
+                r = el._project_kernel(r, grid)
+            x = el._flat_solve(r, grid, z0, z1)
+            axis = shape.index(1)
+            assert np.array_equal(x, np.broadcast_to(x.take([0], axis), x.shape))
+
     @settings(max_examples=40, deadline=None)
     @given(
         n1=st.integers(2, 16).map(lambda k: 2 * k),

@@ -218,6 +218,11 @@ class TestMappedGradient:
         assert np.array_equal(geo._dh_pair(rows)[0], np.zeros(rows.shape))
         cols = np.broadcast_to(rng.normal(size=(8, 1, 9)), (8, 6, 9))
         assert np.array_equal(geo._dh_pair(cols)[1], np.zeros(cols.shape))
+        # and so does the adjoint
+        zero = np.zeros(const.shape)
+        assert np.array_equal(geo._dh_pair_adjoint(const, const), zero)
+        assert np.array_equal(geo._dh_pair_adjoint(rows[0], zero), zero)
+        assert np.array_equal(geo._dh_pair_adjoint(zero, cols), zero)
 
     @settings(max_examples=40, deadline=None)
     @given(
