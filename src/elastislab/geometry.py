@@ -341,7 +341,7 @@ def bottom_trace(w: np.ndarray) -> np.ndarray:
 def mapped_gradient(w: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
     """Physical gradient of slab-stored scalars w, shape (..., n1, n2, nz).
 
-    Leading axes are batch axes, transformed in one call; the result has
+    Leading axes are batch axes, differentiated in one call; the result has
     shape (..., 3, n1, n2, nz) and its entry [i] is mapped_gradient(w[i]).
     """
     dz = cmap.grid.dz
