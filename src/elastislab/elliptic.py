@@ -9,8 +9,8 @@ to the reference slab as
     int (K grad_y w) . grad_y w~ dy,    K = J Jinv Jinv^T,
 
 so every problem here is a variant of  G^T W K G u = load  where G is a
-staggered discrete gradient (spectral horizontal derivatives averaged to
-vertical cell midpoints, compact vertical differences), K the cell
+staggered discrete gradient (spectral horizontal derivatives of the
+vertical cell averages, compact vertical differences), K the cell
 metric, and W the uniform cell measure.  The operator is symmetric
 positive semidefinite by construction, which is what makes the
 Dirichlet-to-Neumann operators built on top of it exactly self-adjoint:
@@ -74,63 +74,53 @@ __all__ = [
 ]
 
 
-def _cell_to_node_adjoint(p):
-    """Adjoint of _node_to_cell in the plain Euclidean pairing."""
-    out = np.empty(p.shape[:-1] + (p.shape[-1] + 1,))
-    out[..., 0] = 0.5 * p[..., 0]
-    out[..., -1] = 0.5 * p[..., -1]
-    out[..., 1:-1] = 0.5 * (p[..., :-1] + p[..., 1:])
-    return out
-
-
-def _d3_cell(w, dz):
-    return np.diff(w, axis=-1) / dz
-
-
-def _d3_cell_adjoint(p, dz):
-    out = np.empty(p.shape[:-1] + (p.shape[-1] + 1,))
-    out[..., 0] = -p[..., 0] / dz
-    out[..., -1] = p[..., -1] / dz
-    out[..., 1:-1] = (p[..., :-1] - p[..., 1:]) / dz
-    return out
-
-
 def grad_staggered(u: np.ndarray, grid: SlabGrid):
-    """Cell-collocated discrete gradient (q1, q2, q3)."""
-    d1, d2 = _dh_pair(u)
-    return (
-        _node_to_cell(d1),
-        _node_to_cell(d2),
-        _d3_cell(u, grid.dz),
-    )
+    """Cell-collocated discrete gradient (q1, q2, q3): horizontal spectral
+    derivatives of the vertical cell averages (the average commutes with
+    them) and compact vertical differences."""
+    q1, q2 = _dh_pair(_node_to_cell(u))
+    q3 = np.subtract(u[..., 1:], u[..., :-1])
+    q3 /= grid.dz
+    return q1, q2, q3
 
 
 def grad_adjoint(q1, q2, q3, grid: SlabGrid):
-    """Exact adjoint of grad_staggered."""
-    out = _dh_pair_adjoint(_cell_to_node_adjoint(q1), _cell_to_node_adjoint(q2))
-    out += _d3_cell_adjoint(q3, grid.dz)
+    """Exact adjoint of grad_staggered: the horizontal adjoint on cells,
+    then one two-point stencil per cell onto its lower and upper node."""
+    h = _dh_pair_adjoint(q1, q2)
+    h *= 0.5
+    t = q3 / grid.dz
+    out = np.empty(h.shape[:-1] + (h.shape[-1] + 1,))
+    np.subtract(h, t, out=out[..., :-1])
+    h += t
+    out[..., 1:-1] += h[..., :-1]
+    out[..., -1] = h[..., -1]
     return out
 
 
 def _metric_apply(cmap: CoordinateMap, q1, q2, q3):
-    """K q with the entries of CoordinateMap.metric_cell, read in place."""
+    """K q with the entries of CoordinateMap.metric_cell, in place: the
+    inputs are overwritten with the result and returned."""
     if cmap.is_flat:
         return q1, q2, q3
     p1, p2, p3 = cmap.phi1_cell, cmap.phi2_cell, cmap.phi3_cell
-    return (
-        p3 * q1 - p1 * q3,
-        p3 * q2 - p2 * q3,
-        -p1 * q1 - p2 * q2 + cmap.k33 * q3,
-    )
+    s = p1 * q1
+    s += p2 * q2                 # -(k13 q1 + k23 q2)
+    for q, p in ((q1, p1), (q2, p2)):
+        q *= p3
+        q -= p * q3
+    q3 *= cmap.k33
+    q3 -= s
+    return q1, q2, q3
 
 
 def apply_operator(u: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
     """Full-row symmetric operator G^T W K G applied to a node field."""
     grid = cmap.grid
-    q1, q2, q3 = grad_staggered(u, grid)
-    m1, m2, m3 = _metric_apply(cmap, q1, q2, q3)
-    w = grid.h1 * grid.h2 * grid.dz
-    return grad_adjoint(w * m1, w * m2, w * m3, grid)
+    m = _metric_apply(cmap, *grad_staggered(u, grid))
+    for a in m:
+        a *= grid.h1 * grid.h2 * grid.dz
+    return grad_adjoint(*m, grid)
 
 
 def energy_product(u: np.ndarray, v: np.ndarray, cmap: CoordinateMap) -> float:
@@ -281,9 +271,8 @@ def solve_weak(
         u0[..., -1] = top[1]
     if bottom[0] == "dirichlet" and bottom[1] is not None:
         u0[..., 0] = bottom[1]
-    lifted = np.any(u0 != 0.0)
-    if lifted:
-        b = b - apply_operator(u0, cmap)
+    if np.any(u0):
+        b -= apply_operator(u0, cmap)
     bf = b[..., z0:z1]
     neumann_all = (z0 == 0 and z1 == nz)
     if neumann_all:
@@ -297,10 +286,9 @@ def solve_weak(
 
 def _pcg(cmap, bf, z0, z1, tol, project_constants, x0):
     grid = cmap.grid
-    nz = grid.nz
+    full = np.zeros(grid.shape)  # boundary levels outside [z0, z1) stay 0
 
     def apply_free(xf):
-        full = np.zeros(grid.shape)
         full[..., z0:z1] = xf
         return apply_operator(full, cmap)[..., z0:z1]
 
@@ -335,9 +323,9 @@ def _pcg(cmap, bf, z0, z1, tol, project_constants, x0):
         z = _flat_solve(r, grid, z0, z1)
         if project_constants:
             z -= np.mean(z)
-        rz_new = float(np.sum(r * z))
-        p = z + (rz_new / rz) * p
-        rz = rz_new
+        rz, rz_old = float(np.sum(r * z)), rz
+        p *= rz / rz_old
+        p += z
     raise SolverDiverged(f"pcg stalled at rel residual {rel:.3e} after {MAXITER} its")
 
 

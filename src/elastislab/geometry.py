@@ -154,7 +154,9 @@ def d3_node(w: np.ndarray, dz: float) -> np.ndarray:
 
 def _node_to_cell(w):
     """Vertical pair averages: node levels to cell midpoints."""
-    return 0.5 * (w[..., :-1] + w[..., 1:])
+    out = w[..., :-1] + w[..., 1:]
+    out *= 0.5
+    return out
 
 
 def _dh_pair(w):
@@ -175,8 +177,9 @@ def _dh_pair_adjoint(p1, p2):
     """Adjoint of _dh_pair: D1^T p1 + D2^T p2, with the same first-row
     subtraction (D^T annihilates constants as D does)."""
     n1, n2 = p1.shape[-3], p1.shape[-2]
-    out = np.matmul(_deriv_matrix(n2).T, p2 - p2[..., :1, :])
-    t = p1 - p1[..., :1, :, :]
+    t = p2 - p2[..., :1, :]
+    out = np.matmul(_deriv_matrix(n2).T, t)
+    np.subtract(p1, p1[..., :1, :, :], out=t)
     out += (_deriv_matrix(n1).T @ t.reshape(p1.shape[:-2] + (-1,))).reshape(p1.shape)
     return out
 
@@ -206,6 +209,9 @@ class CoordinateMap:
         fast paths downstream.
     normal : array (3, n1, n2)
         Outward non-unit normal of the interface (normal_vector(f)),
+        computed on first use.
+    inv_phi3 : array (n1, n2, nz)
+        1 / phi3 for the chain rule of mapped_gradient, read-only,
         computed on first use.
     """
 
@@ -240,6 +246,12 @@ class CoordinateMap:
     @cached_property
     def normal(self) -> np.ndarray:
         return normal_vector(self.f)
+
+    @cached_property
+    def inv_phi3(self) -> np.ndarray:
+        inv3 = 1.0 / self.phi3
+        inv3.flags.writeable = False
+        return inv3
 
     def metric_cell(self):
         """Flux-form metric K = J Jinv Jinv^T at vertical cell midpoints.
@@ -344,17 +356,15 @@ def mapped_gradient(w: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
     Leading axes are batch axes, differentiated in one call; the result has
     shape (..., 3, n1, n2, nz) and its entry [i] is mapped_gradient(w[i]).
     """
-    dz = cmap.grid.dz
-    d3 = d3_node(w, dz)
+    d3 = d3_node(w, cmap.grid.dz)
     d1, d2 = _dh_pair(w)
-    if cmap.is_flat:
-        return np.stack([d1, d2, d3], axis=-4)
-    inv3 = 1.0 / cmap.phi3
     # filled in place: a stack of the components would hold them twice
     g = np.empty(w.shape[:-3] + (3,) + w.shape[-3:])
-    np.subtract(d1, cmap.phi1 * inv3 * d3, out=g[..., 0, :, :, :])
-    np.subtract(d2, cmap.phi2 * inv3 * d3, out=g[..., 1, :, :, :])
-    np.multiply(inv3, d3, out=g[..., 2, :, :, :])
+    inv3 = cmap.inv_phi3
+    g1, g2, g3 = (g[..., i, :, :, :] for i in range(3))
+    np.subtract(d1, np.multiply(cmap.phi1 * inv3, d3, out=g1), out=g1)
+    np.subtract(d2, np.multiply(cmap.phi2 * inv3, d3, out=g2), out=g2)
+    np.multiply(inv3, d3, out=g3)
     return g
 
 

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from elastislab.cli import _band, _smooth_flow
-from elastislab.geometry import vertical_eigen, vertical_fem_rows
+from elastislab.geometry import (
+    _dh_pair,
+    _dh_pair_adjoint,
+    _node_to_cell,
+    vertical_eigen,
+    vertical_fem_rows,
+)
 from elastislab.spectral import _deriv_factors, _ksq
 
 
@@ -96,6 +102,52 @@ def fft_dh_pair_adjoint(p1, p2):
     c = np.fft.rfft2(p1, axes=(-3, -2)) * f1[:, :, None]
     c += np.fft.rfft2(p2, axes=(-3, -2)) * f2[:, :, None]
     return -np.fft.irfft2(c, s=(n1, n2), axes=(-3, -2))
+
+
+def cell_to_node_adjoint(p):
+    """Adjoint of the vertical pair average in the plain Euclidean pairing."""
+    out = np.empty(p.shape[:-1] + (p.shape[-1] + 1,))
+    out[..., 0] = 0.5 * p[..., 0]
+    out[..., -1] = 0.5 * p[..., -1]
+    out[..., 1:-1] = 0.5 * (p[..., :-1] + p[..., 1:])
+    return out
+
+
+def d3_cell_adjoint(p, dz):
+    """Adjoint of the compact vertical difference of node levels."""
+    out = np.empty(p.shape[:-1] + (p.shape[-1] + 1,))
+    out[..., 0] = -p[..., 0] / dz
+    out[..., -1] = p[..., -1] / dz
+    out[..., 1:-1] = (p[..., :-1] - p[..., 1:]) / dz
+    return out
+
+
+def node_grad_staggered(u, grid):
+    """Staggered gradient with the horizontal derivatives taken at nodes
+    and averaged to cells afterwards (reference for
+    elliptic.grad_staggered)."""
+    d1, d2 = _dh_pair(u)
+    return _node_to_cell(d1), _node_to_cell(d2), np.diff(u, axis=-1) / grid.dz
+
+
+def node_grad_adjoint(q1, q2, q3, grid):
+    """Exact adjoint of node_grad_staggered (reference for
+    elliptic.grad_adjoint)."""
+    out = _dh_pair_adjoint(cell_to_node_adjoint(q1), cell_to_node_adjoint(q2))
+    out += d3_cell_adjoint(q3, grid.dz)
+    return out
+
+
+def node_apply_operator(u, cmap):
+    """G^T W K G through node_grad_staggered and CoordinateMap.metric_cell
+    (reference for elliptic.apply_operator)."""
+    grid = cmap.grid
+    q1, q2, q3 = node_grad_staggered(u, grid)
+    k11, k22, k33, k13, k23 = cmap.metric_cell()
+    w = grid.h1 * grid.h2 * grid.dz
+    return node_grad_adjoint(w * (k11 * q1 + k13 * q3),
+                             w * (k22 * q2 + k23 * q3),
+                             w * (k13 * q1 + k23 * q2 + k33 * q3), grid)
 
 
 def fft_flat_solve(r, grid, z0, z1):

@@ -1,6 +1,8 @@
 """Elliptic machinery: adjointness, symmetry, analytic flat profiles,
 manufactured solutions on curved maps, boundary flux recovery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,9 @@ from conftest import (
     fft_project_kernel,
     kernel_mask,
     ksq_eff,
+    node_apply_operator,
+    node_grad_adjoint,
+    node_grad_staggered,
     random_band_limited,
     thomas_batched,
 )
@@ -82,6 +87,78 @@ class TestOperatorAlgebra:
         assert el.energy_product(u, v, cmap) == pytest.approx(
             float(np.sum(el.apply_operator(u, cmap) * v)), rel=1e-12
         )
+
+
+def _rel(got, want):
+    """Relative distance of two tuples of arrays in the Euclidean norm."""
+    diff = np.sqrt(sum(np.sum((a - b) ** 2) for a, b in zip(got, want)))
+    return diff / np.sqrt(sum(np.sum(b * b) for b in want))
+
+
+def _constant_along(a, axis):
+    return np.array_equal(a, np.repeat(np.take(a, [0], axis=axis),
+                                       a.shape[axis], axis=axis))
+
+
+class TestAverageFirstForms:
+    """The operator averages to cells before differentiating horizontally;
+    the node-average-after forms of conftest are the references."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n1=st.integers(2, 8).map(lambda k: 2 * k),
+           n2=st.integers(2, 8).map(lambda k: 2 * k),
+           nz=st.integers(3, 13),
+           amplitude=st.one_of(st.just(0.0), st.floats(0.01, 0.3)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_match_node_average_after_forms(self, n1, n2, nz, amplitude, seed):
+        rng = np.random.default_rng(seed)
+        grid = SlabGrid(n1, n2, nz)
+        cmap = build_map(random_band_limited(rng, n1, n2, 2, amplitude), grid)
+        u = rng.standard_normal(grid.shape)
+        p = tuple(rng.standard_normal((n1, n2, nz - 1)) for _ in range(3))
+        assert _rel(el.grad_staggered(u, grid), node_grad_staggered(u, grid)) <= 1e-13
+        assert _rel([el.grad_adjoint(*p, grid)],
+                    [node_grad_adjoint(*p, grid)]) <= 1e-13
+        assert _rel([el.apply_operator(u, cmap)],
+                    [node_apply_operator(u, cmap)]) <= 1e-13
+
+    @pytest.mark.parametrize("amplitude", [0.0, 0.2])
+    def test_exact_zeros_kept(self, rng, amplitude):
+        # wherever the reference gives an exact 0, or a field exactly
+        # constant along an axis, the average-first forms do too
+        grid = SlabGrid(16, 12, 17)
+        x1, x2 = _coords(16, 12)
+        u = rng.standard_normal(grid.shape)
+        vertical = np.broadcast_to(grid.y3, grid.shape).copy()
+        for axis in (0, 1):
+            # the field and the map are both constant along the axis
+            w = np.repeat(np.take(u, [0], axis=axis), grid.shape[axis], axis=axis)
+            f = (np.ones((16, 1)) * np.sin(x2) if axis == 0
+                 else np.cos(x1)[:, None] * np.ones(12))
+            cmap = build_map(amplitude * f, grid)
+            for field in (w, vertical, np.ones(grid.shape)):
+                got = el.grad_staggered(field, grid) + (
+                    el.apply_operator(field, cmap),)
+                want = node_grad_staggered(field, grid) + (
+                    node_apply_operator(field, cmap),)
+                for a, b in zip(got, want):
+                    assert np.array_equal(a == 0.0, b == 0.0)
+                    if _constant_along(b, axis):
+                        assert _constant_along(a, axis)
+            assert not np.any(el.grad_staggered(w, grid)[axis])
+            assert not np.any(el.apply_operator(np.ones(grid.shape), cmap))
+
+    def test_apply_operator_allocation_peak(self, rng):
+        cmap = _wavy_map(16, 12, 17)
+        u = rng.standard_normal(cmap.grid.shape)
+        el.apply_operator(u, cmap)
+        tracemalloc.start()
+        try:
+            el.apply_operator(u, cmap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * u.nbytes
 
 
 class TestFlatSolves:

@@ -172,6 +172,21 @@ class TestMappedGradient:
         order = np.log2(errs[0] / errs[1])
         assert order > 1.9
 
+    def test_inv_phi3_computed_once(self, rng):
+        grid = geo.SlabGrid(16, 12, 9)
+        cmap = geo.build_map(random_band_limited(rng, 16, 12, 2, 0.2), grid)
+        w = rng.standard_normal((2,) + grid.shape)
+        g = geo.mapped_gradient(w, cmap)
+        assert cmap.inv_phi3 is cmap.inv_phi3
+        assert not cmap.inv_phi3.flags.writeable
+        # the chain rule of the module docstring, evaluated in that order
+        d1, d2 = geo._dh_pair(w)
+        d3 = geo.d3_node(w, grid.dz)
+        inv3 = 1.0 / cmap.phi3
+        want = np.stack([d1 - cmap.phi1 * inv3 * d3,
+                         d2 - cmap.phi2 * inv3 * d3, inv3 * d3], axis=1)
+        assert np.array_equal(g, want)
+
     def test_trace_and_bottom(self):
         grid = geo.SlabGrid(8, 8, 9)
         w = np.arange(np.prod(grid.shape), dtype=float).reshape(grid.shape)
