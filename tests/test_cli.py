@@ -189,6 +189,30 @@ class TestRunCommand:
         assert len(current) == 5
         assert current[-1] <= current[0] + 64 * 1024
 
+    @pytest.mark.parametrize("body, grid, code, reason", [
+        ("what = 1\n", None, 2, None),
+        ("", "10x9x9", 2, None),
+        ("grid = 8x8x9\nt_final = nan\n", None, 2, None),
+        ("scenario = elastic-mode\ngrid = 8x8x9\ndt = 5.0\n", None, 3,
+         "PreconditionViolated"),
+        ("scenario = mixed-regions\ngrid = 8x8x9\namplitude = 2.0\n", None, 3,
+         "DegenerateMap"),
+        ("scenario = rest\ngrid = 8x8x9\nc0 = 0.1\n", None, 3,
+         "StabilityLost"),
+    ], ids=["unknown-key", "odd-grid", "non-finite-value", "dt-above-bound",
+            "degenerate-map", "stability-loss"])
+    def test_failure_table(self, tmp_path, body, grid, code, reason):
+        # config errors (2) stop before the output directory is made;
+        # physical halts (3) record the exception name as the reason
+        out = tmp_path / "fail"
+        argv = ["run", "--config", str(_write(tmp_path, "schema = 1\n" + body)),
+                "--out", str(out)]
+        assert cli.main(argv + (["--grid", grid] if grid else [])) == code
+        if reason is None:
+            assert not (out / "result.json").exists()
+        else:
+            assert json.loads((out / "result.json").read_text())["reason"] == reason
+
     def test_invalid_config_exit_code(self, tmp_path):
         path = _write(tmp_path, "schema = 1\nwhat = 1\n")
         assert cli.main(["run", "--config", str(path),
