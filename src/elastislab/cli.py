@@ -39,6 +39,7 @@ from .spectral import (
     horizontal_derivative,
     mollify,
     sobolev_norm,
+    wavenumbers,
 )
 
 __all__ = [
@@ -306,6 +307,14 @@ def _mode_coefficient(f: np.ndarray, k1: int, k2: int) -> float:
     return float(np.real(np.fft.fft2(f)[k1 % f.shape[0], k2 % f.shape[1]]))
 
 
+def _predicted_omega(state, xi) -> float:
+    """Linear frequency of mode xi over the state's mean column traces,
+    its mean Taylor coefficient (floored at 0) and its eps."""
+    tbar = state.F[:, :2, :, :, -1].mean(axis=(2, 3))
+    a = max(0.0, float(np.mean(stab.taylor_coefficient(state).normal)))
+    return stab.dispersion_omega(tbar, a, state.eps, xi)
+
+
 def _write_snapshots(outdir: Path, state, index: int) -> None:
     stem = outdir / f"snap_{index:06d}"
     write_snapshot(f"{stem}_u.bin", state.u, state.cmap, state.t)
@@ -394,10 +403,7 @@ def cmd_run(cfg: RunConfig, outdir: Path) -> int:
         "dt": float(series_dt if series_dt is not None else dtcap),
     }
     if cfg.scenario == "elastic-mode" and reason == "completed" and len(series) >= 3:
-        xi = (cfg.mode1, cfg.mode2)
-        tbar = state.F[:, :2, :, :, -1].mean(axis=(2, 3))
-        a = max(0.0, float(np.mean(stab.taylor_coefficient(state).normal)))
-        predicted = stab.dispersion_omega(tbar, a, cfg.eps, xi)
+        predicted = _predicted_omega(state, (cfg.mode1, cfg.mode2))
         measured = stab.fit_frequency(np.asarray(series), series_dt)
         result["predicted_omega"] = float(predicted)
         result["measured_omega"] = float(measured)
@@ -423,8 +429,7 @@ def cmd_run(cfg: RunConfig, outdir: Path) -> int:
 def _band(rng, n1, n2, kmax, amplitude=1.0):
     """Random real field with modes only inside |k1|, |k2| <= kmax."""
     c = np.zeros((n1, n2 // 2 + 1), dtype=complex)
-    k1 = np.fft.fftfreq(n1, d=1.0 / n1)[:, None]
-    k2 = np.fft.rfftfreq(n2, d=1.0 / n2)[None, :]
+    k1, k2 = wavenumbers(n1, n2)
     mask = (np.abs(k1) <= kmax) & (np.abs(k2) <= kmax)
     c[mask] = rng.normal(size=mask.sum()) + 1j * rng.normal(size=mask.sum())
     c[0, 0] = 0.0
@@ -754,9 +759,7 @@ def measure_dispersion(cfg: RunConfig) -> list:
         sub = replace(cfg, scenario="elastic-mode", eps=eps, stretch=stretch,
                       amplitude=cfg.amplitude if cfg.amplitude > 0 else 1e-3)
         state = build_scenario(sub)
-        tbar = state.F[:, :2, :, :, -1].mean(axis=(2, 3))
-        a = max(0.0, float(np.mean(stab.taylor_coefficient(state).normal)))
-        predicted = stab.dispersion_omega(tbar, a, eps, xi)
+        predicted = _predicted_omega(state, xi)
         series = [_mode_coefficient(state.f, *xi)]
         for _ in range(nsteps):
             state, _ = dyn.step(state, dtl)

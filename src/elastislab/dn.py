@@ -80,16 +80,18 @@ def apply_dn_neumann(g: np.ndarray, cmap: CoordinateMap, via_solver: bool = Fals
 
 
 STALL_TOL = 1e-4
+BOUNDARY_MAXITER = 200
 
 
 def invert_dn_neumann(h: np.ndarray, cmap: CoordinateMap,
-                      tol: float = 1e-9, maxiter: int = 200) -> np.ndarray:
+                      tol: float = 1e-9) -> np.ndarray:
     """Solve the free-floor flux problem: find mean-zero z with flux h.
 
     h must be mean-free (the operator range excludes constants); the
     guard is relative at 1e-8.  Flat maps invert the symbol directly;
     otherwise boundary CG runs with the flat inverse as preconditioner,
-    each iteration costing one bulk solve.
+    each iteration costing one bulk solve, for at most BOUNDARY_MAXITER
+    iterations.
 
     Each operator application is itself an inexact bulk solve, so the
     boundary recurrence bottoms out at the inner solver noise; the loop
@@ -127,7 +129,7 @@ def invert_dn_neumann(h: np.ndarray, cmap: CoordinateMap,
     best_x = x.copy()
     best_rn = float(np.linalg.norm(r))
     since_best = 0
-    for _ in range(maxiter):
+    for _ in range(BOUNDARY_MAXITER):
         ap = apply(p)
         pap = float(np.sum(p * ap))
         if pap <= 0.0:
@@ -247,8 +249,8 @@ def material_dn_commutator(g: np.ndarray, u: np.ndarray, cmap: CoordinateMap,
     return term1 + term2 + term3 + term4
 
 
-def multiplier_dn_commutator(g: np.ndarray, a: np.ndarray, cmap: CoordinateMap,
-                             tol: float = DEFAULT_TOL) -> np.ndarray:
+def multiplier_dn_commutator(g: np.ndarray, a: np.ndarray,
+                             cmap: CoordinateMap) -> np.ndarray:
     """Commutator of the clamped flux map with multiplication by a.
 
     The extension of a product differs from the product of extensions
@@ -259,11 +261,11 @@ def multiplier_dn_commutator(g: np.ndarray, a: np.ndarray, cmap: CoordinateMap,
     """
     g = np.asarray(g, dtype=float)
     a = np.asarray(a, dtype=float)
-    ha = el.harmonic_ext_dirichlet(a, cmap, tol=tol)
-    hg = el.harmonic_ext_dirichlet(g, cmap, tol=tol)
+    ha = el.harmonic_ext_dirichlet(a, cmap)
+    hg = el.harmonic_ext_dirichlet(g, cmap)
     ga = mapped_gradient(ha, cmap)
     gg = mapped_gradient(hg, cmap)
     src = 2.0 * sum(ga[b] * gg[b] for b in range(3))
-    v = el.poisson_dirichlet_both(src, cmap, tol=tol)
+    v = el.poisson_dirichlet_both(src, cmap)
     flux = el.boundary_flux_top(v, cmap, el.volume_load(src, cmap))
-    return g * apply_dn(a, cmap, tol=tol) - flux
+    return g * apply_dn(a, cmap) - flux

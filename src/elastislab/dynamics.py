@@ -44,7 +44,6 @@ from .geometry import (
 )
 from .spectral import horizontal_derivative, mollify, remove_mean
 from .elliptic import (
-    DEFAULT_TOL,
     _metric_apply,
     boundary_flux_top,
     grad_adjoint,
@@ -81,6 +80,8 @@ __all__ = [
 ]
 
 REPROJECT_THRESHOLD = 1e-6
+PROJECTION_ROUNDS = 3
+TRACE_TOL = 1e-12
 
 ABLATABLE_TERMS = (
     "taylor",
@@ -333,8 +334,7 @@ def _gradient_correction(cmap: CoordinateMap, psi: np.ndarray):
     return corr
 
 
-def project_div(v: np.ndarray, cmap: CoordinateMap,
-                tol: float = DEFAULT_TOL):
+def project_div(v: np.ndarray, cmap: CoordinateMap):
     """Remove the weak divergence of a velocity-type field.
 
     The potential solves the weak system with the top level excluded
@@ -347,25 +347,23 @@ def project_div(v: np.ndarray, cmap: CoordinateMap,
     """
     b = weak_div_load(v, cmap)
     psi, info = solve_weak(cmap, top=("dirichlet", None),
-                           bottom=("neumann", None), extra_load=-b, tol=tol)
+                           bottom=("neumann", None), extra_load=-b)
     return v - _gradient_correction(cmap, psi), info
 
 
 def project_div_normal(v: np.ndarray, cmap: CoordinateMap,
-                       target: np.ndarray | None = None,
-                       tol: float = DEFAULT_TOL, rounds: int = 3,
-                       trace_tol: float = 1e-12):
+                       target: np.ndarray | None = None):
     """Remove the weak divergence, set v.N on the interface, seal the floor.
 
-    Each round solves the all-Neumann system whose interface row carries
-    the remaining trace defect and applies the floor-anchored lift of the
-    potential gradient.  The floor value stays exactly zero, every
-    divergence row below the interface is met to the solver tolerance,
-    and the interface trace is met in the variational sense exactly: its
-    pointwise defect drops to the consistency order of the input defect
-    (exactly on a flat map) and is reported in info["trace_defect"].
-    Divergence-free inputs that already satisfy the trace pass through
-    unchanged.
+    Each of at most PROJECTION_ROUNDS rounds solves the all-Neumann system
+    whose interface row carries the remaining trace defect and applies the
+    floor-anchored lift of the potential gradient.  The floor value stays
+    exactly zero, every divergence row below the interface is met to the
+    solver tolerance, and the interface trace is met in the variational
+    sense exactly: its pointwise defect drops to the consistency order of
+    the input defect (exactly on a flat map) and is reported in
+    info["trace_defect"].  Divergence-free inputs that already satisfy the
+    trace pass through unchanged.
 
     The target must have (numerically) zero mean: a net interface flux
     with a sealed floor admits no divergence-free correction, and
@@ -390,18 +388,18 @@ def project_div_normal(v: np.ndarray, cmap: CoordinateMap,
         work[2] -= floor0[..., None] * (-grid.y3)
     info = {"rounds": 0, "iterations": 0, "trace_defect": np.inf}
     last = np.inf
-    for _ in range(rounds):
+    for _ in range(PROJECTION_ROUNDS):
         d = _normal_flux(work, cmap) - target
         b = -weak_div_load(work, cmap)
         b[..., -1] += area * d
         psi, inf = solve_weak(cmap, top=("neumann", None),
-                              bottom=("neumann", None), extra_load=b, tol=tol)
+                              bottom=("neumann", None), extra_load=b)
         work = work - _gradient_correction(cmap, psi)
         info["rounds"] += 1
         info["iterations"] += inf["iterations"]
         cur = normal_trace_defect(work, cmap, target)
         info["trace_defect"] = cur
-        if cur <= trace_tol * scale or cur >= 0.5 * last:
+        if cur <= TRACE_TOL * scale or cur >= 0.5 * last:
             break  # converged, or hit the consistency-order plateau
         last = cur
     return work, info
@@ -473,14 +471,12 @@ def assemble_pressure(state: FlowState) -> PressurePieces:
     info = {}
     ring, info["ring"] = solve_weak(
         cmap, rhs=src, top=("dirichlet", np.zeros(state.f.shape)),
-        bottom=("neumann", None), tol=DEFAULT_TOL,
-        x0=None if hint is None else hint.ring)
+        bottom=("neumann", None), x0=None if hint is None else hint.ring)
     bar = None
     if state.eps != 0.0:
         flux = -state.eps * _surface_laplacian(state.f)
         bar, info["bar"] = solve_weak(cmap, top=("neumann", flux),
                                       bottom=("neumann", None),
-                                      tol=DEFAULT_TOL,
                                       x0=None if hint is None else hint.bar)
         bar = bar - np.mean(trace(bar))
     state._pressure = PressurePieces(ring, bar, volume_load(src, cmap), info)
@@ -559,8 +555,7 @@ def interface_theta_rhs(state: FlowState, theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def interface_accel_rhs(state: FlowState, ablate: str | None = None,
-                        tol: float = DEFAULT_TOL):
+def interface_accel_rhs(state: FlowState, ablate: str | None = None):
     """Right-hand sides of the material second-derivative law for d_i f.
 
     Returns the pair (i = 1, 2) of surface fields that the second
@@ -603,7 +598,7 @@ def interface_accel_rhs(state: FlowState, ablate: str | None = None,
         di_f = df[i]
         acc = np.zeros_like(di_f)
         if ablate != "taylor":
-            acc += d3ring_top * apply_dn(di_f, cmap, tol=tol)
+            acc += d3ring_top * apply_dn(di_f, cmap)
         if ablate != "elastic":
             for j in range(3):
                 acc += column_d(column_d(di_f, j), j)
@@ -619,7 +614,7 @@ def interface_accel_rhs(state: FlowState, ablate: str | None = None,
                 acc -= (2.0 * horizontal_derivative(ubar[j], i + 1)
                         * dt_slope[j])
         if ablate != "pressure":
-            ext = harmonic_ext_dirichlet(di_f, cmap, tol=tol)
+            ext = harmonic_ext_dirichlet(di_f, cmap)
             q = dring[i] + dring[2] * ext
             dq = mapped_gradient(q, cmap)
             acc -= _normal_flux(dq, cmap)
@@ -630,8 +625,7 @@ def interface_accel_rhs(state: FlowState, ablate: str | None = None,
     return out[0], out[1]
 
 
-def evo_residual(states, ablate: str | None = None,
-                 tol: float = DEFAULT_TOL) -> float:
+def evo_residual(states, ablate: str | None = None) -> float:
     """Relative defect of the interface acceleration law on a trajectory.
 
     Needs at least five uniformly spaced states; the material second
@@ -660,7 +654,7 @@ def evo_residual(states, ablate: str | None = None,
         return (ddt + ub[0] * horizontal_derivative(gs[k], 1)
                 + ub[1] * horizontal_derivative(gs[k], 2))
 
-    rhs = interface_accel_rhs(window[2], ablate=ablate, tol=tol)
+    rhs = interface_accel_rhs(window[2], ablate=ablate)
     num = 0.0
     den = 0.0
     for i in range(2):
@@ -679,8 +673,7 @@ def evo_residual(states, ablate: str | None = None,
 # material pressure derivative
 
 
-def material_pressure_derivative(state: FlowState,
-                                 tol: float = DEFAULT_TOL) -> np.ndarray:
+def material_pressure_derivative(state: FlowState) -> np.ndarray:
     """Material derivative of the pressure through its own boundary problem.
 
     The source contracts first and second derivatives of velocity,
@@ -737,18 +730,15 @@ def material_pressure_derivative(state: FlowState,
             + ubar[1] * horizontal_derivative(lap_f, 2)
         # the flux inversions sit behind an O(dz^2) consistency error, so
         # pushing them below 1e-9 only stalls the boundary iteration
-        dn_tol = max(0.1 * tol, 1e-9)
-        base = invert_dn_neumann(remove_mean(dt_lap, tol=None), cmap,
-                                 tol=dn_tol)
-        inner = invert_dn_neumann(lap_f, cmap, tol=dn_tol)
-        comm = material_dn_commutator(inner, u, cmap, tol=tol)
-        corr = invert_dn_neumann(remove_mean(comm, tol=None), cmap,
-                                 tol=dn_tol)
+        base = invert_dn_neumann(remove_mean(dt_lap), cmap, tol=1e-9)
+        inner = invert_dn_neumann(lap_f, cmap, tol=1e-9)
+        comm = material_dn_commutator(inner, u, cmap)
+        corr = invert_dn_neumann(remove_mean(comm), cmap, tol=1e-9)
         top = -state.eps * base + state.eps * corr
     d3u1 = bottom_trace(du[0][2])
     d3u2 = bottom_trace(du[1][2])
     bot = d3u1 * bottom_trace(dp[0]) + d3u2 * bottom_trace(dp[1])
-    return poisson_dirichlet(src, cmap, top=top, bottom_d3=bot, tol=tol)
+    return poisson_dirichlet(src, cmap, top=top, bottom_d3=bot)
 
 
 # ---------------------------------------------------------------------------
@@ -804,7 +794,7 @@ def _rk4(y, dt: float, rhs, advance):
     return advance(y, dt, comb)
 
 
-def _reproject(state: FlowState, threshold: float, tol: float):
+def _reproject(state: FlowState, threshold: float):
     """Re-enforce the constraints when the monitored residuals drift."""
     cmap = state.cmap
     rep = invariant_report(state)
@@ -812,9 +802,9 @@ def _reproject(state: FlowState, threshold: float, tol: float):
              "F": max(rep["div_F"], rep["trace_F"]) > threshold}
     u, F = state.u, state.F
     if flags["u"]:
-        u, _ = project_div(u, cmap, tol=tol)
+        u, _ = project_div(u, cmap)
     if flags["F"]:
-        F = np.stack([project_div_normal(F[j], cmap, tol=tol)[0]
+        F = np.stack([project_div_normal(F[j], cmap)[0]
                       for j in range(3)])
     if flags["u"] or flags["F"]:
         state = state.with_fields(state.t, state.f, u, F)
@@ -822,7 +812,6 @@ def _reproject(state: FlowState, threshold: float, tol: float):
 
 
 def step(state: FlowState, dt: float,
-         tol: float = DEFAULT_TOL,
          reproject_threshold: float = REPROJECT_THRESHOLD):
     """Advance one RK4 step; returns (new state, info).
 
@@ -830,8 +819,8 @@ def step(state: FlowState, dt: float,
     the divergence and interface-trace invariants are measured and the
     fields re-projected when any exceeds the threshold; info records the
     invariant report of the new state and whether a re-projection fired.
-    tol is the tolerance of the re-projection solves; the stage pressures
-    are the states' own, solved at DEFAULT_TOL.
+    Every solve, stage pressures and re-projections alike, runs at
+    DEFAULT_TOL.
     """
     bound = stable_dt(state)
     if dt > bound * (1.0 + 1e-12):
@@ -839,19 +828,18 @@ def step(state: FlowState, dt: float,
             f"dt = {dt:.3e} exceeds the stable bound {bound:.3e}"
         )
     new = _rk4(state, dt, bulk_rhs, _advance)
-    new, flags = _reproject(new, reproject_threshold, tol)
+    new, flags = _reproject(new, reproject_threshold)
     info = {"dt_bound": bound, "reprojected": flags, **invariant_report(new)}
     return new, info
 
 
-def step_theta(state: FlowState, theta: np.ndarray, dt: float,
-               tol: float = DEFAULT_TOL,
-               reproject_threshold: float = REPROJECT_THRESHOLD):
+def step_theta(state: FlowState, theta: np.ndarray, dt: float):
     """RK4 step of the second-order interface formulation.
 
     The interface moves with its own velocity variable while the bulk
     fields follow the same material rates as `step`, with the grid
-    motion driven by theta.  Returns (new state, new theta, info).
+    motion driven by theta, and re-projected as in `step` at
+    REPROJECT_THRESHOLD.  Returns (new state, new theta, info).
     """
 
     def rhs(pair):
@@ -867,7 +855,7 @@ def step_theta(state: FlowState, theta: np.ndarray, dt: float,
                 th + h * k[1])
 
     new, th_new = _rk4((state, theta), dt, rhs, advance)
-    new, flags = _reproject(new, reproject_threshold, tol)
+    new, flags = _reproject(new, REPROJECT_THRESHOLD)
     info = {"reprojected": flags}
     return new, th_new, info
 
@@ -912,7 +900,7 @@ def invariant_report(state: FlowState) -> dict:
 
 def prepare_initial_data(f0: np.ndarray, u0: np.ndarray, F0: np.ndarray,
                          eps: float, s: int = 4, c0: float = 0.1,
-                         regions=None, tol: float = DEFAULT_TOL):
+                         regions=None):
     """Admissible initial state from raw data on the original domain.
 
     The interface is mollified at scale eps, the bulk fields are carried
@@ -931,7 +919,7 @@ def prepare_initial_data(f0: np.ndarray, u0: np.ndarray, F0: np.ndarray,
     F0 = np.array(F0, dtype=float)
     nz = u0.shape[-1]
     grid = SlabGrid(f0.shape[0], f0.shape[1], nz)
-    f_eps = remove_mean(mollify(f0, eps), tol=None)
+    f_eps = remove_mean(mollify(f0, eps))
     cmap0 = build_map(f0, grid)
     cmap = build_map(f_eps, grid)
     if eps == 0.0:
@@ -944,9 +932,9 @@ def prepare_initial_data(f0: np.ndarray, u0: np.ndarray, F0: np.ndarray,
     F[:, 2, ..., 0] = 0.0
     before = invariant_report(FlowState(0.0, f_eps, u, F, eps, s=s, c0=c0,
                                         grid=grid))
-    u, _ = project_div(u, cmap, tol=tol)
+    u, _ = project_div(u, cmap)
     for j in range(3):
-        F[j], _ = project_div_normal(F[j], cmap, tol=tol)
+        F[j], _ = project_div_normal(F[j], cmap)
     state = FlowState(0.0, f_eps, u, F, eps, s=s, c0=c0, regions=regions,
                       grid=grid)
     info = {"before": before, "after": invariant_report(state)}

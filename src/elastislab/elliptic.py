@@ -123,15 +123,6 @@ def apply_operator(u: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
     return grad_adjoint(*m, grid)
 
 
-def energy_product(u: np.ndarray, v: np.ndarray, cmap: CoordinateMap) -> float:
-    """Discrete Dirichlet energy pairing a(u, v)."""
-    grid = cmap.grid
-    q = grad_staggered(u, grid)
-    m = _metric_apply(cmap, *grad_staggered(v, grid))
-    w = grid.h1 * grid.h2 * grid.dz
-    return float(w * sum(np.sum(a * b) for a, b in zip(q, m)))
-
-
 # ---------------------------------------------------------------------------
 # flat preconditioner: one vertical eigenbasis shared by all modes
 
@@ -349,14 +340,10 @@ def boundary_flux_top(u: np.ndarray, cmap: CoordinateMap,
     return res / (grid.h1 * grid.h2)
 
 
-def boundary_flux_bottom(u: np.ndarray, cmap: CoordinateMap,
-                         load: np.ndarray | None = None) -> np.ndarray:
+def boundary_flux_bottom(u: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
     """Variational recovery of the outward flux -d3 u at the floor."""
     grid = cmap.grid
-    res = apply_operator(u, cmap)[..., 0]
-    if load is not None:
-        res = res - load[..., 0]
-    return res / (grid.h1 * grid.h2)
+    return apply_operator(u, cmap)[..., 0] / (grid.h1 * grid.h2)
 
 
 # ---------------------------------------------------------------------------
@@ -426,31 +413,24 @@ def harmonic_ext_neumann(g: np.ndarray, cmap: CoordinateMap,
 def poisson_dirichlet(rhs: np.ndarray, cmap: CoordinateMap,
                       top: np.ndarray | None = None,
                       bottom_d3: np.ndarray | None = None,
-                      tol: float = DEFAULT_TOL,
-                      x0: np.ndarray | None = None):
+                      tol: float = DEFAULT_TOL):
     """Solve Lap u = rhs with Dirichlet top and Neumann floor data."""
     n1, n2 = cmap.grid.n1, cmap.grid.n2
     topdata = np.zeros((n1, n2)) if top is None else np.asarray(top, dtype=float)
     u, _ = solve_weak(cmap, rhs=rhs, top=("dirichlet", topdata),
-                      bottom=("neumann", bottom_d3), tol=tol, x0=x0)
+                      bottom=("neumann", bottom_d3), tol=tol)
     return u
 
 
-def poisson_dirichlet_both(rhs: np.ndarray, cmap: CoordinateMap,
-                           top: np.ndarray | None = None,
-                           bottom: np.ndarray | None = None,
-                           tol: float = DEFAULT_TOL):
-    """Solve Lap u = rhs with Dirichlet data on both boundaries."""
-    n1, n2 = cmap.grid.n1, cmap.grid.n2
-    topdata = np.zeros((n1, n2)) if top is None else np.asarray(top, dtype=float)
-    botdata = np.zeros((n1, n2)) if bottom is None else np.asarray(bottom, dtype=float)
-    u, _ = solve_weak(cmap, rhs=rhs, top=("dirichlet", topdata),
-                      bottom=("dirichlet", botdata), tol=tol)
+def poisson_dirichlet_both(rhs: np.ndarray, cmap: CoordinateMap):
+    """Solve Lap u = rhs with zero values on the interface and the floor."""
+    u, _ = solve_weak(cmap, rhs=rhs, top=("dirichlet", None),
+                      bottom=("dirichlet", None))
     return u
 
 
-def pressure_bilinear(v: np.ndarray, w: np.ndarray, cmap: CoordinateMap,
-                      tol: float = DEFAULT_TOL) -> np.ndarray:
+def pressure_bilinear(v: np.ndarray, w: np.ndarray,
+                      cmap: CoordinateMap) -> np.ndarray:
     """Pressure-type solve:  Lap p = -tr(grad v grad w), p = 0 on the
     interface, d3 p = 0 on the floor.
 
@@ -462,11 +442,10 @@ def pressure_bilinear(v: np.ndarray, w: np.ndarray, cmap: CoordinateMap,
     for a in range(3):
         for b in range(3):
             tr += gv[a][b] * gw[b][a]
-    return poisson_dirichlet(-tr, cmap, tol=tol)
+    return poisson_dirichlet(-tr, cmap)
 
 
-def weight_field(a_bar: np.ndarray, c0: float, cmap: CoordinateMap,
-                 tol: float = DEFAULT_TOL) -> np.ndarray:
+def weight_field(a_bar: np.ndarray, c0: float, cmap: CoordinateMap) -> np.ndarray:
     """Harmonic interior weight with data a_bar on top and c0 on the floor.
 
     Requires a_bar >= c0 everywhere (the blended boundary weight after
@@ -480,7 +459,7 @@ def weight_field(a_bar: np.ndarray, c0: float, cmap: CoordinateMap,
         )
     n1, n2 = cmap.grid.n1, cmap.grid.n2
     u, _ = solve_weak(cmap, top=("dirichlet", a_bar),
-                      bottom=("dirichlet", np.full((n1, n2), c0)), tol=tol)
+                      bottom=("dirichlet", np.full((n1, n2), c0)))
     lo = min(c0, float(np.min(a_bar)))
     hi = max(c0, float(np.max(a_bar)))
     slack = 1e-8 * max(1.0, hi - lo) + 1e-6 * (hi - lo) * cmap.grid.dz

@@ -28,12 +28,10 @@ from .geometry import (
     SlabGrid,
     build_map,
     mapped_gradient,
-    normal_vector,
     trace,
 )
 from .spectral import bessel_multiplier, horizontal_derivative, mollify, sobolev_norm
 from .elliptic import (
-    DEFAULT_TOL,
     dn_symbol_dirichlet,
     harmonic_ext_dirichlet,
     volume_weights,
@@ -252,8 +250,7 @@ def stability_report(state: FlowState, regions=None,
 # weight construction
 
 
-def coercivity_weight(state: FlowState, regions=None,
-                      tol: float = DEFAULT_TOL):
+def coercivity_weight(state: FlowState):
     """Interior weight for the boundary energy, with its construction log.
 
     The boundary datum starts from the vertical-form Taylor coefficient
@@ -274,13 +271,13 @@ def coercivity_weight(state: FlowState, regions=None,
         field = np.zeros(state.cmap.grid.shape)
         return field, {"ctilde": 0.0, "clip": 0.0,
                        "abar_min": 0.0, "abar_max": 0.0}
-    reg = _resolve_regions(state, regions)
+    reg = _resolve_regions(state, None)
     a = taylor_coefficient(state).vertical
     ctilde = max(0.0, c0 - float(np.min(a))) + c0
     abar = a + reg.phi * ctilde
     clip = max(0.0, c0 - float(np.min(abar)))
     abar = np.maximum(abar, c0)
-    field = weight_field(abar, c0, state.cmap, tol=tol)
+    field = weight_field(abar, c0, state.cmap)
     info = {"ctilde": ctilde, "clip": clip,
             "abar_min": float(np.min(abar)), "abar_max": float(np.max(abar))}
     return field, info
@@ -362,9 +359,9 @@ def _transport(g: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     return v1 * horizontal_derivative(g, 1) + v2 * horizontal_derivative(g, 2)
 
 
-def _extension_energy2(g: np.ndarray, cmap: CoordinateMap, weight, tol):
+def _extension_energy2(g: np.ndarray, cmap: CoordinateMap, weight):
     """(weighted, unweighted) Dirichlet energies of the harmonic extension."""
-    ext = harmonic_ext_dirichlet(g, cmap, tol=tol)
+    ext = harmonic_ext_dirichlet(g, cmap)
     grad = mapped_gradient(ext, cmap)
     dens = grad[0] ** 2 + grad[1] ** 2 + grad[2] ** 2
     w = volume_weights(cmap)
@@ -372,7 +369,7 @@ def _extension_energy2(g: np.ndarray, cmap: CoordinateMap, weight, tol):
 
 
 def _slope_terms(state: FlowState, slopes, theta: np.ndarray, order: float,
-                 weight: np.ndarray, tol: float):
+                 weight: np.ndarray):
     """Interface terms of the smoothed slopes <grad'>^order slopes[i].
 
     Returns the (dt, elastic, weighted-extension, plain-extension) sums;
@@ -392,7 +389,7 @@ def _slope_terms(state: FlowState, slopes, theta: np.ndarray, order: float,
             + _transport(w_i, ubar[0], ubar[1]))
         for k in range(3):
             elastic_term += _surface_norm2(_transport(w_i, Fbar[k, 0], Fbar[k, 1]))
-        wext, pext = _extension_energy2(w_i, state.cmap, weight, tol)
+        wext, pext = _extension_energy2(w_i, state.cmap, weight)
         weighted_ext += wext
         plain_ext += pext
     return dt_term, elastic_term, weighted_ext, plain_ext
@@ -400,19 +397,15 @@ def _slope_terms(state: FlowState, slopes, theta: np.ndarray, order: float,
 
 def energy_es_eps(state: FlowState,
                   s: int | None = None,
-                  weight: np.ndarray | None = None,
-                  regions=None,
-                  with_initial: bool = True,
-                  tol: float = DEFAULT_TOL) -> EnergyReport:
+                  with_initial: bool = True) -> EnergyReport:
     """Graded energy of a state at Sobolev index s.
 
     The boundary terms act on the smoothed interface slopes
     <grad'>^(s - 3/2) d_i' f; their material and column transports use
     the velocity and deformation traces.  Bulk norms are derivative
     ladders of u and F over the moving domain.  The coercive term
-    integrates the interior weight against the squared gradient of the
-    harmonic extension of each smoothed slope; pass weight= to reuse a
-    precomputed field, otherwise it is built from the state.
+    integrates the state's coercivity_weight against the squared
+    gradient of the harmonic extension of each smoothed slope.
 
     with_initial=True also fills the two initial-data functionals m0 and
     m_eps (the latter scales the top-order interface norm by eps).
@@ -421,13 +414,12 @@ def energy_es_eps(state: FlowState,
     if s < 4 or s != int(s):
         raise PreconditionViolated(f"energy index must be an integer >= 4, got {s}")
     cmap = state.cmap
-    if weight is None:
-        weight, _ = coercivity_weight(state, regions=regions, tol=tol)
+    weight, _ = coercivity_weight(state)
 
     theta = kinematic_rate(state)
     slopes = [horizontal_derivative(state.f, i) for i in (1, 2)]
     dt_term, elastic_term, weighted_ext, plain_ext = _slope_terms(
-        state, slopes, theta, s - 1.5, weight, tol)
+        state, slopes, theta, s - 1.5, weight)
     eps_term = 0.0
     for slope in slopes:
         eps_term += state.eps * _surface_norm2(slope, s - 0.5)
@@ -462,19 +454,16 @@ def energy_es_eps(state: FlowState,
     )
 
 
-def difference_energy(a: FlowState, b: FlowState,
-                      s: int | None = None,
-                      weight: np.ndarray | None = None,
-                      tol: float = DEFAULT_TOL) -> EnergyReport:
+def difference_energy(a: FlowState, b: FlowState) -> EnergyReport:
     """Graded energy of the difference of two states on one grid.
 
     Both states store physical components at reference-slab nodes, so
     subtracting fields is already the pullback comparison; bulk norms of
     the differences are taken on the flat reference slab at order s - 1,
-    boundary terms at order s - 5/2.  Transports and the extension
-    domain come from the first state, matching its role as the reference
-    solution.  The default weight is the constant floor c0; pass the
-    first state's coercivity weight to reproduce the full display.
+    boundary terms at order s - 5/2, with s the first state's index.
+    Transports and the extension domain come from the first state,
+    matching its role as the reference solution, and the extension
+    weight is its constant floor c0.
 
     The eps values of the two states may differ: the difference energy
     contains no regularization term, and comparing runs across eps is
@@ -482,17 +471,16 @@ def difference_energy(a: FlowState, b: FlowState,
     """
     if a.grid.shape != b.grid.shape:
         raise GridMismatch(f"grids differ: {a.grid.shape} vs {b.grid.shape}")
-    s = a.s if s is None else s
+    s = a.s
     if s < 4 or s != int(s):
         raise PreconditionViolated(f"energy index must be an integer >= 4, got {s}")
-    if weight is None:
-        weight = np.full(a.grid.shape, a.c0)
+    weight = np.full(a.grid.shape, a.c0)
 
     fd = a.f - b.f
     theta_d = kinematic_rate(a) - kinematic_rate(b)
     slopes = [horizontal_derivative(fd, i) for i in (1, 2)]
     dt_term, elastic_term, weighted_ext, plain_ext = _slope_terms(
-        a, slopes, theta_d, s - 2.5, weight, tol)
+        a, slopes, theta_d, s - 2.5, weight)
 
     flat = build_map(np.zeros_like(a.f), a.grid)
     u_hs = bulk_hs_norm2(a.u - b.u, flat, int(s) - 1)
@@ -573,14 +561,13 @@ def fit_frequency(samples, dt: float) -> float:
 # vector-field estimate ingredients
 
 
-def divcurl_ingredients(v: np.ndarray, cmap: CoordinateMap, s: int,
-                        f: np.ndarray | None = None) -> dict:
+def divcurl_ingredients(v: np.ndarray, cmap: CoordinateMap, s: int) -> dict:
     """Norms entering the div-curl control of a bulk vector field.
 
     Emitted as diagnostics only: the full H^s norm alongside the H^(s-1)
     norms of curl and divergence, the H^(s-3/2) boundary norms of the
-    tangential-derivative normal traces, and the H^(s-1) norm of the
-    field itself.
+    tangential derivatives of v . N with N the map's interface normal,
+    and the H^(s-1) norm of the field itself.
     """
     grads = mapped_gradient(v, cmap)
     curl = np.stack([
@@ -589,9 +576,7 @@ def divcurl_ingredients(v: np.ndarray, cmap: CoordinateMap, s: int,
         grads[1][0] - grads[0][1],
     ])
     div = grads[0][0] + grads[1][1] + grads[2][2]
-    if f is None:
-        f = np.zeros((cmap.grid.n1, cmap.grid.n2))
-    n = normal_vector(f)
+    n = cmap.normal
     vn = sum(n[a] * trace(v[a]) for a in range(3))
     out = {
         "v_hs": np.sqrt(bulk_hs_norm2(v, cmap, s)),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from elastislab.cli import _band, _smooth_flow
+from elastislab.elliptic import _metric_apply, grad_staggered
 from elastislab.geometry import (
     _dh_pair,
     _dh_pair_adjoint,
@@ -148,6 +149,17 @@ def node_apply_operator(u, cmap):
     return node_grad_adjoint(w * (k11 * q1 + k13 * q3),
                              w * (k22 * q2 + k23 * q3),
                              w * (k13 * q1 + k23 * q2 + k33 * q3), grid)
+
+
+def energy_product(u, v, cmap):
+    """Discrete Dirichlet energy pairing a(u, v), summed from the two
+    staggered gradients (reference for the operator pairing
+    sum(apply_operator(u) * v))."""
+    grid = cmap.grid
+    q = grad_staggered(u, grid)
+    m = _metric_apply(cmap, *grad_staggered(v, grid))
+    w = grid.h1 * grid.h2 * grid.dz
+    return float(w * sum(np.sum(a * b) for a, b in zip(q, m)))
 
 
 def fft_flat_solve(r, grid, z0, z1):

@@ -8,9 +8,10 @@ import pytest
 
 from elastislab import stability as stab
 from elastislab.errors import GridMismatch, PreconditionViolated, StabilityLost
-from elastislab.geometry import SlabGrid, build_map, mapped_gradient
+from elastislab.geometry import SlabGrid, build_map, mapped_gradient, trace
 from elastislab.elliptic import bulk_l2_norm, harmonic_ext_neumann
 from elastislab.dynamics import FlowState, step
+from elastislab.spectral import horizontal_derivative, sobolev_norm
 
 from conftest import mixed_flow, sample_flow
 
@@ -419,6 +420,23 @@ class TestDivCurl:
         assert out["div_hs1"] < 1e-1 * out["v_hs"]
         for val in out.values():
             assert np.isfinite(val) and val >= 0.0
+
+    def test_traces_use_the_map_normal(self):
+        # on a curved interface v . N differs from v3 at first order in
+        # the slope, so a flat normal would miss the trace norms
+        grid = SlabGrid(16, 16, 17)
+        x1, x2 = grid.horizontal_meshes()
+        cmap = build_map(0.1 * np.cos(x1) * np.cos(x2), grid)
+        ones = np.ones(grid.nz)
+        v = np.stack([np.sin(x2)[..., None] * ones,
+                      np.cos(x1)[..., None] * ones,
+                      0.5 * np.cos(x1 + x2)[..., None] * (1.0 + grid.y3)])
+        out = stab.divcurl_ingredients(v, cmap, s=2)
+        n = cmap.normal
+        vn = sum(n[a] * trace(v[a]) for a in range(3))
+        for i in (1, 2):
+            want = sobolev_norm(horizontal_derivative(vn, i), 0.5)
+            assert out[f"trace_d{i}"] == pytest.approx(want, rel=1e-12)
 
 
 class TestDiagnostics:
