@@ -187,6 +187,11 @@ def validate(cfg: RunConfig) -> None:
         bad.append(f"output_interval: must be positive, got {cfg.output_interval}")
     if cfg.mode1 == 0 and cfg.mode2 == 0:
         bad.append("mode1/mode2: the seeded wavenumber cannot be (0, 0)")
+    for name, n in (("mode1", cfg.n1), ("mode2", cfg.n2)):
+        # at or past Nyquist the seeded mode aliases onto another one
+        if abs(getattr(cfg, name)) >= n // 2:
+            bad.append(f"{name}: |{name}| must be below n/2 = {n // 2}, "
+                       f"got {getattr(cfg, name)}")
     if cfg.study not in STUDIES:
         bad.append(f"study: must be one of {', '.join(STUDIES)}, got {cfg.study!r}")
     if cfg.seed < 0:
@@ -277,7 +282,7 @@ def build_scenario(cfg: RunConfig):
     return state
 
 
-def _smooth_flow(n1, n2, nz, amp, eps, uscale=0.1):
+def _smooth_flow(n1, n2, nz, amp, eps):
     """Generic smooth prepared state used by checks and studies: wavy
     interface, gentle velocity, sheared background columns."""
     grid = SlabGrid(n1, n2, nz)
@@ -285,9 +290,9 @@ def _smooth_flow(n1, n2, nz, amp, eps, uscale=0.1):
     y = grid.y3
     f0 = amp * (np.cos(x1) + 0.6 * np.sin(x2) + 0.3 * np.cos(x1 + 2 * x2))
     u0 = np.zeros((3, n1, n2, nz))
-    u0[0] = uscale * amp * np.sin(x1)[..., None] * np.cos(np.pi * (y + 1) / 2)
-    u0[1] = uscale * amp * np.cos(x2)[..., None] * np.ones_like(y)
-    u0[2] = uscale * amp * (np.sin(x2) * np.cos(x1))[..., None] * (1 + y)
+    u0[0] = 0.1 * amp * np.sin(x1)[..., None] * np.cos(np.pi * (y + 1) / 2)
+    u0[1] = 0.1 * amp * np.cos(x2)[..., None] * np.ones_like(y)
+    u0[2] = 0.1 * amp * (np.sin(x2) * np.cos(x1))[..., None] * (1 + y)
     F0 = np.zeros((3, 3, n1, n2, nz))
     F0[0, 0] = 1.0
     F0[1, 1] = 1.0
@@ -334,7 +339,7 @@ def cmd_run(cfg: RunConfig, outdir: Path) -> int:
         # first keeps the start of an output phase at this call
         dyn.assemble_pressure(st)
         rep = stab.stability_report(st)
-        en = stab.energy_es_eps(st, with_initial=False)
+        en = stab.energy_es_eps(st)
         rows.append(stab.diagnostic_row(rep, en, dyn.invariant_report(st)))
         if monitor and not rep.ok:
             raise StabilityLost(

@@ -229,7 +229,7 @@ def material_dn_commutator(g: np.ndarray, u: np.ndarray, cmap: CoordinateMap,
     # floor flux condition picks up the moving frame at the bottom
     bot = (du[0][2][..., 0] * gw[0][..., 0]
            + du[1][2][..., 0] * gw[1][..., 0])
-    v2, _ = el.solve_weak(cmap, top=("dirichlet", np.zeros(g.shape)),
+    v2, _ = el.solve_weak(cmap, top=("dirichlet", None),
                           bottom=("neumann", bot), tol=tol)
     term2 = el.boundary_flux_top(v2, cmap)
 

@@ -11,7 +11,7 @@ Helmholtz-type projections built on the same symmetric weak operator as
 the elliptic solvers.  The corrections are exact cell-average lifts of a
 weak potential gradient, which keeps the projected fields weakly
 divergence free up to the linear-solver tolerance and, for the
-normal-trace variant, matches the prescribed interface trace exactly.
+normal-trace variant, zeroes the weak interface flux exactly.
 
 Pressure splits into a bilinear part (zero on the interface) and, when
 the interface regularization is on, a harmonic part whose interface trace
@@ -30,7 +30,6 @@ from .errors import (
     GridMismatch,
     InsufficientHistory,
     PreconditionViolated,
-    ProjectionIncompatible,
 )
 from .geometry import (
     CoordinateMap,
@@ -134,8 +133,7 @@ class FlowState:
     __slots__ = ("t", "f", "u", "F", "eps", "s", "c0", "regions", "cmap",
                  "_gradients", "_pressure", "_invariants", "_hint")
 
-    def __init__(self, t, f, u, F, eps, s=4, c0=0.1, regions=None,
-                 grid: SlabGrid | None = None):
+    def __init__(self, t, f, u, F, eps, s=4, c0=0.1, regions=None):
         f = np.asarray(f, dtype=float)
         u = np.array(u, dtype=float)
         F = np.array(F, dtype=float)
@@ -143,8 +141,6 @@ class FlowState:
             raise GridMismatch(f"component axes: u {u.shape}, F {F.shape}")
         if u.shape[1:3] != f.shape or F.shape[2:4] != f.shape:
             raise GridMismatch(f"plane shapes: f {f.shape}, u {u.shape}")
-        if grid is None:
-            grid = SlabGrid(f.shape[0], f.shape[1], u.shape[-1])
         for name, a in (("f", f), ("u", u), ("F", F)):
             # min/max see NaN and inf with no field-sized temporary
             if not (np.isfinite(a.min()) and np.isfinite(a.max())):
@@ -167,7 +163,7 @@ class FlowState:
         self.s = int(s)
         self.c0 = float(c0)
         self.regions = regions
-        self.cmap = build_map(f, grid)
+        self.cmap = build_map(f, SlabGrid(*f.shape, u.shape[-1]))
         self._gradients = None
         self._pressure = None
         self._invariants = None
@@ -181,8 +177,7 @@ class FlowState:
         """New state with the same parameters; its pressure solves start
         from this state's pressure (or from this state's own start when
         it never solved one)."""
-        new = FlowState(t, f, u, F, self.eps, self.s, self.c0,
-                        self.regions, self.grid)
+        new = FlowState(t, f, u, F, self.eps, self.s, self.c0, self.regions)
         new._hint = self._pressure if self._pressure is not None else self._hint
         return new
 
@@ -210,15 +205,11 @@ def kinematic_rate(state: FlowState) -> np.ndarray:
 
 def _piola_cell(cmap: CoordinateMap, v1, v2, v3):
     """Flux components J Jinv v at vertical cell midpoints."""
-    if cmap.is_flat:
-        return v1, v2, v3
     p1, p2, p3 = cmap.phi1_cell, cmap.phi2_cell, cmap.phi3_cell
     return p3 * v1, p3 * v2, v3 - p1 * v1 - p2 * v2
 
 
 def _piola_cell_inv(cmap: CoordinateMap, m1, m2, m3):
-    if cmap.is_flat:
-        return m1, m2, m3
     p1, p2, p3 = cmap.phi1_cell, cmap.phi2_cell, cmap.phi3_cell
     v1 = m1 / p3
     v2 = m2 / p3
@@ -259,13 +250,9 @@ def divergence_residual(v: np.ndarray, cmap: CoordinateMap) -> float:
     return float(np.max(np.abs(divergence_field(v, cmap)[..., 1:-1])))
 
 
-def normal_trace_defect(v: np.ndarray, cmap: CoordinateMap,
-                        target: np.ndarray | None = None) -> float:
-    """Max-norm of v.N - target on the interface."""
-    vn = _normal_flux(v, cmap)
-    if target is not None:
-        vn = vn - target
-    return float(np.max(np.abs(vn)))
+def normal_trace_defect(v: np.ndarray, cmap: CoordinateMap) -> float:
+    """Max-norm of v.N on the interface."""
+    return float(np.max(np.abs(_normal_flux(v, cmap))))
 
 
 @lru_cache(maxsize=16)
@@ -351,9 +338,8 @@ def project_div(v: np.ndarray, cmap: CoordinateMap):
     return v - _gradient_correction(cmap, psi), info
 
 
-def project_div_normal(v: np.ndarray, cmap: CoordinateMap,
-                       target: np.ndarray | None = None):
-    """Remove the weak divergence, set v.N on the interface, seal the floor.
+def project_div_normal(v: np.ndarray, cmap: CoordinateMap):
+    """Remove the weak divergence, zero v.N on the interface, seal the floor.
 
     Each of at most PROJECTION_ROUNDS rounds solves the all-Neumann system
     whose interface row carries the remaining trace defect and applies the
@@ -365,22 +351,11 @@ def project_div_normal(v: np.ndarray, cmap: CoordinateMap,
     info["trace_defect"].  Divergence-free inputs that already satisfy the
     trace pass through unchanged.
 
-    The target must have (numerically) zero mean: a net interface flux
-    with a sealed floor admits no divergence-free correction, and
-    ProjectionIncompatible is raised.
-
     Returns (projected field, info dict with rounds and solver iterations).
     """
     grid = cmap.grid
-    if target is None:
-        target = np.zeros(cmap.f.shape)
     area = grid.h1 * grid.h2
-    scale = max(1.0, float(np.max(np.abs(v))), float(np.max(np.abs(target))))
-    if abs(float(np.sum(target))) > 1e-8 * grid.n1 * grid.n2 * scale:
-        raise ProjectionIncompatible(
-            f"mean target flux {float(np.mean(target)):.3e} cannot be "
-            "reached with a sealed floor"
-        )
+    scale = max(1.0, float(np.max(np.abs(v))))
     work = np.array(v, dtype=float)
     floor0 = bottom_trace(work[2]).copy()
     if np.any(floor0 != 0.0):
@@ -389,7 +364,7 @@ def project_div_normal(v: np.ndarray, cmap: CoordinateMap,
     info = {"rounds": 0, "iterations": 0, "trace_defect": np.inf}
     last = np.inf
     for _ in range(PROJECTION_ROUNDS):
-        d = _normal_flux(work, cmap) - target
+        d = _normal_flux(work, cmap)
         b = -weak_div_load(work, cmap)
         b[..., -1] += area * d
         psi, inf = solve_weak(cmap, top=("neumann", None),
@@ -397,7 +372,7 @@ def project_div_normal(v: np.ndarray, cmap: CoordinateMap,
         work = work - _gradient_correction(cmap, psi)
         info["rounds"] += 1
         info["iterations"] += inf["iterations"]
-        cur = normal_trace_defect(work, cmap, target)
+        cur = normal_trace_defect(work, cmap)
         info["trace_defect"] = cur
         if cur <= TRACE_TOL * scale or cur >= 0.5 * last:
             break  # converged, or hit the consistency-order plateau
@@ -470,7 +445,7 @@ def assemble_pressure(state: FlowState) -> PressurePieces:
                 src += dF[j, a][b] * dF[j, b][a]
     info = {}
     ring, info["ring"] = solve_weak(
-        cmap, rhs=src, top=("dirichlet", np.zeros(state.f.shape)),
+        cmap, rhs=src, top=("dirichlet", None),
         bottom=("neumann", None), x0=None if hint is None else hint.ring)
     bar = None
     if state.eps != 0.0:
@@ -930,12 +905,10 @@ def prepare_initial_data(f0: np.ndarray, u0: np.ndarray, F0: np.ndarray,
         F = _resample_columns(F0, cmap0.phi, cmap.phi)
     u[2, ..., 0] = 0.0
     F[:, 2, ..., 0] = 0.0
-    before = invariant_report(FlowState(0.0, f_eps, u, F, eps, s=s, c0=c0,
-                                        grid=grid))
+    before = invariant_report(FlowState(0.0, f_eps, u, F, eps, s=s, c0=c0))
     u, _ = project_div(u, cmap)
     for j in range(3):
         F[j], _ = project_div_normal(F[j], cmap)
-    state = FlowState(0.0, f_eps, u, F, eps, s=s, c0=c0, regions=regions,
-                      grid=grid)
+    state = FlowState(0.0, f_eps, u, F, eps, s=s, c0=c0, regions=regions)
     info = {"before": before, "after": invariant_report(state)}
     return state, info

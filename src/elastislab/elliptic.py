@@ -101,8 +101,6 @@ def grad_adjoint(q1, q2, q3, grid: SlabGrid):
 def _metric_apply(cmap: CoordinateMap, q1, q2, q3):
     """K q with the entries of CoordinateMap.metric_cell, in place: the
     inputs are overwritten with the result and returned."""
-    if cmap.is_flat:
-        return q1, q2, q3
     p1, p2, p3 = cmap.phi1_cell, cmap.phi2_cell, cmap.phi3_cell
     s = p1 * q1
     s += p2 * q2                 # -(k13 q1 + k23 q2)
@@ -396,7 +394,7 @@ def harmonic_ext_dirichlet(g: np.ndarray, cmap: CoordinateMap,
     if cmap.is_flat and not via_solver:
         return _flat_extension(g, cmap.grid, "sinh")
     u, _ = solve_weak(cmap, top=("dirichlet", np.asarray(g, dtype=float)),
-                      bottom=("dirichlet", np.zeros_like(g)), tol=tol)
+                      bottom=("dirichlet", None), tol=tol)
     return u
 
 
@@ -415,9 +413,7 @@ def poisson_dirichlet(rhs: np.ndarray, cmap: CoordinateMap,
                       bottom_d3: np.ndarray | None = None,
                       tol: float = DEFAULT_TOL):
     """Solve Lap u = rhs with Dirichlet top and Neumann floor data."""
-    n1, n2 = cmap.grid.n1, cmap.grid.n2
-    topdata = np.zeros((n1, n2)) if top is None else np.asarray(top, dtype=float)
-    u, _ = solve_weak(cmap, rhs=rhs, top=("dirichlet", topdata),
+    u, _ = solve_weak(cmap, rhs=rhs, top=("dirichlet", top),
                       bottom=("neumann", bottom_d3), tol=tol)
     return u
 

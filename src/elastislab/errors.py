@@ -29,10 +29,6 @@ class NotMeanZero(ElastislabError):
     """A field required to have zero horizontal mean does not."""
 
 
-class ProjectionIncompatible(ElastislabError):
-    """Neumann-problem compatibility integral exceeds tolerance."""
-
-
 class PreconditionViolated(ElastislabError):
     """A documented operation precondition does not hold."""
 

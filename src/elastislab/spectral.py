@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import GridMismatch, NotMeanZero
+from .errors import GridMismatch
 
 __all__ = [
     "horizontal_derivative",
@@ -225,12 +225,6 @@ def field_mean(g: np.ndarray) -> float:
     return float(np.mean(g))
 
 
-def remove_mean(g: np.ndarray, tol: float | None = None) -> np.ndarray:
-    """Subtract the horizontal mean.
-
-    With tol set, raise NotMeanZero if the removed mean exceeds tol.
-    """
-    m = field_mean(g)
-    if tol is not None and abs(m) > tol:
-        raise NotMeanZero(f"mean {m:.3e} exceeds {tol:.3e}")
-    return g - m
+def remove_mean(g: np.ndarray) -> np.ndarray:
+    """Subtract the horizontal mean."""
+    return g - field_mean(g)

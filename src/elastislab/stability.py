@@ -177,11 +177,8 @@ class Regions:
         return cls(full, full, grid)
 
 
-def _resolve_regions(state: FlowState, regions) -> Regions:
-    if isinstance(regions, Regions):
-        return regions
-    if regions is not None:
-        return Regions(regions[0], regions[1], state.grid)
+def _resolve_regions(state: FlowState) -> Regions:
+    """The state's own regions, or the whole torus for both when it has none."""
     if state.regions is not None:
         return Regions(state.regions[0], state.regions[1], state.grid)
     return Regions.whole(state.grid)
@@ -214,17 +211,18 @@ def _masked_min(field: np.ndarray, mask: np.ndarray) -> float:
     return float(np.min(field[mask]))
 
 
-def stability_report(state: FlowState, regions=None,
-                     enforce: bool = False) -> StabilityReport:
+def stability_report(state: FlowState, enforce: bool = False) -> StabilityReport:
     """Evaluate both stability minima against the c0/2 threshold.
 
-    The Taylor coefficient is thresholded in its -N . grad p form over
-    the grid restriction of the first region (indicator > 1/2), the
-    non-collinearity modulus over the second.  With enforce=True a
-    failing report raises StabilityLost, which is how monitored runs
-    halt.
+    The regions are the state's own (the whole torus for both when it
+    has none).  The Taylor coefficient is thresholded in its -N . grad p
+    form over the grid restriction of the first region (indicator > 1/2),
+    the non-collinearity modulus over the second.  With enforce=True a
+    failing report raises StabilityLost.  A monitored `elastislab run`
+    does not use it: it records the failing row, then raises
+    StabilityLost itself.
     """
-    reg = _resolve_regions(state, regions)
+    reg = _resolve_regions(state)
     tay = taylor_coefficient(state)
     lam = _state_lambda(state)
     thresh = 0.5 * state.c0
@@ -271,7 +269,7 @@ def coercivity_weight(state: FlowState):
         field = np.zeros(state.cmap.grid.shape)
         return field, {"ctilde": 0.0, "clip": 0.0,
                        "abar_min": 0.0, "abar_max": 0.0}
-    reg = _resolve_regions(state, None)
+    reg = _resolve_regions(state)
     a = taylor_coefficient(state).vertical
     ctilde = max(0.0, c0 - float(np.min(a))) + c0
     abar = a + reg.phi * ctilde
@@ -296,8 +294,8 @@ class EnergyReport:
     weighted_extension the coercive harmonic-extension integral (with
     extension its unweighted companion and weight_min/weight_max the
     weight range for the sandwich bound).  m0 and m_eps are the
-    initial-data functionals when requested from the state energy;
-    es_d is set by difference_energy instead.
+    initial-data functionals, filled by energy_es_eps; es_d is set by
+    difference_energy instead.
     """
 
     dt_term: float
@@ -395,10 +393,8 @@ def _slope_terms(state: FlowState, slopes, theta: np.ndarray, order: float,
     return dt_term, elastic_term, weighted_ext, plain_ext
 
 
-def energy_es_eps(state: FlowState,
-                  s: int | None = None,
-                  with_initial: bool = True) -> EnergyReport:
-    """Graded energy of a state at Sobolev index s.
+def energy_es_eps(state: FlowState) -> EnergyReport:
+    """Graded energy of a state at its Sobolev index s = state.s.
 
     The boundary terms act on the smoothed interface slopes
     <grad'>^(s - 3/2) d_i' f; their material and column transports use
@@ -407,11 +403,11 @@ def energy_es_eps(state: FlowState,
     integrates the state's coercivity_weight against the squared
     gradient of the harmonic extension of each smoothed slope.
 
-    with_initial=True also fills the two initial-data functionals m0 and
+    The report also carries the two initial-data functionals m0 and
     m_eps (the latter scales the top-order interface norm by eps).
     """
-    s = state.s if s is None else s
-    if s < 4 or s != int(s):
+    s = state.s
+    if s < 4:
         raise PreconditionViolated(f"energy index must be an integer >= 4, got {s}")
     cmap = state.cmap
     weight, _ = coercivity_weight(state)
@@ -424,18 +420,16 @@ def energy_es_eps(state: FlowState,
     for slope in slopes:
         eps_term += state.eps * _surface_norm2(slope, s - 0.5)
 
-    u_hs = bulk_hs_norm2(state.u, cmap, int(s))
-    F_hs = bulk_hs_norm2(state.F, cmap, int(s))
+    u_hs = bulk_hs_norm2(state.u, cmap, s)
+    F_hs = bulk_hs_norm2(state.F, cmap, s)
 
-    m0 = m_eps = None
-    if with_initial:
-        Fbar = state.F[:, :2, :, :, -1]
-        m0 = _surface_norm2(state.f, s) + u_hs + F_hs
-        for k in range(3):
-            m0 += _surface_norm2(
-                _transport(state.f, Fbar[k, 0], Fbar[k, 1]), s - 0.5)
-        m_eps = (state.eps * _surface_norm2(state.f, s + 0.5)
-                 + _surface_norm2(state.f, s - 0.5) + u_hs + F_hs)
+    Fbar = state.F[:, :2, :, :, -1]
+    m0 = _surface_norm2(state.f, s) + u_hs + F_hs
+    for k in range(3):
+        m0 += _surface_norm2(
+            _transport(state.f, Fbar[k, 0], Fbar[k, 1]), s - 0.5)
+    m_eps = (state.eps * _surface_norm2(state.f, s + 0.5)
+             + _surface_norm2(state.f, s - 0.5) + u_hs + F_hs)
 
     return EnergyReport(
         dt_term=dt_term,

@@ -193,14 +193,14 @@ def fft_project_kernel(r, grid):
     return np.fft.irfft2(c, s=(grid.n1, grid.n2), axes=(0, 1))
 
 
-def sample_flow(n, nz, amp, eps, uscale=0.1):
+def sample_flow(n, nz, amp, eps):
     """Prepared state: wavy interface over a sheared elastic background.
 
     The background columns are horizontal constants (a vertical constant
     cannot be divergence free with a sealed floor); perturbations scale
     with amp and vanish at the floor where required.
     """
-    return _smooth_flow(n, n, nz, amp, eps, uscale)
+    return _smooth_flow(n, n, nz, amp, eps)
 
 
 def mixed_flow(n, nz, c0):

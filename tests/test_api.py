@@ -3,6 +3,7 @@ package's own export list is pinned, and every import is declared."""
 
 import ast
 import importlib
+import itertools
 import pathlib
 import sys
 
@@ -74,3 +75,70 @@ def test_imports_are_declared(folder, extra):
         for path in sorted((ROOT / folder).glob("*.py"))
     }
     assert not {name: bad for name, bad in found.items() if bad}
+
+
+# Defaulted parameters that only the acceptance battery sets, each with the
+# test that needs a value other than the default.
+TEST_ONLY_OPTIONS = {
+    ("dn", "apply_dn", "tol"): "test_03 (flux derivatives at 1e-12)",
+    ("dynamics", "evo_residual", "ablate"): "test_06 (term ablations)",
+    ("stability", "stability_report", "enforce"): "test_08 (typed halt)",
+}
+
+
+def _defaulted_parameters():
+    """(module, function, parameter, call name, positional parameters) for
+    every defaulted parameter of a top-level function or method in src/;
+    a class's __init__ is called by the class name."""
+    out = []
+    for path in sorted((ROOT / "src/elastislab").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                funcs = [(node.name, node, 0)]
+            elif isinstance(node, ast.ClassDef):
+                funcs = [(node.name if item.name == "__init__" else item.name,
+                          item, 1)
+                         for item in node.body
+                         if isinstance(item, ast.FunctionDef)]
+            else:
+                continue
+            for call, fn, skip in funcs:
+                a = fn.args
+                positional = [p.arg for p in a.posonlyargs + a.args][skip:]
+                names = positional[len(positional) - len(a.defaults):]
+                names += [k.arg for k, d in zip(a.kwonlyargs, a.kw_defaults)
+                          if d is not None]
+                out += [(path.stem, fn.name, p, call, positional) for p in names]
+    return out
+
+
+def _call_settings(folders):
+    """Call name -> keywords passed and positional indices filled by
+    some call of that name."""
+    found = {}
+    for folder in folders:
+        for path in sorted((ROOT / folder).glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                plain = itertools.takewhile(
+                    lambda arg: not isinstance(arg, ast.Starred), node.args)
+                used = found.setdefault(name, set())
+                used.update(k.arg for k in node.keywords if k.arg)
+                used.update(range(len(list(plain))))
+    return found
+
+
+def test_every_option_has_a_user():
+    # an option that only tests set doubles the configurations to cover
+    # for no user path: src/ or benchmark/ must set each one
+    calls = _call_settings(["src/elastislab", "benchmark"])
+    test_only = set()
+    for module, function, param, call, positional in _defaulted_parameters():
+        used = calls.get(call, set())
+        if param in used or (param in positional
+                             and positional.index(param) in used):
+            continue
+        test_only.add((module, function, param))
+    assert test_only == set(TEST_ONLY_OPTIONS)

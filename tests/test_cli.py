@@ -72,6 +72,12 @@ class TestConfigParsing:
             for value in (float("nan"), float("inf"), float("-inf")):
                 with pytest.raises(ConfigInvalid, match=f"{key}: must be finite"):
                     cli.preset("rest", **{key: value})
+        # the seeded mode must lie below Nyquist on both axes
+        cli.preset("elastic-mode", n1=12, n2=12, nz=13, mode1=5, mode2=-5)
+        for modes in ({"mode1": 6}, {"mode1": -7}, {"mode2": -6}):
+            name = next(iter(modes))
+            with pytest.raises(ConfigInvalid, match=f"{name}: .* below n/2 = 6"):
+                cli.preset("elastic-mode", n1=12, n2=12, nz=13, **modes)
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ConfigInvalid, match="scenario"):
@@ -148,21 +154,6 @@ class TestRunCommand:
         assert result["rel_error"] < 0.05
         assert result["measured_omega"] == pytest.approx(1.0, abs=0.02)
 
-    @pytest.mark.parametrize("body, reason", [
-        ("scenario = elastic-mode\ngrid = 8x8x9\ndt = 5.0\n",
-         "PreconditionViolated"),
-        ("scenario = mixed-regions\ngrid = 8x8x9\namplitude = 2.0\n",
-         "DegenerateMap"),
-    ], ids=["dt-above-bound", "degenerate-map"])
-    def test_failed_run_records_reason(self, tmp_path, body, reason):
-        out = tmp_path / "fail"
-        path = _write(tmp_path, "schema = 1\n" + body)
-        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 3
-        result = json.loads((out / "result.json").read_text())
-        assert result["reason"] == reason
-        assert result["message"]
-        assert (out / "diagnostics.csv").exists()
-
     def test_outputs_retain_no_arrays(self, tmp_path, monkeypatch):
         # each output does the same work, so the traced heap after the
         # last one is the heap after the first plus the recorded rows
@@ -199,11 +190,14 @@ class TestRunCommand:
          "DegenerateMap"),
         ("scenario = rest\ngrid = 8x8x9\nc0 = 0.1\n", None, 3,
          "StabilityLost"),
+        ("scenario = elastic-mode\ngrid = 12x12x13\nmode1 = 6\n", None, 2,
+         None),
     ], ids=["unknown-key", "odd-grid", "non-finite-value", "dt-above-bound",
-            "degenerate-map", "stability-loss"])
+            "degenerate-map", "stability-loss", "mode-past-nyquist"])
     def test_failure_table(self, tmp_path, body, grid, code, reason):
         # config errors (2) stop before the output directory is made;
-        # physical halts (3) record the exception name as the reason
+        # physical halts (3) record the exception name and a message,
+        # with the diagnostics written so far
         out = tmp_path / "fail"
         argv = ["run", "--config", str(_write(tmp_path, "schema = 1\n" + body)),
                 "--out", str(out)]
@@ -211,14 +205,10 @@ class TestRunCommand:
         if reason is None:
             assert not (out / "result.json").exists()
         else:
-            assert json.loads((out / "result.json").read_text())["reason"] == reason
-
-    def test_invalid_config_exit_code(self, tmp_path):
-        path = _write(tmp_path, "schema = 1\nwhat = 1\n")
-        assert cli.main(["run", "--config", str(path),
-                         "--out", str(tmp_path / "x")]) == 2
-        assert cli.main(["run", "--grid", "10x9x9",
-                         "--out", str(tmp_path / "odd")]) == 2
+            result = json.loads((out / "result.json").read_text())
+            assert result["reason"] == reason
+            assert result["message"]
+            assert (out / "diagnostics.csv").exists()
 
 
 class TestChecksCommand:

@@ -16,11 +16,12 @@ from elastislab.spectral import horizontal_derivative, sobolev_norm
 from conftest import mixed_flow, sample_flow
 
 
-def _flat_state(n=16, nz=9, c0=0.1, eps=0.0, f=None, u=None, F=None):
+def _flat_state(n=16, nz=9, c0=0.1, eps=0.0, f=None, u=None, F=None,
+                s=4, regions=None):
     f = np.zeros((n, n)) if f is None else f
     u = np.zeros((3, n, n, nz)) if u is None else u
     F = np.zeros((3, 3, n, n, nz)) if F is None else F
-    return FlowState(0.0, f, u, F, eps, c0=c0)
+    return FlowState(0.0, f, u, F, eps, s=s, c0=c0, regions=regions)
 
 
 def _waterwave_state(n, nz, scale=0.4):
@@ -174,9 +175,9 @@ class TestStabilityReport:
         F = np.zeros((3, 3, 16, 16, 9))
         F[0, 0] = c
         F[1, 1] = c
-        st = _flat_state(c0=c0, F=F)
-        reg = stab.Regions([], [(0.0, 2 * np.pi, 0.0, 2 * np.pi)], st.grid)
-        rep = stab.stability_report(st, regions=reg)
+        st = _flat_state(c0=c0, F=F,
+                         regions=([], [(0.0, 2 * np.pi, 0.0, 2 * np.pi)]))
+        rep = stab.stability_report(st)
         assert rep.taylor_min == np.inf
         assert abs(rep.lambda_min - 2 * c0) < 1e-14
         assert rep.ok
@@ -196,8 +197,9 @@ class TestStabilityReport:
         assert rep.ok
         assert 0.115 < rep.taylor_min < 0.126
         assert 0.32 < rep.lambda_min < 0.34
+        # a state without regions is held to both conditions everywhere
         whole = stab.stability_report(
-            st, regions=stab.Regions.whole(st.grid))
+            FlowState(st.t, st.f, st.u, st.F, st.eps, st.s, st.c0))
         assert not whole.taylor_ok and not whole.lambda_ok
         assert 0.085 < whole.taylor_min < 0.092
         assert whole.lambda_min < 0.03
@@ -229,7 +231,7 @@ class TestEnergy:
         grid = SlabGrid(n, n, nz)
         x1, _ = grid.horizontal_meshes()
         st = _flat_state(n=n, nz=nz, eps=eps, f=delta * np.cos(x1))
-        rep = stab.energy_es_eps(st, s=s)
+        rep = stab.energy_es_eps(st)
         want = eps * delta ** 2 * 2 ** (s - 0.5) * 2 * np.pi ** 2
         assert abs(rep.eps_term - want) / want < 1e-12
 
@@ -250,11 +252,7 @@ class TestEnergy:
 
     def test_index_guard(self):
         with pytest.raises(PreconditionViolated):
-            stab.energy_es_eps(_flat_state(), s=3)
-
-    def test_initial_functionals_optional(self):
-        rep = stab.energy_es_eps(_flat_state(), with_initial=False)
-        assert rep.m0 is None and rep.m_eps is None
+            stab.energy_es_eps(_flat_state(s=3))
 
 
 class TestBulkLadderNorm:
