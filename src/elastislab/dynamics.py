@@ -44,16 +44,13 @@ from .geometry import (
 from .spectral import horizontal_derivative, mollify, remove_mean
 from .elliptic import (
     _metric_apply,
-    boundary_flux_top,
     grad_adjoint,
     grad_staggered,
     harmonic_ext_dirichlet,
-    poisson_dirichlet,
     solve_weak,
-    volume_load,
     volume_weights,
 )
-from .dn import apply_dn, invert_dn_neumann, material_dn_commutator
+from .dn import apply_dn
 
 __all__ = [
     "FlowState",
@@ -64,17 +61,14 @@ __all__ = [
     "divergence_residual",
     "evo_residual",
     "interface_accel_rhs",
-    "interface_theta_rhs",
     "invariant_report",
     "kinematic_rate",
-    "material_pressure_derivative",
     "normal_trace_defect",
     "prepare_initial_data",
     "project_div",
     "project_div_normal",
     "stable_dt",
     "step",
-    "step_theta",
     "weak_div_load",
 ]
 
@@ -391,13 +385,12 @@ class PressurePieces:
     iterations and final relative residual.
     """
 
-    __slots__ = ("total", "ring", "bar", "ring_load", "info")
+    __slots__ = ("total", "ring", "bar", "info")
 
-    def __init__(self, ring, bar, ring_load, info):
+    def __init__(self, ring, bar, info):
         self.ring = ring
         self.bar = bar
         self.total = ring if bar is None else ring + bar
-        self.ring_load = ring_load
         self.info = info
 
 
@@ -454,7 +447,7 @@ def assemble_pressure(state: FlowState) -> PressurePieces:
                                       bottom=("neumann", None),
                                       x0=None if hint is None else hint.bar)
         bar = bar - np.mean(trace(bar))
-    state._pressure = PressurePieces(ring, bar, volume_load(src, cmap), info)
+    state._pressure = PressurePieces(ring, bar, info)
     return state._pressure
 
 
@@ -462,13 +455,12 @@ def assemble_pressure(state: FlowState) -> PressurePieces:
 # bulk rates
 
 
-def bulk_rhs(state: FlowState, dtf_override: np.ndarray | None = None):
+def bulk_rhs(state: FlowState):
     """Reference-frame time derivatives of (f, u, F).
 
     Material momentum and transport rates plus the grid-motion correction
-    dt(phi) d3(.) from the moving harmonic map.  The interface rate is
-    the kinematic one unless dtf_override is given (the theta stepper
-    moves the grid with its own interface velocity).
+    dt(phi) d3(.) from the moving harmonic map, which follows the
+    kinematic interface rate.
 
     The rates are the last reader of the state's gradient stack in a
     step, so the state lets it go here: a kept history of stepped states
@@ -478,7 +470,7 @@ def bulk_rhs(state: FlowState, dtf_override: np.ndarray | None = None):
     dp = mapped_gradient(assemble_pressure(state).total, cmap)
     du, dF = _gradients(state)
     state._gradients = None
-    dtf = kinematic_rate(state) if dtf_override is None else dtf_override
+    dtf = kinematic_rate(state)
     dtphi = map_time_derivative(cmap, dtf)
     u, F = state.u, state.F
     rate_u = np.empty_like(u)
@@ -497,37 +489,6 @@ def bulk_rhs(state: FlowState, dtf_override: np.ndarray | None = None):
 
 # ---------------------------------------------------------------------------
 # interface evolution identities
-
-
-def interface_theta_rhs(state: FlowState, theta: np.ndarray) -> np.ndarray:
-    """Acceleration of the interface in the second-order formulation.
-
-    Advection of theta, the quadratic surface Hessian terms from the
-    velocity and the deformation columns, the ring-pressure flux through
-    the interface, and the regularizing surface Laplacian.
-    """
-    cmap = state.cmap
-    pressure = assemble_pressure(state)
-    f = state.f
-    ubar = [trace(state.u[a]) for a in range(2)]
-    Fbar = [[trace(state.F[j, sidx]) for j in range(3)] for sidx in range(2)]
-    out = -2.0 * (ubar[0] * horizontal_derivative(theta, 1)
-                  + ubar[1] * horizontal_derivative(theta, 2))
-    hess = {}
-    for sidx in range(2):
-        for r in range(sidx, 2):
-            hess[(sidx, r)] = horizontal_derivative(
-                horizontal_derivative(f, sidx + 1), r + 1)
-            hess[(r, sidx)] = hess[(sidx, r)]
-    for sidx in range(2):
-        for r in range(2):
-            out -= ubar[sidx] * ubar[r] * hess[(sidx, r)]
-            for j in range(3):
-                out += Fbar[sidx][j] * Fbar[r][j] * hess[(sidx, r)]
-    out -= boundary_flux_top(pressure.ring, cmap, pressure.ring_load)
-    if state.eps != 0.0:
-        out += state.eps * (hess[(0, 0)] + hess[(1, 1)])
-    return out
 
 
 def interface_accel_rhs(state: FlowState, ablate: str | None = None):
@@ -645,78 +606,6 @@ def evo_residual(states, ablate: str | None = None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# material pressure derivative
-
-
-def material_pressure_derivative(state: FlowState) -> np.ndarray:
-    """Material derivative of the pressure through its own boundary problem.
-
-    The source contracts first and second derivatives of velocity,
-    deformation and pressure; the interface condition is zero without
-    regularization and otherwise the inverse-DN transported datum with
-    its commutator correction; the floor condition feeds the shear of
-    the horizontal velocity into the vertical pressure slope.
-    """
-    cmap = state.cmap
-    grid = state.grid
-    du, dF = _gradients(state)
-    p = assemble_pressure(state).total
-    u, F = state.u, state.F
-    dp = mapped_gradient(p, cmap)
-    ddp = mapped_gradient(dp, cmap)
-    ddu = mapped_gradient(du, cmap)
-    ddF = mapped_gradient(dF, cmap)
-    # acceleration field D_t u = -grad p + sum_j (F_j . grad) F_j
-    acc = np.empty_like(u)
-    for a in range(3):
-        acc[a] = -dp[a] + sum(F[j, b] * dF[j, a][b]
-                              for j in range(3) for b in range(3))
-    dacc = mapped_gradient(acc, cmap)
-
-    src = np.zeros(grid.shape)
-    for sidx in range(3):
-        lap_us = sum(ddu[sidx][i][i] for i in range(3))
-        src += lap_us * dp[sidx]
-        for i in range(3):
-            src += du[sidx][i] * ddp[sidx][i]
-    for i in range(3):
-        for k in range(3):
-            src -= dacc[k][i] * du[i][k] + 2.0 * du[k][i] * dacc[i][k]
-    for i in range(3):
-        for sidx in range(3):
-            for k in range(3):
-                src += 2.0 * du[sidx][i] * du[k][sidx] * du[i][k]
-    for j in range(3):
-        for sidx in range(3):
-            for k in range(3):
-                for i in range(3):
-                    src += dF[j, k][i] * dF[j, sidx][k] * du[i][sidx]
-                    src += F[j, k] * ddF[j, sidx][k][i] * du[i][sidx]
-                    src += 2.0 * dF[j, k][i] * F[j, sidx] * ddu[i][sidx][k]
-
-    top = None
-    if state.eps != 0.0:
-        f = state.f
-        theta = kinematic_rate(state)
-        ubar = [trace(u[a]) for a in range(2)]
-        lap_f = _surface_laplacian(f)
-        dt_lap = _surface_laplacian(theta) \
-            + ubar[0] * horizontal_derivative(lap_f, 1) \
-            + ubar[1] * horizontal_derivative(lap_f, 2)
-        # the flux inversions sit behind an O(dz^2) consistency error, so
-        # pushing them below 1e-9 only stalls the boundary iteration
-        base = invert_dn_neumann(remove_mean(dt_lap), cmap, tol=1e-9)
-        inner = invert_dn_neumann(lap_f, cmap, tol=1e-9)
-        comm = material_dn_commutator(inner, u, cmap)
-        corr = invert_dn_neumann(remove_mean(comm), cmap, tol=1e-9)
-        top = -state.eps * base + state.eps * corr
-    d3u1 = bottom_trace(du[0][2])
-    d3u2 = bottom_trace(du[1][2])
-    bot = d3u1 * bottom_trace(dp[0]) + d3u2 * bottom_trace(dp[1])
-    return poisson_dirichlet(src, cmap, top=top, bottom_d3=bot)
-
-
-# ---------------------------------------------------------------------------
 # time stepping
 
 
@@ -806,33 +695,6 @@ def step(state: FlowState, dt: float,
     new, flags = _reproject(new, reproject_threshold)
     info = {"dt_bound": bound, "reprojected": flags, **invariant_report(new)}
     return new, info
-
-
-def step_theta(state: FlowState, theta: np.ndarray, dt: float):
-    """RK4 step of the second-order interface formulation.
-
-    The interface moves with its own velocity variable while the bulk
-    fields follow the same material rates as `step`, with the grid
-    motion driven by theta, and re-projected as in `step` at
-    REPROJECT_THRESHOLD.  Returns (new state, new theta, info).
-    """
-
-    def rhs(pair):
-        st, th = pair
-        dtheta = interface_theta_rhs(st, th)
-        dtf, du, dF = bulk_rhs(st, dtf_override=th - np.mean(th))
-        return (dtf, dtheta, du, dF)
-
-    def advance(pair, h, k):
-        st, th = pair
-        return (st.with_fields(st.t + h, st.f + h * k[0], st.u + h * k[2],
-                               st.F + h * k[3]),
-                th + h * k[1])
-
-    new, th_new = _rk4((state, theta), dt, rhs, advance)
-    new, flags = _reproject(new, REPROJECT_THRESHOLD)
-    info = {"reprojected": flags}
-    return new, th_new, info
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,6 @@ from .geometry import (
     _dh_pair,
     _dh_pair_adjoint,
     _node_to_cell,
-    mapped_gradient,
     vertical_eigen,
 )
 from .spectral import _fourier_basis, _ksq
@@ -62,15 +61,12 @@ __all__ = [
     "harmonic_ext_neumann",
     "poisson_dirichlet",
     "poisson_dirichlet_both",
-    "pressure_bilinear",
     "weight_field",
     "solve_weak",
     "apply_operator",
     "boundary_flux_top",
-    "boundary_flux_bottom",
     "volume_load",
     "volume_weights",
-    "bulk_l2_norm",
 ]
 
 
@@ -99,7 +95,8 @@ def grad_adjoint(q1, q2, q3, grid: SlabGrid):
 
 
 def _metric_apply(cmap: CoordinateMap, q1, q2, q3):
-    """K q with the entries of CoordinateMap.metric_cell, in place: the
+    """K q for the cell metric K = J Jinv Jinv^T (k11 = k22 = phi3, k13 =
+    -phi1, k23 = -phi2, k12 = 0, k33 kept on the map), in place: the
     inputs are overwritten with the result and returned."""
     p1, p2, p3 = cmap.phi1_cell, cmap.phi2_cell, cmap.phi3_cell
     s = p1 * q1
@@ -199,13 +196,6 @@ def volume_weights(cmap: CoordinateMap) -> np.ndarray:
     w = np.full(grid.nz, grid.dz)
     w[0] = w[-1] = 0.5 * grid.dz
     return grid.h1 * grid.h2 * w[None, None, :] * cmap.jac
-
-
-def bulk_l2_norm(field: np.ndarray, cmap: CoordinateMap) -> float:
-    """L^2 norm over the moving domain of a scalar or stacked components."""
-    w = volume_weights(cmap)
-    field = np.asarray(field)
-    return float(np.sqrt(np.sum(w * field ** 2)))
 
 
 def _assemble_load(cmap, rhs, top, bottom):
@@ -338,12 +328,6 @@ def boundary_flux_top(u: np.ndarray, cmap: CoordinateMap,
     return res / (grid.h1 * grid.h2)
 
 
-def boundary_flux_bottom(u: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
-    """Variational recovery of the outward flux -d3 u at the floor."""
-    grid = cmap.grid
-    return apply_operator(u, cmap)[..., 0] / (grid.h1 * grid.h2)
-
-
 # ---------------------------------------------------------------------------
 # flat-case closed forms
 
@@ -409,12 +393,10 @@ def harmonic_ext_neumann(g: np.ndarray, cmap: CoordinateMap,
 
 
 def poisson_dirichlet(rhs: np.ndarray, cmap: CoordinateMap,
-                      top: np.ndarray | None = None,
-                      bottom_d3: np.ndarray | None = None,
                       tol: float = DEFAULT_TOL):
-    """Solve Lap u = rhs with Dirichlet top and Neumann floor data."""
-    u, _ = solve_weak(cmap, rhs=rhs, top=("dirichlet", top),
-                      bottom=("neumann", bottom_d3), tol=tol)
+    """Solve Lap u = rhs with u = 0 on the interface and d3 u = 0 at the floor."""
+    u, _ = solve_weak(cmap, rhs=rhs, top=("dirichlet", None),
+                      bottom=("neumann", None), tol=tol)
     return u
 
 
@@ -423,22 +405,6 @@ def poisson_dirichlet_both(rhs: np.ndarray, cmap: CoordinateMap):
     u, _ = solve_weak(cmap, rhs=rhs, top=("dirichlet", None),
                       bottom=("dirichlet", None))
     return u
-
-
-def pressure_bilinear(v: np.ndarray, w: np.ndarray,
-                      cmap: CoordinateMap) -> np.ndarray:
-    """Pressure-type solve:  Lap p = -tr(grad v grad w), p = 0 on the
-    interface, d3 p = 0 on the floor.
-
-    v, w are physical vector fields stored on the slab, shape (3, ...).
-    """
-    gv = mapped_gradient(v, cmap)
-    gw = mapped_gradient(w, cmap)
-    tr = np.zeros(cmap.grid.shape)
-    for a in range(3):
-        for b in range(3):
-            tr += gv[a][b] * gw[b][a]
-    return poisson_dirichlet(-tr, cmap)
 
 
 def weight_field(a_bar: np.ndarray, c0: float, cmap: CoordinateMap) -> np.ndarray:

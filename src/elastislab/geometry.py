@@ -200,8 +200,8 @@ class CoordinateMap:
         order vertical).
     k33 : array (n1, n2, nz - 1)
         The metric entry (1 + phi1^2 + phi2^2) / phi3 at cell midpoints,
-        computed once; the other entries of metric_cell are cell
-        derivatives of phi up to sign.
+        computed once; the other entries of the flux-form metric
+        K = J Jinv Jinv^T are cell derivatives of phi up to sign.
     jac : array (n1, n2, nz)
         Jacobian determinant of the map at nodes (equals phi3).
     is_flat : bool
@@ -253,27 +253,12 @@ class CoordinateMap:
         inv3.flags.writeable = False
         return inv3
 
-    def metric_cell(self):
-        """Flux-form metric K = J Jinv Jinv^T at vertical cell midpoints.
-
-        Returns the six independent entries (k11, k22, k33, k13, k23);
-        k12 vanishes for a graph map.
-        """
-        p3 = self.phi3_cell
-        return p3, p3, self.k33, -self.phi1_cell, -self.phi2_cell
-
     def content_hash(self) -> bytes:
         """Digest identifying grid and interface (used by snapshots)."""
         h = hashlib.sha256()
         h.update(np.array(self.grid.shape, dtype=np.int64).tobytes())
         h.update(np.ascontiguousarray(self.f).tobytes())
         return h.digest()
-
-    def interior_residual(self) -> float:
-        """Relative residual of the discrete map equations (diagnostic)."""
-        rhs = _map_apply_interior(self.grid, self.phi)
-        scale = np.max(np.abs(self.phi)) / self.grid.dz
-        return float(np.max(np.abs(rhs)) / scale)
 
 
 @lru_cache(maxsize=32)
@@ -298,19 +283,6 @@ def _map_solve(grid: SlabGrid, top: np.ndarray, bottom_value: float) -> np.ndarr
     that = np.fft.rfft2(top)[..., None] * _map_profiles(n1, n2, nz)
     phi = np.fft.irfft2(that, s=(n1, n2), axes=(0, 1))
     return phi - bottom_value * grid.y3
-
-
-def _map_apply_interior(grid: SlabGrid, phi: np.ndarray) -> np.ndarray:
-    """Apply the interior rows of the discrete map operator (for residuals)."""
-    n1, n2, nz = grid.shape
-    dz = grid.dz
-    phat = np.fft.rfft2(phi, axes=(0, 1))
-    ksq = _ksq(n1, n2)[..., None]
-    sub, diag = vertical_fem_rows(ksq, dz)
-    out = (
-        sub * phat[..., :-2] + diag * phat[..., 1:-1] + sub * phat[..., 2:]
-    )
-    return np.fft.irfft2(out, s=(n1, n2), axes=(0, 1))
 
 
 def build_map(f: np.ndarray, grid: SlabGrid) -> CoordinateMap:

@@ -124,11 +124,6 @@ def to_coeffs(g: np.ndarray) -> np.ndarray:
     return np.fft.rfft2(g) / (g.shape[0] * g.shape[1])
 
 
-def from_coeffs(c: np.ndarray, n1: int, n2: int) -> np.ndarray:
-    """Inverse of :func:`to_coeffs`."""
-    return np.fft.irfft2(c * (n1 * n2), s=(n1, n2))
-
-
 def horizontal_derivative(g: np.ndarray, axis: int) -> np.ndarray:
     """Spectral d/dx_axis of a periodic field, axis in {1, 2}."""
     if axis not in (1, 2):

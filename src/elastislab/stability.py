@@ -49,7 +49,6 @@ __all__ = [
     "diagnostic_row",
     "difference_energy",
     "dispersion_omega",
-    "divcurl_ingredients",
     "energy_es_eps",
     "fit_frequency",
     "lambda_noncollinear",
@@ -319,11 +318,6 @@ class EnergyReport:
                 + self.weighted_extension + self.f_l2 + self.dtf_l2
                 + self.u_hs + self.F_hs)
 
-    @property
-    def es(self) -> float:
-        """The regularization-free variant of the total."""
-        return self.total - self.eps_term
-
 
 def bulk_hs_norm2(field: np.ndarray, cmap: CoordinateMap, s: int) -> float:
     """Squared H^s norm over the moving domain as a derivative ladder.
@@ -466,7 +460,7 @@ def difference_energy(a: FlowState, b: FlowState) -> EnergyReport:
     if a.grid.shape != b.grid.shape:
         raise GridMismatch(f"grids differ: {a.grid.shape} vs {b.grid.shape}")
     s = a.s
-    if s < 4 or s != int(s):
+    if s < 4:
         raise PreconditionViolated(f"energy index must be an integer >= 4, got {s}")
     weight = np.full(a.grid.shape, a.c0)
 
@@ -477,8 +471,8 @@ def difference_energy(a: FlowState, b: FlowState) -> EnergyReport:
         a, slopes, theta_d, s - 2.5, weight)
 
     flat = build_map(np.zeros_like(a.f), a.grid)
-    u_hs = bulk_hs_norm2(a.u - b.u, flat, int(s) - 1)
-    F_hs = bulk_hs_norm2(a.F - b.F, flat, int(s) - 1)
+    u_hs = bulk_hs_norm2(a.u - b.u, flat, s - 1)
+    F_hs = bulk_hs_norm2(a.F - b.F, flat, s - 1)
 
     f_l2 = _surface_norm2(fd)
     dtf_l2 = _surface_norm2(theta_d)
@@ -549,38 +543,6 @@ def fit_frequency(samples, dt: float) -> float:
         return 0.0
     c = float(np.sum(mid * outer)) / denom
     return float(np.arccos(np.clip(c, -1.0, 1.0)) / dt)
-
-
-# ---------------------------------------------------------------------------
-# vector-field estimate ingredients
-
-
-def divcurl_ingredients(v: np.ndarray, cmap: CoordinateMap, s: int) -> dict:
-    """Norms entering the div-curl control of a bulk vector field.
-
-    Emitted as diagnostics only: the full H^s norm alongside the H^(s-1)
-    norms of curl and divergence, the H^(s-3/2) boundary norms of the
-    tangential derivatives of v . N with N the map's interface normal,
-    and the H^(s-1) norm of the field itself.
-    """
-    grads = mapped_gradient(v, cmap)
-    curl = np.stack([
-        grads[2][1] - grads[1][2],
-        grads[0][2] - grads[2][0],
-        grads[1][0] - grads[0][1],
-    ])
-    div = grads[0][0] + grads[1][1] + grads[2][2]
-    n = cmap.normal
-    vn = sum(n[a] * trace(v[a]) for a in range(3))
-    out = {
-        "v_hs": np.sqrt(bulk_hs_norm2(v, cmap, s)),
-        "curl_hs1": np.sqrt(bulk_hs_norm2(curl, cmap, s - 1)),
-        "div_hs1": np.sqrt(bulk_hs_norm2(div, cmap, s - 1)),
-        "v_hs1": np.sqrt(bulk_hs_norm2(v, cmap, s - 1)),
-    }
-    for i in (1, 2):
-        out[f"trace_d{i}"] = sobolev_norm(horizontal_derivative(vn, i), s - 1.5)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 
+from elastislab import dynamics as dyn
+from elastislab import elliptic as el
 from elastislab.cli import _band, _smooth_flow
 from elastislab.elliptic import _metric_apply, grad_staggered
 from elastislab.geometry import (
     _dh_pair,
     _dh_pair_adjoint,
     _node_to_cell,
+    map_time_derivative,
+    trace,
     vertical_eigen,
     vertical_fem_rows,
 )
-from elastislab.spectral import _deriv_factors, _ksq
+from elastislab.spectral import _deriv_factors, _ksq, horizontal_derivative
 
 
 @pytest.fixture
@@ -71,6 +75,25 @@ def thomas_map_solve(grid, top, bottom_value):
     x = thomas_batched(sub, diag, sub, rhs)
     phat = np.concatenate([bhat[..., None], x, that[..., None]], axis=-1)
     return np.fft.irfft2(phat * (n1 * n2), s=(n1, n2), axes=(0, 1))
+
+
+def map_interior_residual(cmap):
+    """Relative residual of the interior rows of the discrete map
+    equations, applied per horizontal mode."""
+    n1, n2, nz = cmap.grid.shape
+    phat = np.fft.rfft2(cmap.phi, axes=(0, 1))
+    sub, diag = vertical_fem_rows(_ksq(n1, n2)[..., None], cmap.grid.dz)
+    rows = sub * phat[..., :-2] + diag * phat[..., 1:-1] + sub * phat[..., 2:]
+    res = np.fft.irfft2(rows, s=(n1, n2), axes=(0, 1))
+    scale = np.max(np.abs(cmap.phi)) / cmap.grid.dz
+    return float(np.max(np.abs(res)) / scale)
+
+
+def metric_cell(cmap):
+    """Flux-form metric K = J Jinv Jinv^T at vertical cell midpoints: the
+    entries (k11, k22, k33, k13, k23); k12 vanishes for a graph map."""
+    p3 = cmap.phi3_cell
+    return p3, p3, cmap.k33, -cmap.phi1_cell, -cmap.phi2_cell
 
 
 def ksq_eff(n1, n2):
@@ -140,11 +163,11 @@ def node_grad_adjoint(q1, q2, q3, grid):
 
 
 def node_apply_operator(u, cmap):
-    """G^T W K G through node_grad_staggered and CoordinateMap.metric_cell
-    (reference for elliptic.apply_operator)."""
+    """G^T W K G through node_grad_staggered and metric_cell (reference
+    for elliptic.apply_operator)."""
     grid = cmap.grid
     q1, q2, q3 = node_grad_staggered(u, grid)
-    k11, k22, k33, k13, k23 = cmap.metric_cell()
+    k11, k22, k33, k13, k23 = metric_cell(cmap)
     w = grid.h1 * grid.h2 * grid.dz
     return node_grad_adjoint(w * (k11 * q1 + k13 * q3),
                              w * (k22 * q2 + k23 * q3),
@@ -191,6 +214,53 @@ def fft_project_kernel(r, grid):
     mask = kernel_mask(grid.n1, grid.n2)
     c[mask, :] -= np.mean(c[mask, :], axis=-1, keepdims=True)
     return np.fft.irfft2(c, s=(grid.n1, grid.n2), axes=(0, 1))
+
+
+def interface_theta_rhs(state, theta):
+    """Interface acceleration of the second-order formulation: advection of
+    theta, surface Hessian terms of the velocity and column traces, the
+    ring-pressure flux (only the top row of its source load enters) and
+    the regularizing Laplacian.  Runs before the state's bulk rates,
+    which let its gradient stack go."""
+    du, dF = (g[..., -1] for g in dyn._gradients(state))
+    src = np.zeros(state.grid.shape)
+    src[..., -1] = (np.einsum("jab...,jba...->...", dF, dF)
+                    - np.einsum("ab...,ba...->...", du, du))
+    ring = dyn.assemble_pressure(state).ring
+    ubar, Fbar = trace(state.u[:2]), trace(state.F[:, :2])
+    dh = horizontal_derivative
+    hess = [[dh(dh(state.f, i), k) for k in (1, 2)] for i in (1, 2)]
+    out = -2.0 * (ubar[0] * dh(theta, 1) + ubar[1] * dh(theta, 2))
+    out += sum((np.sum(Fbar[:, i] * Fbar[:, k], axis=0) - ubar[i] * ubar[k])
+               * hess[i][k] for i in range(2) for k in range(2))
+    out -= el.boundary_flux_top(ring, state.cmap, el.volume_load(src, state.cmap))
+    return out + state.eps * (hess[0][0] + hess[1][1])
+
+
+def step_theta(state, theta, dt):
+    """RK4 step of the second-order interface formulation, a reference
+    for dynamics.step: theta, not the kinematic rate, moves the interface
+    and the grid.  Returns (new state, new theta)."""
+
+    def rhs(pair):
+        st, th = pair
+        du, dF = dyn._gradients(st)  # kept: bulk_rhs lets the stack go
+        dtheta = interface_theta_rhs(st, th)
+        dtf, rate_u, rate_F = dyn.bulk_rhs(st)
+        # bulk_rhs moves the grid with the kinematic rate dtf; use theta
+        dtf_theta = th - np.mean(th)
+        shift = map_time_derivative(st.cmap, dtf_theta - dtf)
+        rate_u += shift * du[:, 2]
+        rate_F += shift * dF[:, :, 2]
+        return (dtf_theta, dtheta, rate_u, rate_F)
+
+    def advance(pair, h, k):
+        st, th = pair
+        return (dyn._advance(st, h, (k[0], k[2], k[3])), th + h * k[1])
+
+    new, theta = dyn._rk4((state, theta), dt, rhs, advance)
+    new, _ = dyn._reproject(new, dyn.REPROJECT_THRESHOLD)
+    return new, theta
 
 
 def sample_flow(n, nz, amp, eps):

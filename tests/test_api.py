@@ -142,3 +142,54 @@ def test_every_option_has_a_user():
             continue
         test_only.add((module, function, param))
     assert test_only == set(TEST_ONLY_OPTIONS)
+
+
+# Functions that README documents for readers of the run command's
+# snapshot artifact, though no user path calls them.
+DOCUMENTED_READERS = {("snapshots", "read_snapshot"),
+                      ("snapshots", "Snapshot.matches_map")}
+
+
+def _names(*nodes):
+    """Bare names and attribute names that some source refers to."""
+    return {getattr(sub, "id", getattr(sub, "attr", None))
+            for node in nodes for sub in ast.walk(node)}
+
+
+def test_every_function_has_a_user():
+    # a function that only tests call is code to keep working for no user
+    # path: src/ must reach each one by name from cli.main, the package's
+    # __all__, benchmark/ or the acceptance battery.  A class runs its body
+    # outside plain methods (dunders included); module statements run on
+    # import.
+    bodies, functions, on_import = {}, set(), []
+    for path in sorted((ROOT / "src/elastislab").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                functions.add((path.stem, node.name))
+                bodies[path.stem, node.name] = [node]
+            elif isinstance(node, ast.ClassDef):
+                own = node.bases + node.decorator_list
+                bodies[path.stem, node.name] = own
+                for item in node.body:
+                    if (isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("__")):
+                        key = (path.stem, f"{node.name}.{item.name}")
+                        functions.add(key)
+                        bodies[key] = [item]
+                    else:
+                        own.append(item)
+            else:
+                on_import.append(node)
+    roots = [ast.parse(path.read_text())
+             for path in [*(ROOT / "benchmark").glob("*.py"),
+                          ROOT / "tests/test_acceptance.py"]]
+    todo = {"main", *elastislab.__all__} | _names(*on_import, *roots)
+    reached = set()
+    while todo:
+        name = todo.pop()
+        for key, nodes in bodies.items():
+            if key not in reached and key[1].split(".")[-1] == name:
+                reached.add(key)
+                todo |= _names(*nodes)
+    assert functions - reached == DOCUMENTED_READERS

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -257,3 +258,29 @@ class TestConvergenceCommand:
     def test_unknown_study_rejected(self):
         with pytest.raises(ConfigInvalid, match="study"):
             cli.preset("rest", study="everything")
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_block(section, lang):
+    """The first fenced block of a language under a README heading."""
+    text = README.read_text().split(f"\n## {section}\n")[1]
+    return text.split(f"```{lang}\n")[1].split("```")[0]
+
+
+class TestReadmeExamples:
+    def test_config_example_loads(self, tmp_path):
+        text = _readme_block("Command line", "ini")
+        cfg, explicit = cli.load_config(_write(tmp_path, text))
+        cli.validate(cfg)
+        assert cfg.scenario == "mixed-regions"
+        assert (cfg.n1, cfg.n2, cfg.nz) == (32, 32, 33)
+        assert {"grid", "t_final", "seed"} <= explicit
+
+    def test_library_example_runs(self, capsys):
+        exec(_readme_block("Library use", "python"), {})
+        reports = capsys.readouterr().out.splitlines()
+        assert len(reports) == 5
+        assert all(r.startswith("StabilityReport(") and "lambda_ok=True" in r
+                   for r in reports)
