@@ -711,8 +711,8 @@ def cmd_convergence(cfg: RunConfig, outdir: Path) -> int:
             while st.t < horizon - 1e-12:
                 st, _ = dyn.step(st, dtl, reproject_threshold=np.inf)
             runs[dtl] = st
-        d1 = stab.difference_energy(runs[0.01], runs[0.005]).es_d
-        d2 = stab.difference_energy(runs[0.005], runs[0.0025]).es_d
+        d1 = stab.difference_energy(runs[0.01], runs[0.005]).total
+        d2 = stab.difference_energy(runs[0.005], runs[0.0025]).total
         rows.append(("temporal", "D(0.01,0.005)", d1, ""))
         rows.append(("temporal", "D(0.005,0.0025)", d2, ""))
         order = float(0.5 * np.log2(d1 / d2))

@@ -28,7 +28,8 @@ import numpy as np
 from . import elliptic as el
 from .elliptic import DEFAULT_TOL
 from .errors import NotMeanZero, SolverDiverged
-from .geometry import CoordinateMap, mapped_gradient, normal_vector, tangent_vectors
+from .geometry import (CoordinateMap, _normal_flux, mapped_gradient,
+                       normal_vector, tangent_vectors)
 from .spectral import _ksq, horizontal_derivative
 
 __all__ = [
@@ -237,8 +238,7 @@ def material_dn_commutator(g: np.ndarray, u: np.ndarray, cmap: CoordinateMap,
 
     # surface terms: normal derivative of u against the extension
     # gradient, plus the moving-normal decomposition
-    n = cmap.normal
-    ngradu = [sum(n[a] * du[b][a][..., -1] for a in range(3)) for b in range(3)]
+    ngradu = [_normal_flux(du[b], cmap) for b in range(3)]
     term3 = -sum(gw[b][..., -1] * ngradu[b] for b in range(3))
 
     frame = dt_normal(u[..., -1], cmap.f)

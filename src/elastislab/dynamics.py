@@ -35,6 +35,7 @@ from .geometry import (
     CoordinateMap,
     SlabGrid,
     _node_to_cell,
+    _normal_flux,
     bottom_trace,
     build_map,
     map_time_derivative,
@@ -118,8 +119,9 @@ class FlowState:
     interface mean is removed, and the floor rows of u3 and of every
     F[j, 3] are zeroed.  The Runge-Kutta stages rely on this overwrite.
     f, u and F are then made read-only, so the quantities derived from
-    them on first use (pressure, invariant report, and the gradient stack
-    until bulk_rhs has read it) are kept on the state and never go stale.
+    them on first use (the pressure together with its gradient, the
+    invariant report, and the gradient stack until bulk_rhs has read it)
+    are kept on the state and never go stale.
     A state made by with_fields starts its pressure solves from its
     parent's pressure; a directly constructed one solves cold.
     """
@@ -174,12 +176,6 @@ class FlowState:
         new = FlowState(t, f, u, F, self.eps, self.s, self.c0, self.regions)
         new._hint = self._pressure if self._pressure is not None else self._hint
         return new
-
-
-def _normal_flux(v: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
-    """Interface flux v.N of a slab-stored vector field."""
-    n = cmap.normal
-    return sum(n[a] * trace(v[a]) for a in range(3))
 
 
 def _surface_laplacian(g: np.ndarray) -> np.ndarray:
@@ -267,24 +263,19 @@ def _minnorm_lift(q: np.ndarray) -> np.ndarray:
     return q @ _lift_matrix(q.shape[-1])
 
 
-def _anchored_lift(q: np.ndarray, anchor: np.ndarray, where: str) -> np.ndarray:
-    """Node field with prescribed boundary value and pair averages q.
+def _anchored_lift(q: np.ndarray, anchor: np.ndarray) -> np.ndarray:
+    """Node field with prescribed floor value and pair averages q.
 
-    The recursion c_{j+1} = 2 q_j - c_j is evaluated through signed
-    cumulative sums; "bottom" anchors the floor value, "top" the
-    interface value.
+    The recursion c_{j+1} = 2 q_j - c_j is evaluated upward from the
+    floor through signed cumulative sums.
     """
     nc = q.shape[-1]
-    if where == "top":
-        q = q[..., ::-1]
     sign = (-1.0) ** np.arange(1, nc + 1)
     t = np.cumsum(2.0 * sign * q, axis=-1)
     out = np.empty(q.shape[:-1] + (nc + 1,))
     out[..., 0] = anchor
     out[..., 1:] = (t + anchor[..., None]) * sign
-    if where == "top":
-        out = out[..., ::-1]
-    return np.ascontiguousarray(out)
+    return out
 
 
 def _correction_cells(cmap: CoordinateMap, psi: np.ndarray):
@@ -311,7 +302,7 @@ def _gradient_correction(cmap: CoordinateMap, psi: np.ndarray):
     corr[0] = g[0] + _minnorm_lift(q1 - _node_to_cell(g[0]))
     corr[1] = g[1] + _minnorm_lift(q2 - _node_to_cell(g[1]))
     corr[2] = g[2] + _anchored_lift(q3 - _node_to_cell(g[2]),
-                                    -bottom_trace(g[2]), "bottom")
+                                    -bottom_trace(g[2]))
     return corr
 
 
@@ -379,18 +370,19 @@ def project_div_normal(v: np.ndarray, cmap: CoordinateMap):
 
 
 class PressurePieces:
-    """Pressure split: total = ring (bilinear part) + bar (regularization).
+    """Pressure split p = ring (bilinear part) + bar (regularization),
+    kept with grad, its mapped gradient (3, n1, n2, nz).
 
     info maps "ring", and "bar" when there is a bar part, to the solve's
     iterations and final relative residual.
     """
 
-    __slots__ = ("total", "ring", "bar", "info")
+    __slots__ = ("grad", "ring", "bar", "info")
 
-    def __init__(self, ring, bar, info):
+    def __init__(self, ring, bar, grad, info):
         self.ring = ring
         self.bar = bar
-        self.total = ring if bar is None else ring + bar
+        self.grad = grad
         self.info = info
 
 
@@ -415,7 +407,7 @@ def _gradients(state: FlowState):
 
 
 def assemble_pressure(state: FlowState) -> PressurePieces:
-    """Pressure of the state, solved at DEFAULT_TOL on first use and kept.
+    """Pressure and its gradient, solved at DEFAULT_TOL on first use and kept.
 
     The ring part carries the quadratic sources (velocity stretching
     minus elastic stretching) with zero interface value and natural
@@ -447,7 +439,8 @@ def assemble_pressure(state: FlowState) -> PressurePieces:
                                       bottom=("neumann", None),
                                       x0=None if hint is None else hint.bar)
         bar = bar - np.mean(trace(bar))
-    state._pressure = PressurePieces(ring, bar, info)
+    grad = mapped_gradient(ring if bar is None else ring + bar, cmap)
+    state._pressure = PressurePieces(ring, bar, grad, info)
     return state._pressure
 
 
@@ -467,7 +460,7 @@ def bulk_rhs(state: FlowState):
     then holds no stacks.
     """
     cmap = state.cmap
-    dp = mapped_gradient(assemble_pressure(state).total, cmap)
+    dp = assemble_pressure(state).grad
     du, dF = _gradients(state)
     state._gradients = None
     dtf = kinematic_rate(state)
@@ -625,7 +618,7 @@ def stable_dt(state: FlowState) -> float:
     for j in range(3):
         for sidx in range(2):
             fmax = max(fmax, float(np.max(np.abs(trace(state.F[j, sidx])))))
-    taylor = -trace(mapped_gradient(assemble_pressure(state).total, cmap)[2])
+    taylor = -trace(assemble_pressure(state).grad[2])
     amax = max(float(np.max(taylor)), 0.0)
     wave = kmax * (fmax + np.sqrt(state.eps) * np.sqrt(kmax)) \
         + np.sqrt(amax * kmax)

@@ -348,6 +348,12 @@ def normal_vector(f: np.ndarray) -> np.ndarray:
     return np.stack([-d1, -d2, np.ones_like(f)])
 
 
+def _normal_flux(v: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
+    """Interface flux v.N of a slab-stored vector field, N = cmap.normal."""
+    n = cmap.normal
+    return sum(n[a] * trace(v[a]) for a in range(3))
+
+
 def tangent_vectors(f: np.ndarray):
     """Coordinate tangents tau_1 = (1, 0, d1 f), tau_2 = (0, 1, d2 f)."""
     f = np.asarray(f, dtype=float)

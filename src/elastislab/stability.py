@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .errors import GridMismatch, PreconditionViolated, StabilityLost
 from .geometry import (
     CoordinateMap,
     SlabGrid,
+    _normal_flux,
     build_map,
     mapped_gradient,
     trace,
@@ -98,23 +100,18 @@ class TaylorCoefficient:
     """Interface pressure-gradient diagnostic in both conventions.
 
     normal   : -N_f . grad p on the interface (the thresholded form)
-    vertical : -d3 p on the interface (the convenience form)
-    nsq      : |N_f|^2, the factor relating the two when the trace of p
-               is constant along the surface
+    vertical : -d3 p on the interface (the convenience form); the two
+               differ by the factor |N_f|^2 when the trace of p is constant
     """
 
     normal: np.ndarray
     vertical: np.ndarray
-    nsq: np.ndarray
 
 
 def taylor_coefficient(state: FlowState) -> TaylorCoefficient:
-    grad = mapped_gradient(assemble_pressure(state).total, state.cmap)
-    gtr = [trace(grad[a]) for a in range(3)]
-    n = state.cmap.normal
-    normal = -(n[0] * gtr[0] + n[1] * gtr[1] + n[2] * gtr[2])
-    nsq = n[0] ** 2 + n[1] ** 2 + n[2] ** 2
-    return TaylorCoefficient(normal=normal, vertical=-gtr[2], nsq=nsq)
+    grad = assemble_pressure(state).grad
+    return TaylorCoefficient(normal=-_normal_flux(grad, state.cmap),
+                             vertical=-trace(grad[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -170,17 +167,22 @@ class Regions:
             sharp[inside] = 1.0
         return np.clip(mollify(sharp, self.scale ** 2), 0.0, 1.0)
 
-    @classmethod
-    def whole(cls, grid: SlabGrid) -> "Regions":
-        full = [(0.0, 2.0 * np.pi, 0.0, 2.0 * np.pi)]
-        return cls(full, full, grid)
+
+@lru_cache(maxsize=32)
+def _regions(gamma1: tuple, gamma2: tuple, grid: SlabGrid) -> Regions:
+    """Regions built once per (rectangles, grid), its arrays read-only."""
+    reg = Regions(gamma1, gamma2, grid)
+    for a in (reg.chi1, reg.chi2, reg.mask1, reg.mask2, reg.phi):
+        a.flags.writeable = False
+    return reg
 
 
 def _resolve_regions(state: FlowState) -> Regions:
     """The state's own regions, or the whole torus for both when it has none."""
-    if state.regions is not None:
-        return Regions(state.regions[0], state.regions[1], state.grid)
-    return Regions.whole(state.grid)
+    whole = ((0.0, 2.0 * np.pi, 0.0, 2.0 * np.pi),)
+    pair = (whole, whole) if state.regions is None else state.regions
+    return _regions(tuple(map(tuple, pair[0])), tuple(map(tuple, pair[1])),
+                    state.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +295,7 @@ class EnergyReport:
     weighted_extension the coercive harmonic-extension integral (with
     extension its unweighted companion and weight_min/weight_max the
     weight range for the sandwich bound).  m0 and m_eps are the
-    initial-data functionals, filled by energy_es_eps; es_d is set by
-    difference_energy instead.
+    initial-data functionals, filled by energy_es_eps only.
     """
 
     dt_term: float
@@ -310,7 +311,6 @@ class EnergyReport:
     weight_max: float
     m0: float | None = None
     m_eps: float | None = None
-    es_d: float | None = None
 
     @property
     def total(self) -> float:
@@ -476,8 +476,6 @@ def difference_energy(a: FlowState, b: FlowState) -> EnergyReport:
 
     f_l2 = _surface_norm2(fd)
     dtf_l2 = _surface_norm2(theta_d)
-    total = (dt_term + elastic_term + weighted_ext + f_l2 + dtf_l2
-             + u_hs + F_hs)
     return EnergyReport(
         dt_term=dt_term,
         elastic_term=elastic_term,
@@ -490,7 +488,6 @@ def difference_energy(a: FlowState, b: FlowState) -> EnergyReport:
         F_hs=F_hs,
         weight_min=float(np.min(weight)),
         weight_max=float(np.max(weight)),
-        es_d=total,
     )
 
 

@@ -347,8 +347,8 @@ def test_11_difference_energy_probe():
         while st.t < horizon - 1e-12:
             st, _ = dyn.step(st, dtl, reproject_threshold=np.inf)
         runs[dtl] = st
-    d1 = stab.difference_energy(runs[0.01], runs[0.005]).es_d
-    d2 = stab.difference_energy(runs[0.005], runs[0.0025]).es_d
+    d1 = stab.difference_energy(runs[0.01], runs[0.005]).total
+    d2 = stab.difference_energy(runs[0.005], runs[0.0025]).total
     # the squared difference energy of step-halved runs falls by 2^8
     order = float(0.5 * np.log2(d1 / d2))
 
@@ -358,7 +358,7 @@ def test_11_difference_energy_probe():
         while st.t < 0.05 - 1e-12:
             st, _ = dyn.step(st, 0.01)
         finals[eps] = st
-    pair = [stab.difference_energy(finals[a], finals[b]).es_d
+    pair = [stab.difference_energy(finals[a], finals[b]).total
             for a, b in ((1e-1, 1e-2), (1e-2, 1e-3), (1e-3, 1e-4))]
     ok = order >= 3.8 and pair[0] > pair[1] > pair[2]
     _verdict(11, "difference-energy-probe", ok,

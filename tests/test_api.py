@@ -86,11 +86,10 @@ TEST_ONLY_OPTIONS = {
 }
 
 
-def _defaulted_parameters():
-    """(module, function, parameter, call name, positional parameters) for
-    every defaulted parameter of a top-level function or method in src/;
-    a class's __init__ is called by the class name."""
-    out = []
+def _src_functions():
+    """(module, call name, function node, positional parameters) for every
+    top-level function and method in src/; a class's __init__ is called by
+    the class name, and a method's first parameter is dropped."""
     for path in sorted((ROOT / "src/elastislab").glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.FunctionDef):
@@ -104,11 +103,20 @@ def _defaulted_parameters():
                 continue
             for call, fn, skip in funcs:
                 a = fn.args
-                positional = [p.arg for p in a.posonlyargs + a.args][skip:]
-                names = positional[len(positional) - len(a.defaults):]
-                names += [k.arg for k, d in zip(a.kwonlyargs, a.kw_defaults)
-                          if d is not None]
-                out += [(path.stem, fn.name, p, call, positional) for p in names]
+                yield (path.stem, call, fn,
+                       [p.arg for p in a.posonlyargs + a.args][skip:])
+
+
+def _defaulted_parameters():
+    """(module, function, parameter, call name, positional parameters) for
+    every defaulted parameter of a top-level function or method in src/."""
+    out = []
+    for module, call, fn, positional in _src_functions():
+        a = fn.args
+        names = positional[len(positional) - len(a.defaults):]
+        names += [k.arg for k, d in zip(a.kwonlyargs, a.kw_defaults)
+                  if d is not None]
+        out += [(module, fn.name, p, call, positional) for p in names]
     return out
 
 
@@ -193,3 +201,47 @@ def test_every_function_has_a_user():
                 reached.add(key)
                 todo |= _names(*nodes)
     assert functions - reached == DOCUMENTED_READERS
+
+
+# Required parameters that every src/ and benchmark/ call fills with one
+# literal, each with the reason the parameter stays.
+FIXED_BY_CALLERS = {
+    ("cli", "_smooth_flow", "eps"):
+        "conftest.sample_flow varies it from 0.0 to 0.02",
+}
+
+
+def _literal(node):
+    """repr of a literal argument, or None for any other expression."""
+    try:
+        return repr(ast.literal_eval(node))
+    except ValueError:
+        return None
+
+
+def test_no_parameter_is_a_constant():
+    # a required parameter that every call sets to one and the same
+    # literal is a choice no caller makes: the value belongs in the body
+    calls = {}
+    for folder in ("src/elastislab", "benchmark"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id",
+                                   getattr(node.func, "attr", None))
+                    calls.setdefault(name, []).append(node)
+    fixed = set()
+    for module, call, fn, positional in _src_functions():
+        required = positional[:len(positional) - len(fn.args.defaults)]
+        for index, param in enumerate(required):
+            values = set()
+            for site in calls.get(call, ()):
+                given = [k.value for k in site.keywords if k.arg == param]
+                if index < len(site.args) and not any(
+                        isinstance(arg, ast.Starred)
+                        for arg in site.args[:index + 1]):
+                    given.append(site.args[index])
+                values.add(_literal(given[0]) if given else None)
+            if len(values) == 1 and None not in values:
+                fixed.add((module, fn.name, param))
+    assert fixed == set(FIXED_BY_CALLERS)

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from elastislab import dynamics as dyn
 from elastislab import stability as stab
 from elastislab.errors import GridMismatch, PreconditionViolated, StabilityLost
 from elastislab.geometry import SlabGrid, build_map, mapped_gradient
@@ -95,10 +96,11 @@ class TestLambda:
 
 class TestTaylorCoefficient:
     def test_rest_state_zero(self):
-        tay = stab.taylor_coefficient(_flat_state())
+        st = _flat_state()
+        tay = stab.taylor_coefficient(st)
         assert np.all(tay.normal == 0.0)
         assert np.all(tay.vertical == 0.0)
-        assert np.all(tay.nsq == 1.0)
+        assert np.all(np.sum(st.cmap.normal ** 2, axis=0) == 1.0)
 
     def test_uniform_tangential_background_zero(self):
         F = np.zeros((3, 3, 16, 16, 9))
@@ -119,14 +121,17 @@ class TestTaylorCoefficient:
 
     def test_form_conversion_identity(self):
         # with a zero interface trace the two conventions differ by |N|^2
-        tay = stab.taylor_coefficient(_waterwave_state(16, 17))
-        gap = np.max(np.abs(tay.normal - tay.nsq * tay.vertical))
+        st = _waterwave_state(16, 17)
+        tay = stab.taylor_coefficient(st)
+        nsq = np.sum(st.cmap.normal ** 2, axis=0)
+        gap = np.max(np.abs(tay.normal - nsq * tay.vertical))
         assert gap < 1e-12 * np.max(np.abs(tay.normal))
 
 
 class TestRegions:
     def test_whole_torus(self):
-        reg = stab.Regions.whole(SlabGrid(16, 16, 5))
+        # a state without regions holds both conditions everywhere
+        reg = stab._resolve_regions(_flat_state(nz=5))
         assert np.all(reg.chi1 == 1.0)
         assert np.all(reg.mask2)
         assert np.all(reg.phi == 0.0)
@@ -160,6 +165,15 @@ class TestRegions:
         assert reg.phi[far_outside_g1, 0] > 0.99
         assert reg.phi[gap_outside_g2, 0] < 0.1
         assert np.all(reg.phi >= 0.0) and np.all(reg.phi <= 1.0)
+
+    def test_built_once_per_rectangles_and_grid(self):
+        rects = ([(0.0, 2.0, 0.0, 2 * np.pi)], [(1.5, 7.0, 0.0, 2 * np.pi)])
+        a = stab._resolve_regions(_flat_state(regions=rects))
+        b = stab._resolve_regions(_flat_state(regions=tuple(map(tuple, rects))))
+        assert a is b
+        assert stab._resolve_regions(_flat_state(n=32, regions=rects)) is not a
+        for field in (a.chi1, a.chi2, a.mask1, a.mask2, a.phi):
+            assert not field.flags.writeable
 
     def test_uncovered_torus_rejected(self):
         grid = SlabGrid(32, 32, 5)
@@ -202,6 +216,25 @@ class TestStabilityReport:
         assert not whole.taylor_ok and not whole.lambda_ok
         assert 0.085 < whole.taylor_min < 0.092
         assert whole.lambda_min < 0.03
+
+
+class TestPressureGradientReaders:
+    def test_readers_take_the_kept_gradient(self, monkeypatch):
+        # the step bound, the report, the weight and the momentum rate all
+        # read assemble_pressure(st).grad and differentiate nothing again
+        st = mixed_flow(24, 25, c0=0.1)
+        pr = dyn.assemble_pressure(st)
+
+        def refuse(*args):
+            raise AssertionError("pressure differentiated again")
+
+        monkeypatch.setattr(dyn, "mapped_gradient", refuse)
+        monkeypatch.setattr(stab, "mapped_gradient", refuse)
+        dyn.stable_dt(st)
+        stab.stability_report(st)
+        stab.coercivity_weight(st)
+        dyn.bulk_rhs(st)
+        assert dyn.assemble_pressure(st) is pr
 
 
 class TestCoercivityWeight:
@@ -317,7 +350,7 @@ class TestBulkLadderNorm:
 class TestDifferenceEnergy:
     def test_identical_states_zero(self):
         st = sample_flow(16, 17, 0.05, 1e-2)
-        assert stab.difference_energy(st, st).es_d == 0.0
+        assert stab.difference_energy(st, st).total == 0.0
 
     def test_grid_guard(self):
         with pytest.raises(GridMismatch):
@@ -332,8 +365,8 @@ class TestDifferenceEnergy:
             while st.t < T - 1e-12:
                 st, _ = step(st, dt, reproject_threshold=np.inf)
             runs[dt] = st
-        d1 = stab.difference_energy(runs[0.02], runs[0.01]).es_d
-        d2 = stab.difference_energy(runs[0.01], runs[0.005]).es_d
+        d1 = stab.difference_energy(runs[0.02], runs[0.01]).total
+        d2 = stab.difference_energy(runs[0.01], runs[0.005]).total
         assert d1 / d2 > 100.0
 
     def test_small_perturbation_grows_slowly(self):
@@ -344,12 +377,12 @@ class TestDifferenceEnergy:
         b = sample_flow(16, 17, 0.05, eps)
         x1, _ = a.grid.horizontal_meshes()
         b = b.with_fields(b.t, b.f + 1e-6 * np.cos(x1), b.u, b.F)
-        d0 = stab.difference_energy(a, b).es_d
+        d0 = stab.difference_energy(a, b).total
         assert 8e-11 < d0 < 1.2e-10
         while a.t < T - 1e-12:
             a, _ = step(a, dt, reproject_threshold=np.inf)
             b, _ = step(b, dt, reproject_threshold=np.inf)
-        dT = stab.difference_energy(a, b).es_d
+        dT = stab.difference_energy(a, b).total
         rate = np.log(dT / d0) / T
         assert 0.9 * d0 < dT < 1.05 * d0
         assert abs(rate) < 1.0
