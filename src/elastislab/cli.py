@@ -15,7 +15,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -105,10 +105,11 @@ _SCENARIO_DEFAULTS = {
     },
 }
 
-_INT_KEYS = ("schema", "s", "mode1", "mode2", "seed")
-_FLOAT_KEYS = ("eps", "c0", "amplitude", "stretch", "t_final", "dt",
-               "output_interval", "snapshot_interval")
-_STR_KEYS = ("scenario", "study")
+# config-file key -> value type ('int', 'float' or 'str') in RunConfig's
+# field order; the one key 'grid' (type 'grid') stands for n1, n2 and nz
+_GRID_FIELDS = ("n1", "n2", "nz")
+_CONFIG_KEYS = dict(("grid", "grid") if f.name in _GRID_FIELDS
+                    else (f.name, f.type) for f in fields(RunConfig))
 
 
 def _parse_grid(text: str):
@@ -136,21 +137,22 @@ def parse_config(text: str) -> dict:
         key, val = key.strip(), val.strip()
         if key in out:
             raise ConfigInvalid(f"line {lineno}: duplicate key '{key}'")
-        if key == "grid":
+        kind = _CONFIG_KEYS.get(key)
+        if kind == "grid":
             out[key] = _parse_grid(val)
-        elif key in _INT_KEYS:
+        elif kind == "int":
             try:
                 out[key] = int(val)
             except ValueError:
                 raise ConfigInvalid(
                     f"{key}: expected an integer, got {val!r}") from None
-        elif key in _FLOAT_KEYS:
+        elif kind == "float":
             try:
                 out[key] = float(val)
             except ValueError:
                 raise ConfigInvalid(
                     f"{key}: expected a number, got {val!r}") from None
-        elif key in _STR_KEYS:
+        elif kind == "str":
             out[key] = val
         else:
             raise ConfigInvalid(f"line {lineno}: unknown key '{key}'")
@@ -172,7 +174,7 @@ def validate(cfg: RunConfig) -> None:
     if cfg.n1 % 2 or cfg.n2 % 2:
         bad.append(f"grid: n1 and n2 must be even, "
                    f"got {cfg.n1}x{cfg.n2}x{cfg.nz}")
-    for name in _FLOAT_KEYS:
+    for name in (k for k, kind in _CONFIG_KEYS.items() if kind == "float"):
         if not np.isfinite(getattr(cfg, name)):
             bad.append(f"{name}: must be finite, got {getattr(cfg, name)}")
     for name, lo in (("eps", 0.0), ("c0", 0.0), ("amplitude", 0.0),
@@ -205,6 +207,9 @@ def preset(scenario: str, **overrides) -> RunConfig:
     if scenario not in _SCENARIO_DEFAULTS:
         raise ConfigInvalid(f"scenario: must be one of {', '.join(SCENARIOS)}, "
                             f"got {scenario!r}")
+    unknown = sorted(set(overrides) - {f.name for f in fields(RunConfig)})
+    if unknown:
+        raise ConfigInvalid(f"unknown setting(s): {', '.join(unknown)}")
     merged = dict(_SCENARIO_DEFAULTS[scenario])
     merged.update(overrides)
     cfg = replace(RunConfig(scenario=scenario), **merged)
@@ -228,16 +233,9 @@ def load_config(path):
 
 def config_text(cfg: RunConfig) -> str:
     """Round-trippable text form of a resolved config."""
-    lines = [
-        f"schema = {cfg.schema}",
-        f"scenario = {cfg.scenario}",
-        f"grid = {cfg.n1}x{cfg.n2}x{cfg.nz}",
-    ]
-    for name in ("eps", "c0", "s", "amplitude", "stretch", "mode1", "mode2",
-                 "t_final", "dt", "output_interval", "snapshot_interval",
-                 "study", "seed"):
-        lines.append(f"{name} = {getattr(cfg, name)}")
-    return "\n".join(lines) + "\n"
+    grid = "x".join(str(getattr(cfg, n)) for n in _GRID_FIELDS)
+    return "".join(f"{key} = {grid if key == 'grid' else getattr(cfg, key)}\n"
+                   for key in _CONFIG_KEYS)
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,19 @@ at the floor (flat symbol |k| coth |k|, mean mode 1), the free variant
 with zero flux there (flat symbol |k| tanh |k|, mean mode annihilated).
 
 On flat maps both operators and the inverse of the free variant act
-mode-by-mode through exact symbols; via_solver forces the generic
-discrete route, which is what the self-adjointness and convergence
-checks exercise.
+mode-by-mode through exact symbols; the flux maps' via_solver forces
+the generic discrete route (one elliptic.solve_weak call with the datum
+as the interface value), which is what the self-adjointness and
+convergence checks exercise.
 
 The commutator assemblies implement exact interface identities:
 differentiating the extension problem in time trades the moving domain
 for bulk correction solves, and multiplying the datum trades the
 product rule defect for one Poisson solve clamped on both boundaries.
+Each bulk problem is one solve_weak call: the assembled load (volume
+source, or a floor flux row scaled by h1 h2) and a Dirichlet value or
+None per boundary level; the volume load is reused for the variational
+flux recovery.
 """
 
 from __future__ import annotations
@@ -66,7 +71,7 @@ def apply_dn(g: np.ndarray, cmap: CoordinateMap, via_solver: bool = False,
     g = np.asarray(g, dtype=float)
     if cmap.is_flat and not via_solver:
         return _symbol_apply(g, _flux_symbols(*g.shape)[0])
-    u = el.harmonic_ext_dirichlet(g, cmap, via_solver=True, tol=tol)
+    u, _ = el.solve_weak(cmap, None, top=g, bottom=0.0, tol=tol)
     return el.boundary_flux_top(u, cmap)
 
 
@@ -76,7 +81,7 @@ def apply_dn_neumann(g: np.ndarray, cmap: CoordinateMap, via_solver: bool = Fals
     g = np.asarray(g, dtype=float)
     if cmap.is_flat and not via_solver:
         return _symbol_apply(g, _flux_symbols(*g.shape)[1])
-    u = el.harmonic_ext_neumann(g, cmap, via_solver=True, tol=tol)
+    u, _ = el.solve_weak(cmap, None, top=g, tol=tol)
     return el.boundary_flux_top(u, cmap)
 
 
@@ -226,14 +231,16 @@ def material_dn_commutator(g: np.ndarray, u: np.ndarray, cmap: CoordinateMap,
             src += 2.0 * du[b][a] * d2w[b][a]
         d2ub = mapped_gradient(du[b], cmap)
         src += sum(d2ub[a][a] for a in range(3)) * gw[b]
-    v1 = el.poisson_dirichlet(src, cmap, tol=tol)
-    term1 = el.boundary_flux_top(v1, cmap, el.volume_load(src, cmap))
+    load = el.volume_load(src, cmap)
+    v1, _ = el.solve_weak(cmap, load, tol=tol)
+    term1 = el.boundary_flux_top(v1, cmap, load)
 
     # floor flux condition picks up the moving frame at the bottom
     bot = (du[0][2][..., 0] * gw[0][..., 0]
            + du[1][2][..., 0] * gw[1][..., 0])
-    v2, _ = el.solve_weak(cmap, top=("dirichlet", None),
-                          bottom=("neumann", bot), tol=tol)
+    load = np.zeros(grid.shape)
+    load[..., 0] = -(grid.h1 * grid.h2 * bot)
+    v2, _ = el.solve_weak(cmap, load, tol=tol)
     term2 = el.boundary_flux_top(v2, cmap)
 
     # surface terms: normal derivative of u against the extension
@@ -268,6 +275,7 @@ def multiplier_dn_commutator(g: np.ndarray, a: np.ndarray,
     ga = mapped_gradient(ha, cmap)
     gg = mapped_gradient(hg, cmap)
     src = 2.0 * sum(ga[b] * gg[b] for b in range(3))
-    v = el.poisson_dirichlet_both(src, cmap)
-    flux = el.boundary_flux_top(v, cmap, el.volume_load(src, cmap))
+    load = el.volume_load(src, cmap)
+    v, _ = el.solve_weak(cmap, load, bottom=0.0)
+    flux = el.boundary_flux_top(v, cmap, load)
     return g * apply_dn(a, cmap) - flux

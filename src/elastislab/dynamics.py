@@ -49,6 +49,7 @@ from .elliptic import (
     grad_staggered,
     harmonic_ext_dirichlet,
     solve_weak,
+    volume_load,
     volume_weights,
 )
 from .dn import apply_dn
@@ -317,9 +318,7 @@ def project_div(v: np.ndarray, cmap: CoordinateMap):
 
     Returns (projected field, info dict).
     """
-    b = weak_div_load(v, cmap)
-    psi, info = solve_weak(cmap, top=("dirichlet", None),
-                           bottom=("neumann", None), extra_load=-b)
+    psi, info = solve_weak(cmap, -weak_div_load(v, cmap))
     return v - _gradient_correction(cmap, psi), info
 
 
@@ -352,8 +351,7 @@ def project_div_normal(v: np.ndarray, cmap: CoordinateMap):
         d = _normal_flux(work, cmap)
         b = -weak_div_load(work, cmap)
         b[..., -1] += area * d
-        psi, inf = solve_weak(cmap, top=("neumann", None),
-                              bottom=("neumann", None), extra_load=b)
+        psi, inf = solve_weak(cmap, b, top=None)
         work = work - _gradient_correction(cmap, psi)
         info["rounds"] += 1
         info["iterations"] += inf["iterations"]
@@ -429,14 +427,15 @@ def assemble_pressure(state: FlowState) -> PressurePieces:
             for j in range(3):
                 src += dF[j, a][b] * dF[j, b][a]
     info = {}
-    ring, info["ring"] = solve_weak(
-        cmap, rhs=src, top=("dirichlet", None),
-        bottom=("neumann", None), x0=None if hint is None else hint.ring)
+    ring, info["ring"] = solve_weak(cmap, volume_load(src, cmap),
+                                    x0=None if hint is None else hint.ring)
     bar = None
     if state.eps != 0.0:
+        grid = state.grid
         flux = -state.eps * _surface_laplacian(state.f)
-        bar, info["bar"] = solve_weak(cmap, top=("neumann", flux),
-                                      bottom=("neumann", None),
+        load = np.zeros(grid.shape)
+        load[..., -1] = (grid.h1 * grid.h2) * flux
+        bar, info["bar"] = solve_weak(cmap, load, top=None,
                                       x0=None if hint is None else hint.bar)
         bar = bar - np.mean(trace(bar))
     grad = mapped_gradient(ring if bar is None else ring + bar, cmap)

@@ -11,7 +11,11 @@ to the reference slab as
 so every problem here is a variant of  G^T W K G u = load  where G is a
 staggered discrete gradient (spectral horizontal derivatives of the
 vertical cell averages, compact vertical differences), K the cell
-metric, and W the uniform cell measure.  The operator is symmetric
+metric, and W the uniform cell measure.  solve_weak names a problem by
+its assembled load and, per boundary level, a Dirichlet value or None
+for the natural condition; a volume source enters the load through
+volume_load and Neumann data as boundary rows scaled by the horizontal
+cell area h1 h2.  The operator is symmetric
 positive semidefinite by construction, which is what makes the
 Dirichlet-to-Neumann operators built on top of it exactly self-adjoint:
 boundary fluxes are recovered variationally as the operator residual at
@@ -30,10 +34,10 @@ flat closed forms below stay on FFTs.
 
 Flat fast path
 --------------
-For an exactly flat map the harmonic extensions are also available in
-closed form per mode (stable exponential expressions of the sinh/cosh
+For an exactly flat map the harmonic extensions are computed in closed
+form per mode (stable exponential expressions of the sinh/cosh
 profiles); those paths are exact and serve as oracles for the discrete
-machinery.
+machinery, which a direct solve_weak call runs on any map.
 """
 
 from __future__ import annotations
@@ -59,8 +63,6 @@ MAXITER = 800
 __all__ = [
     "harmonic_ext_dirichlet",
     "harmonic_ext_neumann",
-    "poisson_dirichlet",
-    "poisson_dirichlet_both",
     "weight_field",
     "solve_weak",
     "apply_operator",
@@ -198,40 +200,27 @@ def volume_weights(cmap: CoordinateMap) -> np.ndarray:
     return grid.h1 * grid.h2 * w[None, None, :] * cmap.jac
 
 
-def _assemble_load(cmap, rhs, top, bottom):
-    """Right-hand side vector of the weak system, full node shape."""
-    grid = cmap.grid
-    b = np.zeros(grid.shape)
-    if rhs is not None:
-        b -= volume_weights(cmap) * rhs
-    area = grid.h1 * grid.h2
-    if top[0] == "neumann" and top[1] is not None:
-        b[..., -1] += area * top[1]
-    if bottom[0] == "neumann" and bottom[1] is not None:
-        # datum is d3 of the solution at the floor; outward flux is its negative
-        b[..., 0] -= area * bottom[1]
-    return b
-
-
 def solve_weak(
     cmap: CoordinateMap,
-    rhs: np.ndarray | None = None,
-    top=("dirichlet", None),
-    bottom=("neumann", None),
+    load: np.ndarray | None,
+    top=0.0,
+    bottom=None,
     tol: float = DEFAULT_TOL,
     x0: np.ndarray | None = None,
-    extra_load: np.ndarray | None = None,
 ):
-    """Solve the weak mapped-Laplacian system.
+    """Solve the weak mapped-Laplacian system G^T W K G u = load.
 
     Parameters
     ----------
-    rhs : physical-space source (Lap_x u = rhs) at nodes, or None.
-    top, bottom : ("dirichlet", data) or ("neumann", data) pairs.
-        Dirichlet data are boundary values; Neumann data are d3 of the
-        solution at the floor, respectively N . grad u on the interface,
-        both entering weakly.  None data means homogeneous.
-    extra_load : optional pre-assembled weak load added to the rhs vector.
+    load : assembled weak load at full node shape, or None for zero; the
+        caller's array is left unchanged.  A volume source is
+        volume_load(rhs, cmap); Neumann data are boundary rows scaled by
+        h1 h2: N . grad u on the interface row, the outward flux -d3 u on
+        the floor row.
+    top, bottom : Dirichlet value of the interface, respectively floor,
+        level (a scalar or an (n1, n2) field), or None for the natural
+        condition, whose data if any sit in the load.
+    x0 : optional initial guess (full node shape).
 
     Returns
     -------
@@ -240,16 +229,16 @@ def solve_weak(
     """
     grid = cmap.grid
     nz = grid.nz
-    z0 = 1 if bottom[0] == "dirichlet" else 0
-    z1 = nz - 1 if top[0] == "dirichlet" else nz
-    b = _assemble_load(cmap, rhs, top, bottom)
-    if extra_load is not None:
-        b += extra_load
+    z0 = 0 if bottom is None else 1
+    z1 = nz if top is None else nz - 1
+    b = np.zeros(grid.shape)
+    if load is not None:
+        b += load
     u0 = np.zeros(grid.shape)
-    if top[0] == "dirichlet" and top[1] is not None:
-        u0[..., -1] = top[1]
-    if bottom[0] == "dirichlet" and bottom[1] is not None:
-        u0[..., 0] = bottom[1]
+    if top is not None:
+        u0[..., -1] = top
+    if bottom is not None:
+        u0[..., 0] = bottom
     if np.any(u0):
         b -= apply_operator(u0, cmap)
     bf = b[..., z0:z1]
@@ -309,8 +298,10 @@ def _pcg(cmap, bf, z0, z1, tol, project_constants, x0):
 
 
 def volume_load(rhs: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
-    """Assembled weak load of a volume source (for flux recovery)."""
-    return _assemble_load(cmap, rhs, ("neumann", None), ("neumann", None))
+    """Assembled weak load of a volume source rhs (Lap_x u = rhs)."""
+    b = np.zeros(cmap.grid.shape)
+    b -= volume_weights(cmap) * rhs
+    return b
 
 
 def boundary_flux_top(u: np.ndarray, cmap: CoordinateMap,
@@ -368,43 +359,22 @@ def _flat_extension(g: np.ndarray, grid: SlabGrid, kind: str) -> np.ndarray:
     return np.fft.irfft2(ghat[..., None] * prof, s=(n1, n2), axes=(0, 1))
 
 
-def harmonic_ext_dirichlet(g: np.ndarray, cmap: CoordinateMap,
-                           via_solver: bool = False, tol: float = DEFAULT_TOL):
+def harmonic_ext_dirichlet(g: np.ndarray, cmap: CoordinateMap):
     """Harmonic extension with data g on the interface, zero on the floor.
 
-    On a flat map the exact per-mode profile is returned unless
-    via_solver forces the generic discrete path.
+    On a flat map the exact per-mode profile is returned.
     """
-    if cmap.is_flat and not via_solver:
+    if cmap.is_flat:
         return _flat_extension(g, cmap.grid, "sinh")
-    u, _ = solve_weak(cmap, top=("dirichlet", np.asarray(g, dtype=float)),
-                      bottom=("dirichlet", None), tol=tol)
-    return u
+    return solve_weak(cmap, None, top=g, bottom=0.0)[0]
 
 
 def harmonic_ext_neumann(g: np.ndarray, cmap: CoordinateMap,
-                         via_solver: bool = False, tol: float = DEFAULT_TOL):
+                         tol: float = DEFAULT_TOL):
     """Harmonic extension with data g on top and zero flux at the floor."""
-    if cmap.is_flat and not via_solver:
+    if cmap.is_flat:
         return _flat_extension(g, cmap.grid, "cosh")
-    u, _ = solve_weak(cmap, top=("dirichlet", np.asarray(g, dtype=float)),
-                      bottom=("neumann", None), tol=tol)
-    return u
-
-
-def poisson_dirichlet(rhs: np.ndarray, cmap: CoordinateMap,
-                      tol: float = DEFAULT_TOL):
-    """Solve Lap u = rhs with u = 0 on the interface and d3 u = 0 at the floor."""
-    u, _ = solve_weak(cmap, rhs=rhs, top=("dirichlet", None),
-                      bottom=("neumann", None), tol=tol)
-    return u
-
-
-def poisson_dirichlet_both(rhs: np.ndarray, cmap: CoordinateMap):
-    """Solve Lap u = rhs with zero values on the interface and the floor."""
-    u, _ = solve_weak(cmap, rhs=rhs, top=("dirichlet", None),
-                      bottom=("dirichlet", None))
-    return u
+    return solve_weak(cmap, None, top=g, tol=tol)[0]
 
 
 def weight_field(a_bar: np.ndarray, c0: float, cmap: CoordinateMap) -> np.ndarray:
@@ -419,9 +389,7 @@ def weight_field(a_bar: np.ndarray, c0: float, cmap: CoordinateMap) -> np.ndarra
         raise PreconditionViolated(
             f"boundary weight dips to {np.min(a_bar):.3e} below c0 = {c0:.3e}"
         )
-    n1, n2 = cmap.grid.n1, cmap.grid.n2
-    u, _ = solve_weak(cmap, top=("dirichlet", a_bar),
-                      bottom=("dirichlet", np.full((n1, n2), c0)))
+    u, _ = solve_weak(cmap, None, top=a_bar, bottom=c0)
     lo = min(c0, float(np.min(a_bar)))
     hi = max(c0, float(np.max(a_bar)))
     slack = 1e-8 * max(1.0, hi - lo) + 1e-6 * (hi - lo) * cmap.grid.dz

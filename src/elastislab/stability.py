@@ -568,25 +568,12 @@ DIAGNOSTIC_COLUMNS = (
 
 def diagnostic_row(report: StabilityReport, energy: EnergyReport,
                    invariants: dict) -> list:
-    """One CSV row in the documented column order."""
-    return [
-        report.t,
-        report.taylor_min,
-        report.lambda_min,
-        energy.dt_term,
-        energy.elastic_term,
-        energy.eps_term,
-        energy.weighted_extension,
-        energy.extension,
-        energy.f_l2,
-        energy.dtf_l2,
-        energy.u_hs,
-        energy.F_hs,
-        energy.total,
-        invariants["div_u"],
-        invariants["div_F"],
-        invariants["trace_F"],
-    ]
+    """One CSV row in the order of DIAGNOSTIC_COLUMNS: the invariants by
+    key, t and the two minima from the report, the energy columns (total
+    included) from the energy."""
+    return [invariants[name] if name in invariants
+            else getattr(report if hasattr(report, name) else energy, name)
+            for name in DIAGNOSTIC_COLUMNS]
 
 
 def write_diagnostics(path, rows) -> None:

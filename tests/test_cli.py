@@ -84,6 +84,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigInvalid, match="scenario"):
             cli.preset("vortex")
 
+    def test_unknown_override_rejected(self):
+        # a key that is no RunConfig field (the file key 'grid' included)
+        # is a config error naming it, not a TypeError from the dataclass
+        for overrides in ({"foo": 1}, {"grid": (8, 8, 9)}):
+            name = next(iter(overrides))
+            with pytest.raises(ConfigInvalid, match=f"unknown setting.*{name}"):
+                cli.preset("rest", **overrides)
+
 
 class TestScenarioBuilders:
     def test_rest_is_zero(self):

@@ -21,7 +21,7 @@ from elastislab.geometry import (
     mapped_gradient,
     trace,
 )
-from elastislab.elliptic import solve_weak
+from elastislab.elliptic import solve_weak, volume_load
 from elastislab.spectral import horizontal_derivative, remove_mean
 
 from conftest import sample_flow, step_theta
@@ -460,7 +460,7 @@ def material_pressure_derivative(state):
            + np.einsum("jki...,jsk...,is...->...", dF, dF, du)
            + np.einsum("jk...,jski...,is...->...", F, ddF, du)
            + 2.0 * np.einsum("jki...,js...,isk...->...", dF, F, ddu))
-    top = None
+    top = 0.0
     if state.eps != 0.0:
         lap_f = dyn._surface_laplacian(state.f)
         ubar = trace(u)
@@ -472,8 +472,9 @@ def material_pressure_derivative(state):
         top = state.eps * (dn.invert_dn_neumann(remove_mean(comm), cmap)
                            - dn.invert_dn_neumann(remove_mean(dt_lap), cmap))
     bot = sum(bottom_trace(du[a][2]) * bottom_trace(dp[a]) for a in range(2))
-    dtp, _ = solve_weak(cmap, rhs=src, top=("dirichlet", top),
-                        bottom=("neumann", bot))
+    load = volume_load(src, cmap)
+    load[..., 0] -= cmap.grid.h1 * cmap.grid.h2 * bot
+    dtp, _ = solve_weak(cmap, load, top=top)
     return dtp
 
 

@@ -169,8 +169,7 @@ class TestFlatSolves:
         flat = build_map(np.zeros((16, 12)), grid)
         x1, _ = _coords(16, 12)
         g = np.cos(x1)[:, None] * np.ones((1, 12))
-        _, info = el.solve_weak(flat, top=("dirichlet", g),
-                                bottom=("dirichlet", np.zeros_like(g)))
+        _, info = el.solve_weak(flat, None, top=g, bottom=np.zeros_like(g))
         assert info["iterations"] == 1
 
     def test_flat_extension_matches_sinh_profile(self):
@@ -208,7 +207,7 @@ class TestFlatSolves:
         for nz in (17, 33):
             grid = SlabGrid(16, 12, nz)
             flat = build_map(np.zeros((16, 12)), grid)
-            u = el.harmonic_ext_dirichlet(g, flat, via_solver=True)
+            u, _ = el.solve_weak(flat, None, top=g, bottom=0.0)
             exact = g[..., None] * (np.sinh(grid.y3 + 1) / np.sinh(1.0))
             errs.append(np.max(np.abs(u - exact)))
         assert np.log2(errs[0] / errs[1]) > 1.9
@@ -221,7 +220,7 @@ class TestFlatSolves:
             flat = build_map(np.zeros((16, 12)), grid)
             x1, _ = _coords(16, 12)
             rhs = np.cos(x1)[:, None, None] * np.ones((1, 12, nz))
-            u = el.poisson_dirichlet(rhs, flat)
+            u, _ = el.solve_weak(flat, el.volume_load(rhs, flat))
             w = np.cosh(grid.y3 + 1) / np.cosh(1.0) - 1.0
             errs.append(np.max(np.abs(u - np.cos(x1)[:, None, None] * w)))
         assert errs[1] < 5e-5
@@ -235,7 +234,8 @@ class TestFlatSolves:
             flat = build_map(np.zeros((16, 12)), grid)
             x1, _ = _coords(16, 12)
             rhs = np.cos(x1)[:, None, None] * np.ones((1, 12, nz))
-            u = el.poisson_dirichlet_both(rhs, flat)
+            u, _ = el.solve_weak(flat, el.volume_load(rhs, flat),
+                                 bottom=0.0)
             w = np.cosh(grid.y3 + 0.5) / np.cosh(0.5) - 1.0
             errs.append(np.max(np.abs(u - np.cos(x1)[:, None, None] * w)))
         assert errs[1] < 2e-4
@@ -249,8 +249,9 @@ class TestFlatSolves:
             flat = build_map(np.zeros((16, 12)), grid)
             x1, _ = _coords(16, 12)
             flux = np.cos(x1)[:, None] * np.ones((1, 12))
-            u, info = el.solve_weak(flat, top=("neumann", flux),
-                                    bottom=("neumann", None))
+            load = np.zeros(grid.shape)
+            load[..., -1] = grid.h1 * grid.h2 * flux
+            u, info = el.solve_weak(flat, load, top=None)
             assert info["iterations"] == 1
             exact = np.cos(x1)[:, None, None] * (
                 np.cosh(grid.y3 + 1) / np.sinh(1.0))
@@ -360,7 +361,7 @@ class TestCurvedSolves:
 
         monkeypatch.setattr(el, "apply_operator", counted)
         with pytest.raises(SolverDiverged):
-            el.solve_weak(cmap, rhs=rhs)
+            el.solve_weak(cmap, el.volume_load(rhs, cmap))
         assert len(calls) <= 2
 
     def test_manufactured_solution_second_order(self):
@@ -376,8 +377,7 @@ class TestCurvedSolves:
             exact = s * (cmap.phi + 1.0) ** 2
             rhs = -2.0 * exact + 2.0 * s
             top = s[..., 0] * (f + 1.0) ** 2
-            u, _ = el.solve_weak(cmap, rhs=rhs, top=("dirichlet", top),
-                                 bottom=("neumann", None))
+            u, _ = el.solve_weak(cmap, el.volume_load(rhs, cmap), top=top)
             errs.append(np.max(np.abs(u - exact)))
         assert np.log2(errs[0] / errs[1]) > 1.9
 
@@ -408,11 +408,33 @@ class TestCurvedSolves:
         flat = build_map(np.zeros((16, 12)), grid)
         x1, _ = _coords(16, 12)
         g = np.cos(x1)[:, None] * np.ones((1, 12))
-        u = el.harmonic_ext_dirichlet(g, flat, via_solver=True)
+        u, _ = el.solve_weak(flat, None, top=g, bottom=0.0)
         # variational recovery: the operator residual at the floor rows
         flux = el.apply_operator(u, flat)[..., 0] / (grid.h1 * grid.h2)
         exact = -np.cos(x1)[:, None] / np.sinh(1.0) * np.ones((1, 12))
         assert np.max(np.abs(flux - exact)) < 2e-4
+
+
+class TestSolveWeakContract:
+    def test_load_left_unchanged(self, rng):
+        # the caller keeps its load for the flux recovery after the solve,
+        # so the Dirichlet lift must not be subtracted from it in place
+        cmap = _wavy_map(8, 8, 9)
+        load = rng.standard_normal(cmap.grid.shape)
+        kept = load.copy()
+        lift = random_band_limited(rng, 8, 8, 3)
+        for top, bottom in ((lift, None), (lift, 0.5), (0.0, 0.5), (None, None)):
+            el.solve_weak(cmap, load, top=top, bottom=bottom)
+            assert np.array_equal(load, kept)
+
+    def test_scalar_dirichlet_value_is_the_constant_field(self, rng):
+        cmap = _wavy_map(8, 8, 9)
+        abar = 2.0 + 0.5 * random_band_limited(rng, 8, 8, 3)
+        c0 = 0.3
+        u_scalar, _ = el.solve_weak(cmap, None, top=abar, bottom=c0)
+        u_field, _ = el.solve_weak(cmap, None, top=abar,
+                                   bottom=np.full((8, 8), c0))
+        assert np.array_equal(u_scalar, u_field)
 
 
 class TestWeightField:
