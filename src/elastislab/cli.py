@@ -58,6 +58,12 @@ __all__ = [
 SCHEMA_VERSION = 1
 SCENARIOS = ("rest", "elastic-mode", "mixed-regions")
 STUDIES = ("all", "spatial", "temporal", "evo")
+# a run may ask for at most MAX_OUTPUTS output times (t_final /
+# output_interval rounded up; elastic-mode, the most of the presets, asks
+# for 18) and, with a fixed dt > 0, at most MAX_STEPS steps (t_final / dt
+# rounded up); validate refuses a config past either before any work
+MAX_OUTPUTS = 10_000
+MAX_STEPS = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +193,14 @@ def validate(cfg: RunConfig) -> None:
         bad.append(f"t_final: must be positive, got {cfg.t_final}")
     if cfg.output_interval <= 0.0:
         bad.append(f"output_interval: must be positive, got {cfg.output_interval}")
+    if cfg.t_final > 0.0:
+        # a ratio above a whole number means its ceiling is above it too
+        for name, count, cap in (("output_interval", "outputs", MAX_OUTPUTS),
+                                 ("dt", "steps", MAX_STEPS)):
+            step = getattr(cfg, name)
+            if step > 0.0 and cfg.t_final / step > cap:
+                bad.append(f"{name}: t_final / {name} asks for more than "
+                           f"{cap} {count}, got {cfg.t_final} / {step}")
     if cfg.mode1 == 0 and cfg.mode2 == 0:
         bad.append("mode1/mode2: the seeded wavenumber cannot be (0, 0)")
     for name, n in (("mode1", cfg.n1), ("mode2", cfg.n2)):

@@ -143,12 +143,40 @@ def vertical_eigen(nz: int, z0: int, z1: int):
     return v, mu
 
 
+@lru_cache(maxsize=16)
+def _d3_stencil(nz: int) -> np.ndarray:
+    """Read-only (nz, nz) integer-valued stencil of 2 dz d3_node below the
+    top level: column j holds -1, +1 at levels j - 1, j + 1 and column 0
+    the floor's one-sided (-3, 4, -1); the top column is zero."""
+    st = np.zeros((nz, nz))
+    j = np.arange(1, nz - 1)
+    st[j - 1, j] = -1.0
+    st[j + 1, j] = 1.0
+    st[:3, 0] = (-3.0, 4.0, -1.0)
+    st.flags.writeable = False
+    return st
+
+
 def d3_node(w: np.ndarray, dz: float) -> np.ndarray:
-    """Second-order vertical derivative at nodes (one-sided at the ends)."""
-    out = np.empty_like(w)
-    out[..., 1:-1] = (w[..., 2:] - w[..., :-2]) / (2.0 * dz)
-    out[..., 0] = (-3.0 * w[..., 0] + 4.0 * w[..., 1] - w[..., 2]) / (2.0 * dz)
-    out[..., -1] = (3.0 * w[..., -1] - 4.0 * w[..., -2] + w[..., -3]) / (2.0 * dz)
+    """Second-order vertical derivative at nodes (one-sided at the ends).
+
+    Centred differences (w[k+1] - w[k-1]) / (2 dz) inside, (-3 w[0] +
+    4 w[1] - w[2]) / (2 dz) on the floor and (3 w[-1] - 4 w[-2] + w[-3])
+    / (2 dz) on top.  Every level but the top is one matrix product with
+    the cached _d3_stencil.  A product sums in ascending level order,
+    which rounds the floor row as written here but not the top row, so
+    the top keeps its own expression and the result is bit for bit that
+    of the slicing stencil.
+    """
+    nz = w.shape[-1]
+    # one GEMM over every row; a strided input goes through matmul, as a
+    # reshape would copy it
+    if w.flags.c_contiguous:
+        out = (w.reshape(-1, nz) @ _d3_stencil(nz)).reshape(w.shape)
+    else:
+        out = np.matmul(w, _d3_stencil(nz))
+    out[..., -1] = 3.0 * w[..., -1] - 4.0 * w[..., -2] + w[..., -3]
+    out /= 2.0 * dz
     return out
 
 

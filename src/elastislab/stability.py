@@ -325,22 +325,32 @@ def bulk_hs_norm2(field: np.ndarray, cmap: CoordinateMap, s: int) -> float:
     Sums squared L^2 norms of all mapped derivatives up to order s,
     counting mixed derivatives once per ordering; an equivalent norm at
     fixed grid, and cheap.  Leading axes of the field are batch axes.
-    The ladder is walked depth first, one batched gradient per node, so
-    memory grows with s, not with 3^s.
+    Each scalar component is walked depth first on its own: a node
+    above order s takes one unbatched gradient, its three children read
+    it, and then it is squared in place.  So the walk holds at most s
+    gradients of one scalar, however many orderings (3^s) or components
+    there are, and makes no batch-sized temporary.
     """
     if s < 0 or s != int(s):
         raise PreconditionViolated(f"derivative order must be a whole number, got {s}")
-    w = volume_weights(cmap)
+    w = volume_weights(cmap).ravel()
 
-    def walk(level, depth):
-        total = float(np.sum(w * level ** 2))
-        if depth:
-            g = mapped_gradient(level, cmap)
-            total += sum(walk(g[:, a], depth - 1) for a in range(3))
-        return total
+    def below(level, depth):
+        """The ladder under one scalar, down depth >= 1 more orders."""
+        g = mapped_gradient(level, cmap)
+        total = 0.0
+        if depth > 1:
+            for a in range(3):
+                total += below(g[a], depth - 1)
+        # the children have read g; square it in place, no temporary
+        g = g.reshape(3, -1)
+        return total + float(np.sum(np.multiply(g, g, out=g) @ w))
 
-    field = np.asarray(field, dtype=float)
-    return walk(field.reshape((-1,) + cmap.grid.shape), int(s))
+    total = 0.0
+    for c in np.asarray(field, dtype=float).reshape((-1,) + cmap.grid.shape):
+        x = c.ravel()
+        total += float(np.dot(w * x, x)) + (below(c, int(s)) if s else 0.0)
+    return total
 
 
 def _surface_norm2(g: np.ndarray, s: float = 0.0) -> float:

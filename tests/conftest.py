@@ -77,6 +77,16 @@ def thomas_map_solve(grid, top, bottom_value):
     return np.fft.irfft2(phat * (n1 * n2), s=(n1, n2), axes=(0, 1))
 
 
+def stencil_d3_node(w, dz):
+    """Node vertical derivative by slicing: centred inside, one-sided
+    second order at both ends (reference for geometry.d3_node)."""
+    out = np.empty_like(w)
+    out[..., 1:-1] = (w[..., 2:] - w[..., :-2]) / (2.0 * dz)
+    out[..., 0] = (-3.0 * w[..., 0] + 4.0 * w[..., 1] - w[..., 2]) / (2.0 * dz)
+    out[..., -1] = (3.0 * w[..., -1] - 4.0 * w[..., -2] + w[..., -3]) / (2.0 * dz)
+    return out
+
+
 def map_interior_residual(cmap):
     """Relative residual of the interior rows of the discrete map
     equations, applied per horizontal mode."""

@@ -201,8 +201,12 @@ class TestRunCommand:
          "StabilityLost"),
         ("scenario = elastic-mode\ngrid = 12x12x13\nmode1 = 6\n", None, 2,
          None),
+        ("scenario = mixed-regions\noutput_interval = 1e-12\n", None, 2,
+         None),
+        ("scenario = mixed-regions\ndt = 1e-12\n", None, 2, None),
     ], ids=["unknown-key", "odd-grid", "non-finite-value", "dt-above-bound",
-            "degenerate-map", "stability-loss", "mode-past-nyquist"])
+            "degenerate-map", "stability-loss", "mode-past-nyquist",
+            "outputs-above-cap", "steps-above-cap"])
     def test_failure_table(self, tmp_path, body, grid, code, reason):
         # config errors (2) stop before the output directory is made;
         # physical halts (3) record the exception name and a message,

@@ -13,6 +13,7 @@ from conftest import (
     fft_dh_pair_adjoint,
     map_interior_residual,
     random_band_limited,
+    stencil_d3_node,
     thomas_batched,
     thomas_map_solve,
     torus_grid,
@@ -280,6 +281,52 @@ class TestMappedGradient:
         stacked = np.stack([geo.mapped_gradient(c, cmap) for c in comps])
         assert g.shape == batch + (3,) + grid.shape
         assert np.array_equal(g, stacked.reshape(g.shape))
+
+
+class TestVerticalDerivative:
+    @staticmethod
+    def _view(base, view):
+        """A (..., n1, n2, nz) view of base, (2,) + batch + grid, with
+        the memory layout named by view."""
+        if view == "contiguous":
+            return base[1]
+        if view == "column":  # as F[:, j]: one column out of each row
+            return np.moveaxis(base, 0, -4)[..., 1, :, :, :]
+        if view == "transposed":
+            return base[1].swapaxes(-3, -2)
+        if view == "fortran":
+            return np.asfortranarray(base[1])
+        return base[1][..., ::-1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        nz=st.integers(3, 65),
+        batch=st.sampled_from([(), (3,), (3, 3)]),
+        view=st.sampled_from(["contiguous", "column", "transposed",
+                              "fortran", "reversed"]),
+        scale=st.floats(-6, 6),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_matches_slicing_stencil(self, nz, batch, view, scale, seed):
+        rng = np.random.default_rng(seed)
+        base = 10.0 ** scale * rng.standard_normal((2,) + batch + (6, 4, nz))
+        w = self._view(base, view)
+        dz = 1.0 / (nz - 1)
+        got = geo.d3_node(w, dz)
+        assert got.shape == w.shape
+        assert np.array_equal(got, stencil_d3_node(w, dz))
+
+    @pytest.mark.parametrize("nz", [3, 4, 9, 25])
+    def test_constant_fields_differentiate_to_zero(self, rng, nz):
+        dz = 1.0 / (nz - 1)
+        for c in rng.standard_normal(8):
+            d3 = geo.d3_node(np.full((3, 4, 4, nz), c), dz)
+            assert np.array_equal(d3[..., 1:-1], np.zeros((3, 4, 4, nz - 2)))
+        # the one-sided ends round 3 c, so they vanish exactly where 3 c
+        # is exact, as for integer constants
+        for c in (-7.0, 0.0, 1.0, 2.0, 1000.0):
+            d3 = geo.d3_node(np.full((3, 4, 4, nz), c), dz)
+            assert np.array_equal(d3, np.zeros((3, 4, 4, nz)))
 
 
 class TestNormalsAndTangents:

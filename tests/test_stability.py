@@ -341,6 +341,40 @@ class TestBulkLadderNorm:
                 tracemalloc.stop()
         assert peaks[4] < 3 * peaks[2]
 
+    def test_peak_memory_does_not_grow_with_the_batch(self, rng):
+        # each scalar is walked on its own, so a (3, 3) field peaks where
+        # one of its components does
+        cmap = self._curved_map(8, 9)
+        F = rng.normal(size=(3, 3) + cmap.grid.shape)
+        peaks = []
+        for field in (F[0, 0], F):
+            tracemalloc.start()
+            try:
+                stab.bulk_hs_norm2(field, cmap, 4)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+
+    @pytest.mark.parametrize("batch", [(), (3,), (3, 3)])
+    def test_one_unbatched_gradient_per_inner_node(self, rng, monkeypatch,
+                                                   batch):
+        cmap = self._curved_map(8, 9)
+        field = rng.normal(size=batch + cmap.grid.shape)
+        shapes = []
+
+        def counted(w, cm):
+            shapes.append(w.shape)
+            return mapped_gradient(w, cm)
+
+        monkeypatch.setattr(stab, "mapped_gradient", counted)
+        components = int(np.prod(batch))
+        for s in range(5):
+            shapes.clear()
+            stab.bulk_hs_norm2(field, cmap, s)
+            assert set(shapes) <= {cmap.grid.shape}
+            assert len(shapes) == components * (3 ** s - 1) // 2
+
     def test_order_guard(self):
         flat = build_map(np.zeros((8, 8)), SlabGrid(8, 8, 5))
         with pytest.raises(PreconditionViolated):
