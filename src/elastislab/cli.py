@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -60,10 +61,13 @@ SCENARIOS = ("rest", "elastic-mode", "mixed-regions")
 STUDIES = ("all", "spatial", "temporal", "evo")
 # a run may ask for at most MAX_OUTPUTS output times (t_final /
 # output_interval rounded up; elastic-mode, the most of the presets, asks
-# for 18) and, with a fixed dt > 0, at most MAX_STEPS steps (t_final / dt
-# rounded up); validate refuses a config past either before any work
+# for 18) and at most MAX_STEPS steps (t_final / dt rounded up); validate
+# refuses either before any work, cmd_run a dt = 0 run once dt is known
 MAX_OUTPUTS = 10_000
 MAX_STEPS = 1_000_000
+# measured peak RSS slope per grid node of checks, the steepest command
+# (68 -> 108 MB from 24x24x25 to 32x32x33; run: 1.4 KB per node)
+PEAK_BYTES_PER_NODE = 2_200
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +184,10 @@ def validate(cfg: RunConfig) -> None:
     if cfg.n1 % 2 or cfg.n2 % 2:
         bad.append(f"grid: n1 and n2 must be even, "
                    f"got {cfg.n1}x{cfg.n2}x{cfg.nz}")
+    need = cfg.n1 * cfg.n2 * cfg.nz * PEAK_BYTES_PER_NODE
+    if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        bad.append(f"grid: {need / 1e9:.3g} GB at PEAK_BYTES_PER_NODE = "
+                   f"{PEAK_BYTES_PER_NODE} is above physical memory")
     for name in (k for k, kind in _CONFIG_KEYS.items() if kind == "float"):
         if not np.isfinite(getattr(cfg, name)):
             bad.append(f"{name}: must be finite, got {getattr(cfg, name)}")
@@ -382,6 +390,9 @@ def cmd_run(cfg: RunConfig, outdir: Path) -> int:
         state = build_scenario(cfg)
         if dtcap <= 0:
             dtcap = 0.5 * dyn.stable_dt(state)
+            if np.ceil((cfg.t_final - state.t) / dtcap) > MAX_STEPS:
+                raise ConfigInvalid(f"dt: half stable_dt = {dtcap:.3g} asks "
+                                    f"for more than MAX_STEPS = {MAX_STEPS} steps")
         series.append(_mode_coefficient(state.f, cfg.mode1, cfg.mode2))
         emit(state)
         if snap_every:

@@ -11,7 +11,8 @@ On flat maps both operators and the inverse of the free variant act
 mode-by-mode through exact symbols; the flux maps' via_solver forces
 the generic discrete route (one elliptic.solve_weak call with the datum
 as the interface value), which is what the self-adjointness and
-convergence checks exercise.
+convergence checks exercise.  On curved maps the inverse is one
+all-Neumann solve, least squares: a datum's kernel part is dropped.
 
 The commutator assemblies implement exact interface identities:
 differentiating the extension problem in time trades the moving domain
@@ -85,28 +86,17 @@ def apply_dn_neumann(g: np.ndarray, cmap: CoordinateMap, via_solver: bool = Fals
     return el.boundary_flux_top(u, cmap)
 
 
-STALL_TOL = 1e-4
-BOUNDARY_MAXITER = 200
-BOUNDARY_TOL = 1e-9
-
-
 def invert_dn_neumann(h: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
-    """Solve the free-floor flux problem: find mean-zero z with flux h.
+    """Solve the free-floor flux problem: find z with flux h, least squares.
 
-    h must be mean-free (the operator range excludes constants); the
-    guard is relative at 1e-8.  Flat maps invert the symbol directly;
-    otherwise boundary CG runs with the flat inverse as preconditioner,
-    each iteration costing one bulk solve, down to BOUNDARY_TOL relative
-    and for at most BOUNDARY_MAXITER iterations.  BOUNDARY_TOL sits at
-    the O(dz^2) consistency error of the flux maps: pushing the residual
-    lower only stalls the iteration.
-
-    Each operator application is itself an inexact bulk solve, so the
-    boundary recurrence bottoms out at the inner solver noise; the loop
-    keeps the best iterate and stops once the residual stagnates.  The
-    best iterate is accepted down to STALL_TOL relative; beyond that the
-    datum is declared unreachable and SolverDiverged is raised, as it is
-    at once for a non-finite datum.
+    h must be mean-free (the range excludes constants); the guard is
+    relative at 1e-8.  Flat maps invert the symbol.  Otherwise z is the
+    trace of one all-Neumann solve_weak loaded only by h on the interface
+    row, so the solution is the free-floor extension of z and z has flux
+    h to the solver tolerance.  The curved kernel is the constant and the
+    three Nyquist products (elliptic._project_kernel): h's part there is
+    outside the range and dropped, and so is z's, which the solver does
+    not zero (it zeroes their vertical mean).
     """
     h = np.asarray(h, dtype=float)
     hnorm = float(np.linalg.norm(h))
@@ -116,55 +106,14 @@ def invert_dn_neumann(h: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
         return np.zeros_like(h)
     if abs(float(np.mean(h))) > 1e-8 * float(np.max(np.abs(h))):
         raise NotMeanZero(f"flux datum has mean {np.mean(h):.3e}")
-    inv = _flux_symbols(*h.shape)[2]
-
-    def precond(r):
-        z = _symbol_apply(r, inv)
-        return z - z.mean()
-
     if cmap.is_flat:
-        return precond(h)
-
-    def apply(zz):
-        out = apply_dn_neumann(zz, cmap, tol=0.01 * BOUNDARY_TOL)
-        return out - out.mean()
-
-    x = np.zeros_like(h)
-    r = h - h.mean()
-    z = precond(r)
-    p = z.copy()
-    rz = float(np.sum(r * z))
-    best_x = x.copy()
-    best_rn = float(np.linalg.norm(r))
-    since_best = 0
-    for _ in range(BOUNDARY_MAXITER):
-        ap = apply(p)
-        pap = float(np.sum(p * ap))
-        if pap <= 0.0:
-            break  # direction lost to inner-solve noise
-        alpha = rz / pap
-        x += alpha * p
-        r -= alpha * ap
-        rn = float(np.linalg.norm(r))
-        if rn < best_rn:
-            best_rn = rn
-            best_x = x.copy()
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= 5:
-                break
-        if rn <= BOUNDARY_TOL * hnorm:
-            return x - x.mean()
-        z = precond(r)
-        rz_new = float(np.sum(r * z))
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    if best_rn <= STALL_TOL * hnorm:
-        return best_x - best_x.mean()
-    raise SolverDiverged(
-        f"boundary flux inversion stalled at {best_rn / hnorm:.3e} relative"
-    )
+        z = _symbol_apply(h, _flux_symbols(*h.shape)[2])
+        return z - z.mean()
+    grid = cmap.grid
+    load = np.zeros(grid.shape)
+    load[..., -1:] = (grid.h1 * grid.h2) * el._project_kernel(h[..., None], grid)
+    z, _ = el.solve_weak(cmap, load, top=None)
+    return el._project_kernel(z[..., -1:], grid)[..., 0]
 
 
 # ---------------------------------------------------------------------------

@@ -245,3 +245,31 @@ def test_no_parameter_is_a_constant():
             if len(values) == 1 and None not in values:
                 fixed.add((module, fn.name, param))
     assert fixed == set(FIXED_BY_CALLERS)
+
+
+def _constants():
+    """(module, name) of every upper-case name a src/ module binds at its
+    top level."""
+    for path in sorted((ROOT / "src/elastislab").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.isupper():
+                    yield path.stem, target.id
+
+
+def test_every_constant_is_read():
+    # a constant that no src/ code reads is the leftover of deleted code,
+    # such as the stopping rules of a solver that is gone
+    read = set()
+    for path in sorted((ROOT / "src/elastislab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    constants = list(_constants())
+    assert constants
+    assert [c for c in constants if c[1] not in read] == []

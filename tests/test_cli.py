@@ -204,11 +204,16 @@ class TestRunCommand:
         ("scenario = mixed-regions\noutput_interval = 1e-12\n", None, 2,
          None),
         ("scenario = mixed-regions\ndt = 1e-12\n", None, 2, None),
+        # 10,000 outputs pass validate; half stable_dt is about 0.06
+        ("scenario = elastic-mode\ngrid = 8x8x9\nt_final = 1e5\n"
+         "output_interval = 10\n", None, 2, None),
+        ("", "4096x4096x4097", 2, None),
     ], ids=["unknown-key", "odd-grid", "non-finite-value", "dt-above-bound",
             "degenerate-map", "stability-loss", "mode-past-nyquist",
-            "outputs-above-cap", "steps-above-cap"])
+            "outputs-above-cap", "steps-above-cap", "stable-steps-above-cap",
+            "grid-above-memory"])
     def test_failure_table(self, tmp_path, body, grid, code, reason):
-        # config errors (2) stop before the output directory is made;
+        # config errors (2) write no result.json;
         # physical halts (3) record the exception name and a message,
         # with the diagnostics written so far
         out = tmp_path / "fail"
@@ -222,6 +227,17 @@ class TestRunCommand:
             assert result["reason"] == reason
             assert result["message"]
             assert (out / "diagnostics.csv").exists()
+
+    @pytest.mark.parametrize("body, bound", [
+        ("scenario = elastic-mode\ngrid = 8x8x9\nt_final = 1e5\n"
+         "output_interval = 10\n", "MAX_STEPS"),
+        ("grid = 4096x4096x4097\n", "PEAK_BYTES_PER_NODE"),
+    ], ids=["stable-steps", "grid-memory"])
+    def test_refusal_names_its_bound(self, tmp_path, capsys, body, bound):
+        argv = ["run", "--config", str(_write(tmp_path, "schema = 1\n" + body)),
+                "--out", str(tmp_path / "fail")]
+        assert cli.main(argv) == 2
+        assert bound in capsys.readouterr().err
 
 
 class TestChecksCommand:

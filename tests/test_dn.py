@@ -78,15 +78,41 @@ class TestDualityAndInversion:
         z = dn.invert_dn_neumann(h, flat)
         assert np.max(np.abs(z - g)) < 1e-12
 
-    def test_invert_roundtrip_curved(self, rng, monkeypatch):
-        # h comes from the discrete map itself: invert below the usual stop
-        monkeypatch.setattr(dn, "BOUNDARY_TOL", 1e-10)
+    def test_invert_roundtrip_curved(self, rng):
+        # h comes from the discrete map itself
         cmap = _curved(24, 25)
         g = random_band_limited(rng, 24, 24, 4)
         h = dn.apply_dn_neumann(g, cmap, tol=1e-12)
         z = dn.invert_dn_neumann(h, cmap)
         rel = np.linalg.norm(z - g) / np.linalg.norm(g)
         assert rel < 1e-8
+
+    @pytest.mark.parametrize("n, amp", [(16, 0.2), (16, 0.3), (24, 0.2)])
+    def test_invert_curved_has_no_kernel_component(self, rng, n, amp):
+        # the curved kernel is the constant and the three Nyquist products
+        cmap = _curved(n, n + 1, amp)
+        h = dn.apply_dn_neumann(random_band_limited(rng, n, n, 4), cmap)
+        z = dn.invert_dn_neumann(h, cmap)
+        alt = (-1.0) ** np.arange(n)
+        for a in (np.ones(n), alt):
+            for b in (np.ones(n), alt):
+                coef = np.mean(z * a[:, None] * b[None, :])
+                assert abs(coef) <= 1e-12 * np.max(np.abs(z))
+
+    @pytest.mark.parametrize("rel", [1e-6, 1e-3])
+    @pytest.mark.parametrize("axes", [(1, 0), (0, 1), (1, 1)])
+    def test_invert_curved_drops_nyquist_datum(self, rng, rel, axes):
+        # a Nyquist product lies outside the curved range: least squares
+        # drops it rather than letting the metric couple it into the rest
+        n = 16
+        cmap = _curved(n, n + 1, 0.2)
+        h = dn.apply_dn_neumann(random_band_limited(rng, n, n, 4), cmap)
+        alt = (-1.0) ** np.arange(n)
+        a, b = (alt if ax else np.ones(n) for ax in axes)
+        z = dn.invert_dn_neumann(h, cmap)
+        off = dn.invert_dn_neumann(
+            h + rel * np.max(np.abs(h)) * a[:, None] * b[None, :], cmap)
+        assert np.max(np.abs(off - z)) <= 1e-12 * np.max(np.abs(z))
 
     def test_invert_rejects_nonzero_mean(self):
         flat = _flat(16, 17)

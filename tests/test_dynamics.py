@@ -264,11 +264,9 @@ class TestPressure:
         exact = -0.5 * grid.y3 ** 2 - grid.y3
         assert np.max(np.abs(dyn.assemble_pressure(st).ring - exact)) < 2e-4
 
-    def test_bar_trace_matches_inverse_flux_route(self, monkeypatch):
+    def test_bar_trace_matches_inverse_flux_route(self):
         # same boundary value from the one-solve route and from the
-        # inverse flux operator applied to the surface Laplacian, here run
-        # below its consistency-level stop
-        monkeypatch.setattr(dn, "BOUNDARY_TOL", 1e-11)
+        # inverse flux operator applied to the surface Laplacian
         st = sample_flow(16, 17, 0.05, 0.02)
         got = trace(dyn.assemble_pressure(st).bar)
         lap_f = (horizontal_derivative(horizontal_derivative(st.f, 1), 1)
