@@ -325,11 +325,13 @@ def bulk_hs_norm2(field: np.ndarray, cmap: CoordinateMap, s: int) -> float:
     Sums squared L^2 norms of all mapped derivatives up to order s,
     counting mixed derivatives once per ordering; an equivalent norm at
     fixed grid, and cheap.  Leading axes of the field are batch axes.
-    Each scalar component is walked depth first on its own: a node
-    above order s takes one unbatched gradient, its three children read
-    it, and then it is squared in place.  So the walk holds at most s
-    gradients of one scalar, however many orderings (3^s) or components
-    there are, and makes no batch-sized temporary.
+    Each scalar component is walked depth first on its own: a non-zero
+    node above order s takes one unbatched gradient, its three children
+    read it, and then it is squared in place.  So the walk holds at most
+    s gradients of one scalar, however many orderings (3^s) or components
+    there are, and makes no batch-sized temporary.  A zero node's subtree
+    is skipped, exactly: its gradients are all +-0, so it adds 0.0 to a
+    non-negative sum and the other terms keep their order.
     """
     if s < 0 or s != int(s):
         raise PreconditionViolated(f"derivative order must be a whole number, got {s}")
@@ -337,6 +339,8 @@ def bulk_hs_norm2(field: np.ndarray, cmap: CoordinateMap, s: int) -> float:
 
     def below(level, depth):
         """The ladder under one scalar, down depth >= 1 more orders."""
+        if not level.any():
+            return 0.0
         g = mapped_gradient(level, cmap)
         total = 0.0
         if depth > 1:

@@ -189,6 +189,33 @@ class TestMappedGradient:
                          d2 - cmap.phi2 * inv3 * d3, inv3 * d3], axis=1)
         assert np.array_equal(g, want)
 
+    def test_zero_field_has_all_zero_gradient(self, rng):
+        # the energy ladder skips a zero node's subtree on this property
+        grid = geo.SlabGrid(16, 12, 9)
+        cmap = geo.build_map(random_band_limited(rng, 16, 12, 2, 0.2), grid)
+        for batch in ((), (3,), (3, 3)):
+            assert not geo.mapped_gradient(np.zeros(batch + grid.shape), cmap).any()
+
+    @pytest.mark.parametrize("n, nz", [(12, 13), (24, 25)])
+    def test_x2_invariant_interface_has_exact_zero_x2_slopes(self, rng, n, nz):
+        """An interface and a field with no x2-dependence give an exactly
+        zero phi2 and x2-derivative on the benchmark grids, so the energy
+        ladder skips every x2-branch of the presets.
+
+        This is rounding of the map solve's FFT pair, not a property of
+        the construction: at 28x28x9 with the same interface, phi2 is not
+        exactly 0.  A map solve that loses it here loses most of the
+        ladder's pruning.
+        """
+        grid = geo.SlabGrid(n, n, nz)
+        X1, _ = torus_grid(n, n)
+        cmap = geo.build_map(0.15 * np.cos(X1), grid)
+        assert not cmap.phi2.any()
+        w = np.broadcast_to(rng.standard_normal((n, 1, nz)), grid.shape)
+        g = geo.mapped_gradient(w, cmap)
+        assert not g[1].any()
+        assert g[0].any() and g[2].any()
+
     def test_trace_and_bottom(self):
         grid = geo.SlabGrid(8, 8, 9)
         w = np.arange(np.prod(grid.shape), dtype=float).reshape(grid.shape)

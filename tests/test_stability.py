@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from elastislab import cli
 from elastislab import dynamics as dyn
 from elastislab import stability as stab
 from elastislab.errors import GridMismatch, PreconditionViolated, StabilityLost
@@ -32,6 +33,43 @@ def _waterwave_state(n, nz, scale=0.4):
     cmap = build_map(f, grid)
     u = scale * mapped_gradient(harmonic_ext_neumann(np.cos(x1), cmap), cmap)
     return FlowState(0.0, f, u, np.zeros((3, 3, n, n, nz)), 0.0)
+
+
+def reference_hs_norm2(field, cmap, s):
+    """bulk_hs_norm2 with every node of every scalar differentiated, zero
+    or not: the walk the pruned ladder must equal bit for bit.  The
+    gradient is looked up on the stability module, so a counter patched
+    in there counts these calls too."""
+    w = volume_weights(cmap).ravel()
+
+    def below(level, depth):
+        """The ladder under one scalar, down depth >= 1 more orders."""
+        g = stab.mapped_gradient(level, cmap)
+        total = 0.0
+        if depth > 1:
+            for a in range(3):
+                total += below(g[a], depth - 1)
+        # the children have read g; square it in place, no temporary
+        g = g.reshape(3, -1)
+        return total + float(np.sum(np.multiply(g, g, out=g) @ w))
+
+    total = 0.0
+    for c in np.asarray(field, dtype=float).reshape((-1,) + cmap.grid.shape):
+        x = c.ravel()
+        total += float(np.dot(w * x, x)) + (below(c, int(s)) if s else 0.0)
+    return total
+
+
+def count_gradients(monkeypatch):
+    """Record the shape of every gradient the stability module takes."""
+    shapes = []
+
+    def counted(w, cm):
+        shapes.append(w.shape)
+        return mapped_gradient(w, cm)
+
+    monkeypatch.setattr(stab, "mapped_gradient", counted)
+    return shapes
 
 
 class TestLambda:
@@ -361,19 +399,73 @@ class TestBulkLadderNorm:
                                                    batch):
         cmap = self._curved_map(8, 9)
         field = rng.normal(size=batch + cmap.grid.shape)
-        shapes = []
-
-        def counted(w, cm):
-            shapes.append(w.shape)
-            return mapped_gradient(w, cm)
-
-        monkeypatch.setattr(stab, "mapped_gradient", counted)
+        shapes = count_gradients(monkeypatch)
         components = int(np.prod(batch))
         for s in range(5):
             shapes.clear()
             stab.bulk_hs_norm2(field, cmap, s)
             assert set(shapes) <= {cmap.grid.shape}
             assert len(shapes) == components * (3 ** s - 1) // 2
+
+    # component kinds of the (3, 3) field below, in row-major order
+    ZERO, X2, FULL = "zero", "x2-invariant", "3-D"
+    KINDS = ((X2, FULL, ZERO), (ZERO, X2, FULL), (X2, ZERO, ZERO))
+
+    @classmethod
+    def _kinds_field(cls, rng, grid):
+        """A (3, 3) field with exactly-zero, x2-invariant and 3-D scalars."""
+        F = np.zeros((3, 3) + grid.shape)
+        for (i, j), kind in np.ndenumerate(np.array(cls.KINDS)):
+            if kind == cls.X2:
+                F[i, j] = rng.normal(size=(grid.n1, 1, grid.nz))
+            elif kind == cls.FULL:
+                F[i, j] = rng.normal(size=grid.shape)
+        return F
+
+    @staticmethod
+    def _x2_invariant_map(n, nz):
+        grid = SlabGrid(n, n, nz)
+        x1, _ = grid.horizontal_meshes()
+        return build_map(0.15 * np.cos(x1), grid)
+
+    @pytest.mark.parametrize("n, nz", [(8, 9), (16, 17)])
+    def test_skipping_zero_subtrees_is_exact(self, rng, n, nz):
+        cmap = self._x2_invariant_map(n, nz)
+        F = self._kinds_field(rng, cmap.grid)
+        for s in range(5):
+            assert stab.bulk_hs_norm2(F, cmap, s) == reference_hs_norm2(F, cmap, s)
+
+    @pytest.mark.parametrize("n, nz", [(8, 9), (16, 17)])
+    def test_zero_branches_take_no_gradient(self, rng, monkeypatch, n, nz):
+        # a zero scalar takes none; an x2-invariant one differentiates to
+        # an exactly zero x2-branch, so only orderings of x1 and x3 remain
+        cmap = self._x2_invariant_map(n, nz)
+        F = self._kinds_field(rng, cmap.grid)
+        shapes = count_gradients(monkeypatch)
+        for s in range(5):
+            want = {self.ZERO: 0, self.X2: 2 ** s - 1, self.FULL: (3 ** s - 1) // 2}
+            for (i, j), kind in np.ndenumerate(np.array(self.KINDS)):
+                shapes.clear()
+                stab.bulk_hs_norm2(F[i, j], cmap, s)
+                assert len(shapes) == want[kind], (kind, s)
+            shapes.clear()
+            stab.bulk_hs_norm2(F, cmap, s)
+            assert len(shapes) == sum(want[k] for row in self.KINDS for k in row)
+
+    @pytest.mark.parametrize("scenario, n, nz", [("mixed-regions", 16, 17),
+                                                 ("elastic-mode", 12, 13)])
+    def test_preset_energy_is_the_reference_walk(self, monkeypatch, scenario,
+                                                 n, nz):
+        # both presets are x2-invariant, and most of their scalars are zero
+        st = cli.build_scenario(cli.preset(scenario, n1=n, n2=n, nz=nz))
+        shapes = count_gradients(monkeypatch)
+        got = stab.energy_es_eps(st)
+        pruned = len(shapes)
+        shapes.clear()
+        monkeypatch.setattr(stab, "bulk_hs_norm2", reference_hs_norm2)
+        want = stab.energy_es_eps(st)
+        assert (got.u_hs, got.F_hs, got.total) == (want.u_hs, want.F_hs, want.total)
+        assert pruned <= 0.2 * len(shapes)
 
     def test_order_guard(self):
         flat = build_map(np.zeros((8, 8)), SlabGrid(8, 8, 5))
