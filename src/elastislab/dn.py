@@ -7,8 +7,9 @@ floor condition: the clamped variant extends with zero boundary values
 at the floor (flat symbol |k| coth |k|, mean mode 1), the free variant
 with zero flux there (flat symbol |k| tanh |k|, mean mode annihilated).
 
-On flat maps both operators and the inverse of the free variant act
-mode-by-mode through exact symbols; the flux maps' via_solver forces
+On flat maps both operators and the inverse of the free variant are
+exact symbols, one diagonal scaling in the real Fourier basis of
+spectral._to_basis (no FFT); the flux maps' via_solver forces
 the generic discrete route (one elliptic.solve_weak call with the datum
 as the interface value), which is what the self-adjointness and
 convergence checks exercise.  On curved maps the inverse is one
@@ -36,7 +37,7 @@ from .elliptic import DEFAULT_TOL
 from .errors import NotMeanZero, SolverDiverged
 from .geometry import (CoordinateMap, _normal_flux, mapped_gradient,
                        normal_vector, tangent_vectors)
-from .spectral import _ksq, horizontal_derivative
+from .spectral import _apply_symbol, _ksq, horizontal_derivative
 
 __all__ = [
     "apply_dn",
@@ -51,7 +52,8 @@ __all__ = [
 
 @lru_cache(maxsize=32)
 def _flux_symbols(n1: int, n2: int):
-    """Flat rfft2 symbols (clamped, free, inverse of free) of the flux maps.
+    """Flat symbols (clamped, free, inverse of free) of the flux maps, per
+    column of the real Fourier basis (spectral._ksq).
 
     The inverse is zero on the kernel of the free symbol (the mean mode).
     """
@@ -61,17 +63,12 @@ def _flux_symbols(n1: int, n2: int):
     return el.dn_symbol_dirichlet(kappa), free, inverse
 
 
-def _symbol_apply(g: np.ndarray, symbol: np.ndarray) -> np.ndarray:
-    n1, n2 = g.shape
-    return np.fft.irfft2(np.fft.rfft2(g) * symbol, s=(n1, n2))
-
-
 def apply_dn(g: np.ndarray, cmap: CoordinateMap, via_solver: bool = False,
              tol: float = DEFAULT_TOL) -> np.ndarray:
     """Interface flux of the floor-clamped harmonic extension of g."""
     g = np.asarray(g, dtype=float)
     if cmap.is_flat and not via_solver:
-        return _symbol_apply(g, _flux_symbols(*g.shape)[0])
+        return _apply_symbol(g, _flux_symbols(*g.shape)[0])
     u, _ = el.solve_weak(cmap, None, top=g, bottom=0.0, tol=tol)
     return el.boundary_flux_top(u, cmap)
 
@@ -81,7 +78,7 @@ def apply_dn_neumann(g: np.ndarray, cmap: CoordinateMap, via_solver: bool = Fals
     """Interface flux of the free-floor harmonic extension of g."""
     g = np.asarray(g, dtype=float)
     if cmap.is_flat and not via_solver:
-        return _symbol_apply(g, _flux_symbols(*g.shape)[1])
+        return _apply_symbol(g, _flux_symbols(*g.shape)[1])
     u, _ = el.solve_weak(cmap, None, top=g, tol=tol)
     return el.boundary_flux_top(u, cmap)
 
@@ -107,7 +104,7 @@ def invert_dn_neumann(h: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
     if abs(float(np.mean(h))) > 1e-8 * float(np.max(np.abs(h))):
         raise NotMeanZero(f"flux datum has mean {np.mean(h):.3e}")
     if cmap.is_flat:
-        z = _symbol_apply(h, _flux_symbols(*h.shape)[2])
+        z = _apply_symbol(h, _flux_symbols(*h.shape)[2])
         return z - z.mean()
     grid = cmap.grid
     load = np.zeros(grid.shape)

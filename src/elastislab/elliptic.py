@@ -27,10 +27,10 @@ single iteration and near-flat ones in a handful.  Per horizontal mode
 that operator is S + |k|^2 M with the same vertical stiffness S and
 mass M for every mode, so the cached eigenbasis of the pair that the
 harmonic map also uses (geometry.vertical_eigen, fast diagonalization)
-and the real Fourier bases of spectral._fourier_basis turn the inverse
-into real matrix products around one diagonal scaling.  The bulk path
-runs on real matrices; the 2-D interface helpers of spectral and the
-flat closed forms below stay on FFTs.
+and the real Fourier basis of spectral._to_basis turn the inverse into
+real matrix products around one diagonal scaling.  The flat closed
+forms below are diagonal scalings in the same basis, so no solve here
+runs an FFT.
 
 Flat fast path
 --------------
@@ -55,7 +55,7 @@ from .geometry import (
     _node_to_cell,
     vertical_eigen,
 )
-from .spectral import _fourier_basis, _ksq
+from .spectral import _fourier_basis, _from_basis, _ksq, _to_basis
 
 DEFAULT_TOL = 1e-10
 MAXITER = 800
@@ -130,14 +130,16 @@ def _flat_eigen(n1: int, n2: int, nz: int, z0: int, z1: int):
     Returns (V, inv, kernel) for the eigen pair (V, mu) of
     geometry.vertical_eigen: inv holds 1 / (1 + (|k|^2 - 1) mu) per
     (Q1 column, Q2 column, eigenvector) of spectral._fourier_basis with
-    the 1/(h1 h2) load scaling folded in.  In the all-Neumann case the
-    vertical constant (index c, mu = 1) is dropped on the kernel columns
-    (constant or Nyquist on both axes, [::n - 1]) and kernel = (c, w): the
-    eigen coordinates y of a vertically mean-free field have
-    y[c] = -(y . w), w[c] = 0.  Otherwise kernel is None.
+    the 1/(h1 h2) load scaling folded in; |k|^2 is the eigenvalue of
+    D^T D, so 0 on the Nyquist column that D zeroes.  In the all-Neumann
+    case the vertical constant (index c, mu = 1) is dropped on the kernel
+    columns (constant or Nyquist on both axes, [::n - 1]) and
+    kernel = (c, w): the eigen coordinates y of a vertically mean-free
+    field have y[c] = -(y . w), w[c] = 0.  Otherwise kernel is None.
     """
     v, mu = vertical_eigen(nz, z0, z1)
-    ksq = _fourier_basis(n1)[1][:, None, None] + _fourier_basis(n2)[1][:, None]
+    k1, k2 = (np.append(_fourier_basis(n)[1][:-1], 0.0) for n in (n1, n2))
+    ksq = (k1 * k1)[:, None, None] + (k2 * k2)[:, None]
     area = (2.0 * np.pi / n1) * (2.0 * np.pi / n2)
     denom = area * (1.0 + (ksq - 1.0) * mu)
     kernel = None
@@ -157,36 +159,27 @@ def _flat_eigen(n1: int, n2: int, nz: int, z0: int, z1: int):
 def _flat_solve(r: np.ndarray, grid: SlabGrid, z0: int, z1: int) -> np.ndarray:
     """Exact flat-operator solve on free levels (the CG preconditioner).
 
-    Real matrix products only: r @ V along z, Q1^T along axis 0, Q2^T
-    along axis 1, the diagonal scaling, then Q2, Q1 and V^T back.
+    Real matrix products only: r @ V along z, into the Q1 (x) Q2 basis
+    (spectral._to_basis), the diagonal scaling, then back and V^T.
     """
-    n1, n2 = grid.n1, grid.n2
-    v, inv, kernel = _flat_eigen(n1, n2, grid.nz, z0, z1)
-    q1, q2 = _fourier_basis(n1)[0], _fourier_basis(n2)[0]
+    v, inv, kernel = _flat_eigen(grid.n1, grid.n2, grid.nz, z0, z1)
     shape = r.shape
-    y = (r.reshape(-1, shape[-1]) @ v).reshape(shape)
-    # the first row along each axis goes to the constant column alone, so
-    # data constant along an axis get exactly zero other coefficients
-    a = (q1.T @ (y - y[:1]).reshape(n1, -1)).reshape(shape)
-    a[0] += np.sqrt(n1) * y[0]
-    y = np.matmul(q2.T, a - a[:, :1])
-    y[:, 0] += np.sqrt(n2) * a[:, 0]
+    y = _to_basis((r.reshape(-1, shape[-1]) @ v).reshape(shape))
     y *= inv
     if kernel is not None:
         c, w = kernel
-        corners = y[::n1 - 1, ::n2 - 1]
+        corners = y[::grid.n1 - 1, ::grid.n2 - 1]
         corners[..., c] = -(corners @ w)
-    x = (q1 @ np.matmul(q2, y).reshape(n1, -1)).reshape(-1, shape[-1])
-    return (x @ v.T).reshape(shape)
+    return (_from_basis(y).reshape(-1, shape[-1]) @ v.T).reshape(shape)
 
 
 def _project_kernel(r: np.ndarray, grid: SlabGrid) -> np.ndarray:
     """Remove the all-Neumann kernel component: the vertical mean of the
     coefficients on the four constant/Nyquist products of Q1 and Q2."""
-    e1 = _fourier_basis(grid.n1)[0][:, ::grid.n1 - 1]
-    e2 = _fourier_basis(grid.n2)[0][:, ::grid.n2 - 1]
-    mean = e1 @ (e1.T @ np.mean(r, axis=-1) @ e2) @ e2.T
-    return r - mean[..., None]
+    c = _to_basis(np.mean(r, axis=-1))
+    kernel = np.zeros_like(c)
+    kernel[::grid.n1 - 1, ::grid.n2 - 1] = c[::grid.n1 - 1, ::grid.n2 - 1]
+    return r - _from_basis(kernel)[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +346,8 @@ def dn_symbol_neumann(kappa: np.ndarray) -> np.ndarray:
 
 
 def _flat_extension(g: np.ndarray, grid: SlabGrid, kind: str) -> np.ndarray:
-    n1, n2 = grid.n1, grid.n2
-    ghat = np.fft.rfft2(np.asarray(g, dtype=float))
-    prof = _stable_profiles(np.sqrt(_ksq(n1, n2)), grid.y3, kind)
-    return np.fft.irfft2(ghat[..., None] * prof, s=(n1, n2), axes=(0, 1))
+    prof = _stable_profiles(np.sqrt(_ksq(grid.n1, grid.n2)), grid.y3, kind)
+    return _from_basis(_to_basis(np.asarray(g, dtype=float))[..., None] * prof)
 
 
 def harmonic_ext_dirichlet(g: np.ndarray, cmap: CoordinateMap):

@@ -11,9 +11,11 @@ the vertical map phi(y', y3) has to be solved for:
 The vertical discretization is linear finite elements on a uniform node
 ladder (second order), the horizontal one is Fourier collocation, so
 phi splits into per-mode vertical solves, all diagonalized by the one
-cached eigenbasis of vertical_eigen.  Bulk horizontal derivatives are
-real matrix products (spectral._deriv_matrix); the map solve and the
-2-D interface helpers stay on FFTs.
+cached eigenbasis of vertical_eigen.  Every horizontal operator is a
+real matrix product: derivatives with spectral._deriv_matrix, the map
+solve in the real Fourier basis of spectral._to_basis, so an interface
+with no x2-dependence gives a map exactly constant along x2 and an
+x2-slope phi2 of exactly 0.
 
 Physical derivatives of a field w stored on the slab follow the chain
 rule through the graph map:
@@ -31,7 +33,8 @@ import hashlib
 import numpy as np
 
 from .errors import DegenerateMap, GridMismatch, PreconditionViolated
-from .spectral import _deriv_matrix, _ksq, horizontal_derivative
+from .spectral import (_derivative, _from_basis, _ksq, _to_basis,
+                       horizontal_derivative)
 
 __all__ = [
     "SlabGrid",
@@ -145,14 +148,13 @@ def vertical_eigen(nz: int, z0: int, z1: int):
 
 @lru_cache(maxsize=16)
 def _d3_stencil(nz: int) -> np.ndarray:
-    """Read-only (nz, nz) integer-valued stencil of 2 dz d3_node below the
-    top level: column j holds -1, +1 at levels j - 1, j + 1 and column 0
-    the floor's one-sided (-3, 4, -1); the top column is zero."""
+    """Read-only (nz, nz) integer-valued stencil of 2 dz d3_node on the
+    interior levels: column j holds -1, +1 at levels j - 1, j + 1; the
+    floor and top columns are zero."""
     st = np.zeros((nz, nz))
     j = np.arange(1, nz - 1)
     st[j - 1, j] = -1.0
     st[j + 1, j] = 1.0
-    st[:3, 0] = (-3.0, 4.0, -1.0)
     st.flags.writeable = False
     return st
 
@@ -160,22 +162,20 @@ def _d3_stencil(nz: int) -> np.ndarray:
 def d3_node(w: np.ndarray, dz: float) -> np.ndarray:
     """Second-order vertical derivative at nodes (one-sided at the ends).
 
-    Centred differences (w[k+1] - w[k-1]) / (2 dz) inside, (-3 w[0] +
-    4 w[1] - w[2]) / (2 dz) on the floor and (3 w[-1] - 4 w[-2] + w[-3])
-    / (2 dz) on top.  Every level but the top is one matrix product with
-    the cached _d3_stencil.  A product sums in ascending level order,
-    which rounds the floor row as written here but not the top row, so
-    the top keeps its own expression and the result is bit for bit that
-    of the slicing stencil.
+    Centred differences (w[k+1] - w[k-1]) / (2 dz) inside, one matrix
+    product with the cached _d3_stencil.  Each one-sided end is taken of
+    the differences from its own boundary level: (4 b[1] - b[2]) / (2 dz)
+    on the floor with b = w - w[0], and (t[-3] - 4 t[-2]) / (2 dz) on top
+    with t = w - w[-1].  So a field constant along the vertical
+    differentiates to exactly 0 on every level, as the centred
+    differences already do, and no difference array of w's size is made.
     """
     nz = w.shape[-1]
-    # one GEMM over every row; a strided input goes through matmul, as a
-    # reshape would copy it
-    if w.flags.c_contiguous:
-        out = (w.reshape(-1, nz) @ _d3_stencil(nz)).reshape(w.shape)
-    else:
-        out = np.matmul(w, _d3_stencil(nz))
-    out[..., -1] = 3.0 * w[..., -1] - 4.0 * w[..., -2] + w[..., -3]
+    out = (w.reshape(-1, nz) @ _d3_stencil(nz)).reshape(w.shape)
+    b = w[..., 1:3] - w[..., :1]
+    out[..., 0] = 4.0 * b[..., 0] - b[..., 1]
+    t = w[..., -3:-1] - w[..., -1:]
+    out[..., -1] = t[..., 0] - 4.0 * t[..., 1]
     out /= 2.0 * dz
     return out
 
@@ -189,27 +189,17 @@ def _node_to_cell(w):
 
 def _dh_pair(w):
     """Both horizontal spectral derivatives of a bulk (..., n1, n2, nz)
-    array as real matrix products along axes -3 and -2.
-
-    The first row along each axis is subtracted first, so a field that is
-    constant along that axis differentiates to exactly 0.
-    """
-    n1, n2 = w.shape[-3], w.shape[-2]
-    t = w - w[..., :1, :, :]
-    d1 = (_deriv_matrix(n1) @ t.reshape(w.shape[:-2] + (-1,))).reshape(w.shape)
-    np.subtract(w, w[..., :1, :], out=t)
-    return d1, np.matmul(_deriv_matrix(n2), t)
+    array (spectral._derivative along axes -3 and -2): a field constant
+    along an axis differentiates to exactly 0 along it."""
+    return _derivative(w, 1), _derivative(w, 2)
 
 
 def _dh_pair_adjoint(p1, p2):
-    """Adjoint of _dh_pair: D1^T p1 + D2^T p2, with the same first-row
-    subtraction (D^T annihilates constants as D does)."""
-    n1, n2 = p1.shape[-3], p1.shape[-2]
-    t = p2 - p2[..., :1, :]
-    out = np.matmul(_deriv_matrix(n2).T, t)
-    np.subtract(p1, p1[..., :1, :, :], out=t)
-    out += (_deriv_matrix(n1).T @ t.reshape(p1.shape[:-2] + (-1,))).reshape(p1.shape)
-    return out
+    """Adjoint of _dh_pair: D1^T p1 + D2^T p2 = -(D1 p1 + D2 p2), as D is
+    exactly antisymmetric."""
+    out = _derivative(p1, 1)
+    out += _derivative(p2, 2)
+    return np.negative(out, out=out)
 
 
 class CoordinateMap:
@@ -291,13 +281,13 @@ class CoordinateMap:
 
 @lru_cache(maxsize=32)
 def _map_profiles(n1: int, n2: int, nz: int) -> np.ndarray:
-    """Read-only per-mode vertical map profiles for unit top and zero floor
-    data, (n1, n2 // 2 + 1, nz), solved in the shared eigenbasis with the
-    true |k|^2 of the map operator."""
+    """Read-only vertical map profiles for unit top and zero floor data,
+    (n1, n2, nz), one per (Q1 column, Q2 column) of the real basis, solved
+    in the shared eigenbasis with that column's true |k|^2."""
     v, mu = vertical_eigen(nz, 1, nz - 1)
     ksq = _ksq(n1, n2)[..., None]
     sub, _ = vertical_fem_rows(ksq, 1.0 / (nz - 1))
-    prof = np.zeros(ksq.shape[:2] + (nz,))
+    prof = np.zeros((n1, n2, nz))
     prof[..., 1:-1] = (-sub * v[-1] / (1.0 + (ksq - 1.0) * mu)) @ v.T
     prof[..., -1] = 1.0
     prof.flags.writeable = False
@@ -305,11 +295,9 @@ def _map_profiles(n1: int, n2: int, nz: int) -> np.ndarray:
 
 
 def _map_solve(grid: SlabGrid, top: np.ndarray, bottom_value: float) -> np.ndarray:
-    """Solve the discrete vertical harmonic problem per horizontal mode;
-    the floor datum reaches only the mean mode, whose profile is linear."""
-    n1, n2, nz = grid.shape
-    that = np.fft.rfft2(top)[..., None] * _map_profiles(n1, n2, nz)
-    phi = np.fft.irfft2(that, s=(n1, n2), axes=(0, 1))
+    """Solve the discrete vertical harmonic problem per basis column; the
+    floor datum reaches only the mean column, whose profile is linear."""
+    phi = _from_basis(_to_basis(top)[..., None] * _map_profiles(*grid.shape))
     return phi - bottom_value * grid.y3
 
 

@@ -1,19 +1,22 @@
 """Spectral toolkit on the horizontal torus.
 
 All interface quantities live on the doubly periodic square [0, 2pi)^2
-sampled on a uniform n1 x n2 grid.  Fields are real; transforms use the
-half-complex rfft2 layout.  Coefficients follow the normalization
-ghat_k = (1/(n1*n2)) * sum_x g(x) exp(-i k.x), so Parseval reads
-int |g|^2 dx = (2pi)^2 * sum_k |ghat_k|^2.
+sampled on a uniform n1 x n2 grid.  Fields are real.  Every horizontal
+operator but the dealiased product acts in the real orthonormal Fourier
+basis Q1 (x) Q2 of _fourier_basis: the coefficients of g are
+c = Q1^T g Q2 (_to_basis, inverted by _from_basis), so Parseval reads
+int |g|^2 dx = h1 h2 sum c^2, a radial multiplier (a function of |k|^2)
+is one diagonal scaling of c, and d/dx is the real matrix D.
 
 Conventions
 -----------
-* Wavenumbers are integers; the Nyquist column is zeroed by derivative
-  multipliers to keep real fields real and the derivative matrix exactly
-  antisymmetric.
+* Wavenumbers are integers, one per basis column; |k|^2 (_ksq) keeps the
+  true Nyquist value (n/2)^2.
+* D zeroes the Nyquist column, which keeps real fields real and D
+  exactly antisymmetric.
 * The dealiased product keeps modes with |k1| <= n1//3 and |k2| <= n2//3
   (the 2/3 rule) and computes the surviving coefficients exactly via
-  padded transforms.
+  padded rfft2 transforms, the one FFT route.
 """
 
 from __future__ import annotations
@@ -44,64 +47,94 @@ def wavenumbers(n1: int, n2: int):
 
 
 @lru_cache(maxsize=32)
-def _ksq(n1: int, n2: int):
-    k1, k2 = wavenumbers(n1, n2)
-    return k1 * k1 + k2 * k2
+def _fourier_basis(n: int):
+    """Real orthonormal Fourier basis Q on n samples and the wavenumber of
+    each column, both read-only.
+
+    Columns: the constant, cos/sin pairs for k = 1 .. n/2 - 1, then the
+    Nyquist mode k = n/2.
+    """
+    k = np.arange(1, n // 2)
+    # 2 pi j k / n with j k reduced mod n, so each phase is one rounding
+    phase = 2.0 * np.pi * (np.outer(np.arange(n), k) % n) / n
+    q = np.empty((n, n))
+    q[:, 0] = 1.0 / np.sqrt(n)
+    q[:, 1:-1:2] = np.sqrt(2.0 / n) * np.cos(phase)
+    q[:, 2:-1:2] = np.sqrt(2.0 / n) * np.sin(phase)
+    q[:, -1] = (-1.0) ** np.arange(n) / np.sqrt(n)
+    kcol = np.zeros(n)
+    kcol[1:-1:2] = kcol[2:-1:2] = k
+    kcol[-1] = n // 2
+    for a in (q, kcol):
+        a.flags.writeable = False
+    return q, kcol
 
 
 @lru_cache(maxsize=32)
-def _deriv_factors(n1: int, n2: int):
-    """(i k1, i k2) rfft2 multipliers with the Nyquist rows/columns zeroed."""
-    k1, k2 = wavenumbers(n1, n2)
-    f1 = 1j * np.broadcast_to(k1, (n1, n2 // 2 + 1)).copy()
-    f2 = 1j * np.broadcast_to(k2, (n1, n2 // 2 + 1)).copy()
-    if n1 % 2 == 0:
-        f1[n1 // 2, :] = 0.0
-    if n2 % 2 == 0:
-        f2[:, n2 // 2] = 0.0
-    return f1, f2
+def _ksq(n1: int, n2: int) -> np.ndarray:
+    """Read-only |k|^2 of each (Q1 column, Q2 column) pair, with the true
+    Nyquist value."""
+    ksq = _fourier_basis(n1)[1][:, None] ** 2 + _fourier_basis(n2)[1] ** 2
+    ksq.flags.writeable = False
+    return ksq
 
 
 @lru_cache(maxsize=32)
 def _deriv_matrix(n: int) -> np.ndarray:
-    """Read-only real n x n matrix of d/dx on n samples (Nyquist zeroed),
-    made exactly antisymmetric."""
-    d = horizontal_derivative(np.eye(n), 1)
+    """Read-only real n x n matrix of d/dx on n samples (Nyquist zeroed):
+    0.5 (-1)^m cot(m pi / n) for the offset m = i - j taken in
+    (-n/2, n/2], made exactly antisymmetric (which zeroes m = n/2)."""
+    j = np.arange(n)
+    m = (np.subtract.outer(j, j) + n // 2 - 1) % n - (n // 2 - 1)
+    t = np.tan(np.pi * m / n)
+    t[m == 0] = np.inf
+    d = 0.5 * (-1.0) ** m / t
     d = 0.5 * (d - d.T)
     d.flags.writeable = False
     return d
 
 
-@lru_cache(maxsize=32)
-def _fourier_basis(n: int):
-    """Real orthonormal Fourier basis Q on n samples and the eigenvalue
-    of D^T D (D = _deriv_matrix(n)) on each column, both read-only.
+def _to_basis(g: np.ndarray) -> np.ndarray:
+    """Coefficients Q1^T g Q2 of an (n1, n2, ...) array, axis 2 first.
 
-    Columns: the constant, cos/sin pairs for k = 1 .. n/2 - 1 (eigenvalue
-    k^2), then the Nyquist mode (eigenvalue 0, as D zeroes it).
+    Along each axis the first row is subtracted and its exact image
+    sqrt(n) e_0 added back, so data constant along an axis have exactly
+    zero coefficients off its constant column.
     """
-    x = 2.0 * np.pi * np.arange(n) / n
-    k = np.arange(1, n // 2)
-    q = np.empty((n, n))
-    q[:, 0] = 1.0 / np.sqrt(n)
-    q[:, 1:-1:2] = np.sqrt(2.0 / n) * np.cos(np.outer(x, k))
-    q[:, 2:-1:2] = np.sqrt(2.0 / n) * np.sin(np.outer(x, k))
-    q[:, -1] = (-1.0) ** np.arange(n) / np.sqrt(n)
-    lam = np.zeros(n)
-    lam[1:-1:2] = lam[2:-1:2] = k * k
-    for a in (q, lam):
-        a.flags.writeable = False
-    return q, lam
+    n1, n2 = g.shape[:2]
+    q1, q2 = _fourier_basis(n1)[0], _fourier_basis(n2)[0]
+    t = g.reshape(n1, n2, -1)
+    a = np.matmul(q2.T, t - t[:, :1])
+    a[:, 0] += np.sqrt(n2) * t[:, 0]
+    c = (q1.T @ (a - a[:1]).reshape(n1, -1)).reshape(a.shape)
+    c[0] += np.sqrt(n1) * a[0]
+    return c.reshape(g.shape)
 
 
-@lru_cache(maxsize=32)
-def _parseval_weight(n1: int, n2: int):
-    """Multiplicity of each rfft2 column under conjugate symmetry."""
-    w = np.full(n2 // 2 + 1, 2.0)
-    w[0] = 1.0
-    if n2 % 2 == 0:
-        w[-1] = 1.0
-    return w[None, :]
+def _from_basis(c: np.ndarray) -> np.ndarray:
+    """Inverse of _to_basis, axis 2 last: coefficients that vanish off the
+    constant column of Q2 give a field exactly constant along axis 2."""
+    n1, n2 = c.shape[:2]
+    q1, q2 = _fourier_basis(n1)[0], _fourier_basis(n2)[0]
+    a = (q1 @ c.reshape(n1, -1)).reshape(n1, n2, -1)
+    return np.matmul(q2, a).reshape(c.shape)
+
+
+def _apply_symbol(g: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """Radial multiplier given per basis column (an (n1, n2) array, such as
+    a function of _ksq) applied to a plane field."""
+    return _from_basis(_to_basis(g) * symbol)
+
+
+def _derivative(w: np.ndarray, axis: int) -> np.ndarray:
+    """d/dx_axis (axis 1 or 2) of (..., n1, n2, m) arrays: D along axis -3
+    or -2 after the first row along it is subtracted, so a field constant
+    along that axis differentiates to exactly 0."""
+    if axis == 1:
+        t = w - w[..., :1, :, :]
+        d = _deriv_matrix(w.shape[-3])
+        return (d @ t.reshape(w.shape[:-2] + (-1,))).reshape(w.shape)
+    return np.matmul(_deriv_matrix(w.shape[-2]), w - w[..., :1, :])
 
 
 @lru_cache(maxsize=32)
@@ -118,28 +151,17 @@ def _as_plane(g) -> np.ndarray:
     return g
 
 
-def to_coeffs(g: np.ndarray) -> np.ndarray:
-    """Forward transform with the 1/(n1*n2) normalization."""
-    g = _as_plane(g)
-    return np.fft.rfft2(g) / (g.shape[0] * g.shape[1])
-
-
 def horizontal_derivative(g: np.ndarray, axis: int) -> np.ndarray:
     """Spectral d/dx_axis of a periodic field, axis in {1, 2}."""
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
-    g = _as_plane(g)
-    n1, n2 = g.shape
-    c = np.fft.rfft2(g) * _deriv_factors(n1, n2)[axis - 1]
-    return np.fft.irfft2(c, s=(n1, n2))
+    return _derivative(_as_plane(g)[..., None], axis)[..., 0]
 
 
 def bessel_multiplier(g: np.ndarray, s: float) -> np.ndarray:
     """Apply (1 + |k|^2)^(s/2) mode by mode (the <grad'>^s smoother)."""
     g = _as_plane(g)
-    n1, n2 = g.shape
-    fac = (1.0 + _ksq(n1, n2)) ** (0.5 * s)
-    return np.fft.irfft2(np.fft.rfft2(g) * fac, s=(n1, n2))
+    return _apply_symbol(g, (1.0 + _ksq(*g.shape)) ** (0.5 * s))
 
 
 def mollify(g: np.ndarray, eps: float) -> np.ndarray:
@@ -153,13 +175,11 @@ def mollify(g: np.ndarray, eps: float) -> np.ndarray:
     g = _as_plane(g)
     if eps == 0.0:
         return g.copy()
-    n1, n2 = g.shape
-    fac = np.exp(-0.25 * eps * _ksq(n1, n2))
-    return np.fft.irfft2(np.fft.rfft2(g) * fac, s=(n1, n2))
+    return _apply_symbol(g, np.exp(-0.25 * eps * _ksq(*g.shape)))
 
 
 def sobolev_norm(g: np.ndarray, s: float) -> float:
-    """H^s(T^2) norm via Parseval.
+    """H^s(T^2) norm via Parseval in the real basis.
 
     Parameters
     ----------
@@ -170,10 +190,8 @@ def sobolev_norm(g: np.ndarray, s: float) -> float:
     """
     g = _as_plane(g)
     n1, n2 = g.shape
-    c = to_coeffs(g)
-    fac = (1.0 + _ksq(n1, n2)) ** s
-    total = np.sum(_parseval_weight(n1, n2) * fac * np.abs(c) ** 2)
-    return float(2.0 * np.pi * np.sqrt(total))
+    total = np.sum((1.0 + _ksq(n1, n2)) ** s * _to_basis(g) ** 2)
+    return float(2.0 * np.pi * np.sqrt(total / (n1 * n2)))
 
 
 def dealiased_product(g: np.ndarray, h: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from elastislab.geometry import (
     vertical_eigen,
     vertical_fem_rows,
 )
-from elastislab.spectral import _deriv_factors, _ksq, horizontal_derivative
+from elastislab.spectral import horizontal_derivative, wavenumbers
 
 
 @pytest.fixture
@@ -60,12 +60,97 @@ def thomas_batched(sub, diag, sup, rhs):
     return x
 
 
+# ---------------------------------------------------------------------------
+# FFT references: the rfft2 route of each horizontal operator that now acts
+# in the real Fourier basis
+
+def rfft_ksq(n1, n2):
+    """|k|^2 in the rfft2 layout, with the true Nyquist value."""
+    k1, k2 = wavenumbers(n1, n2)
+    return k1 * k1 + k2 * k2
+
+
+def rfft_deriv_factors(n1, n2):
+    """(i k1, i k2) rfft2 multipliers with the Nyquist rows/columns zeroed."""
+    k1, k2 = wavenumbers(n1, n2)
+    f1 = 1j * np.broadcast_to(k1, (n1, n2 // 2 + 1)).copy()
+    f2 = 1j * np.broadcast_to(k2, (n1, n2 // 2 + 1)).copy()
+    f1[n1 // 2, :] = 0.0
+    f2[:, n2 // 2] = 0.0
+    return f1, f2
+
+
+def fft_symbol_apply(g, symbol):
+    """Multiply the rfft2 coefficients of a plane field by symbol."""
+    n1, n2 = g.shape
+    return np.fft.irfft2(np.fft.rfft2(g) * symbol, s=(n1, n2))
+
+
+def fft_horizontal_derivative(g, axis):
+    """Reference for spectral.horizontal_derivative."""
+    return fft_symbol_apply(g, rfft_deriv_factors(*g.shape)[axis - 1])
+
+
+def fft_bessel_multiplier(g, s):
+    """Reference for spectral.bessel_multiplier."""
+    return fft_symbol_apply(g, (1.0 + rfft_ksq(*g.shape)) ** (0.5 * s))
+
+
+def fft_mollify(g, eps):
+    """Reference for spectral.mollify."""
+    return fft_symbol_apply(g, np.exp(-0.25 * eps * rfft_ksq(*g.shape)))
+
+
+def fft_sobolev_norm(g, s):
+    """H^s norm by Parseval over rfft2 coefficients with the 1/(n1 n2)
+    normalization, each column counted with its conjugate (reference for
+    spectral.sobolev_norm)."""
+    n1, n2 = g.shape
+    c = np.fft.rfft2(g) / (n1 * n2)
+    w = np.full(n2 // 2 + 1, 2.0)
+    w[0] = w[-1] = 1.0
+    total = np.sum(w * (1.0 + rfft_ksq(n1, n2)) ** s * np.abs(c) ** 2)
+    return float(2.0 * np.pi * np.sqrt(total))
+
+
+def fft_flux_symbols(n1, n2):
+    """rfft2 symbols (clamped, free, inverse of free) of the flat flux maps
+    (reference for dn._flux_symbols)."""
+    kappa = np.sqrt(rfft_ksq(n1, n2))
+    free = el.dn_symbol_neumann(kappa)
+    inverse = np.where(free > 0, 1.0 / np.where(free > 0, free, 1.0), 0.0)
+    return el.dn_symbol_dirichlet(kappa), free, inverse
+
+
+def fft_flat_extension(g, grid, kind):
+    """Reference for elliptic._flat_extension."""
+    prof = el._stable_profiles(np.sqrt(rfft_ksq(grid.n1, grid.n2)), grid.y3,
+                               kind)
+    c = np.fft.rfft2(g)[..., None] * prof
+    return np.fft.irfft2(c, s=(grid.n1, grid.n2), axes=(0, 1))
+
+
+def fft_map_solve(grid, top, bottom_value):
+    """Vertical map problem by one eigenbasis profile per rfft2 mode
+    (reference for geometry._map_solve)."""
+    n1, n2, nz = grid.shape
+    v, mu = vertical_eigen(nz, 1, nz - 1)
+    ksq = rfft_ksq(n1, n2)[..., None]
+    sub, _ = vertical_fem_rows(ksq, grid.dz)
+    prof = np.zeros(ksq.shape[:2] + (nz,))
+    prof[..., 1:-1] = (-sub * v[-1] / (1.0 + (ksq - 1.0) * mu)) @ v.T
+    prof[..., -1] = 1.0
+    phi = np.fft.irfft2(np.fft.rfft2(top)[..., None] * prof, s=(n1, n2),
+                        axes=(0, 1))
+    return phi - bottom_value * grid.y3
+
+
 def thomas_map_solve(grid, top, bottom_value):
     """Vertical harmonic map problem by one tridiagonal system per
     horizontal mode (reference for geometry._map_solve)."""
     n1, n2, nz = grid.shape
     that = np.fft.rfft2(top) / (n1 * n2)
-    ksq = _ksq(n1, n2)[..., None]
+    ksq = rfft_ksq(n1, n2)[..., None]
     sub, diag = vertical_fem_rows(ksq, grid.dz)
     rhs = np.zeros(that.shape + (nz - 2,), dtype=complex)
     bhat = np.zeros_like(that)
@@ -79,11 +164,13 @@ def thomas_map_solve(grid, top, bottom_value):
 
 def stencil_d3_node(w, dz):
     """Node vertical derivative by slicing: centred inside, one-sided
-    second order at both ends (reference for geometry.d3_node)."""
+    second order at both ends, each end taken of the differences from its
+    own boundary level (reference for geometry.d3_node)."""
+    b, t = w - w[..., :1], w - w[..., -1:]
     out = np.empty_like(w)
     out[..., 1:-1] = (w[..., 2:] - w[..., :-2]) / (2.0 * dz)
-    out[..., 0] = (-3.0 * w[..., 0] + 4.0 * w[..., 1] - w[..., 2]) / (2.0 * dz)
-    out[..., -1] = (3.0 * w[..., -1] - 4.0 * w[..., -2] + w[..., -3]) / (2.0 * dz)
+    out[..., 0] = (-3.0 * b[..., 0] + 4.0 * b[..., 1] - b[..., 2]) / (2.0 * dz)
+    out[..., -1] = (3.0 * t[..., -1] - 4.0 * t[..., -2] + t[..., -3]) / (2.0 * dz)
     return out
 
 
@@ -92,7 +179,7 @@ def map_interior_residual(cmap):
     equations, applied per horizontal mode."""
     n1, n2, nz = cmap.grid.shape
     phat = np.fft.rfft2(cmap.phi, axes=(0, 1))
-    sub, diag = vertical_fem_rows(_ksq(n1, n2)[..., None], cmap.grid.dz)
+    sub, diag = vertical_fem_rows(rfft_ksq(n1, n2)[..., None], cmap.grid.dz)
     rows = sub * phat[..., :-2] + diag * phat[..., 1:-1] + sub * phat[..., 2:]
     res = np.fft.irfft2(rows, s=(n1, n2), axes=(0, 1))
     scale = np.max(np.abs(cmap.phi)) / cmap.grid.dz
@@ -108,7 +195,7 @@ def metric_cell(cmap):
 
 def ksq_eff(n1, n2):
     """|k|^2 of the zeroed-Nyquist derivative factors, rfft2 layout."""
-    f1, f2 = _deriv_factors(n1, n2)
+    f1, f2 = rfft_deriv_factors(n1, n2)
     return f1.imag ** 2 + f2.imag ** 2
 
 
@@ -121,7 +208,7 @@ def fft_dh_pair(w):
     """Both horizontal derivatives of (..., n1, n2, nz) by 2-D transforms
     (reference for geometry._dh_pair)."""
     n1, n2 = w.shape[-3], w.shape[-2]
-    f1, f2 = _deriv_factors(n1, n2)
+    f1, f2 = rfft_deriv_factors(n1, n2)
     c = np.fft.rfft2(w, axes=(-3, -2))
     d1 = np.fft.irfft2(c * f1[:, :, None], s=(n1, n2), axes=(-3, -2))
     d2 = np.fft.irfft2(c * f2[:, :, None], s=(n1, n2), axes=(-3, -2))
@@ -132,7 +219,7 @@ def fft_dh_pair_adjoint(p1, p2):
     """-(d1 p1 + d2 p2) by 2-D transforms (reference for
     geometry._dh_pair_adjoint)."""
     n1, n2 = p1.shape[-3], p1.shape[-2]
-    f1, f2 = _deriv_factors(n1, n2)
+    f1, f2 = rfft_deriv_factors(n1, n2)
     c = np.fft.rfft2(p1, axes=(-3, -2)) * f1[:, :, None]
     c += np.fft.rfft2(p2, axes=(-3, -2)) * f2[:, :, None]
     return -np.fft.irfft2(c, s=(n1, n2), axes=(-3, -2))

@@ -273,3 +273,31 @@ def test_every_constant_is_read():
     constants = list(_constants())
     assert constants
     assert [c for c in constants if c[1] not in read] == []
+
+
+# The only src/ code that may refer to np.fft: the padded dealiased product
+# and its wavenumber grid, and the check data and mode readout of cli.
+FFT_HOMES = {("spectral", "wavenumbers"), ("spectral", "dealiased_product"),
+             ("cli", "_band"), ("cli", "_mode_coefficient")}
+
+
+def _refers_to_fft(node):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute) and sub.attr == "fft":
+            return True
+        if isinstance(sub, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in sub.names] + [getattr(sub, "module", "")]
+            if any("fft" in (name or "") for name in names):
+                return True
+    return False
+
+
+def test_fft_has_one_home():
+    # every other horizontal operator acts in the real Fourier basis of
+    # spectral._to_basis; a second transform convention beside it is what
+    # this pins out
+    found = {(path.stem, getattr(node, "name", "<module>"))
+             for path in sorted((ROOT / "src/elastislab").glob("*.py"))
+             for node in ast.parse(path.read_text()).body
+             if _refers_to_fft(node)}
+    assert found == FFT_HOMES

@@ -2,11 +2,26 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from elastislab import dn
+from elastislab import elliptic as el
+from elastislab import geometry as geo
 from elastislab import spectral as sp
 from elastislab.errors import GridMismatch
 
-from conftest import torus_grid, random_band_limited
+from conftest import (
+    fft_bessel_multiplier,
+    fft_flat_extension,
+    fft_flux_symbols,
+    fft_horizontal_derivative,
+    fft_map_solve,
+    fft_mollify,
+    fft_sobolev_norm,
+    fft_symbol_apply,
+    random_band_limited,
+    torus_grid,
+)
 
 
 def conv_product_oracle(g, h, keep1, keep2):
@@ -166,11 +181,59 @@ def test_roundtrip_norm_and_derivative():
     X1, _ = torus_grid(32, 32)
     f = np.cos(X1)
     assert np.isclose(sp.sobolev_norm(f, 0.0), np.pi * np.sqrt(2.0))
-    g = np.fft.irfft2(sp.to_coeffs(f) * (32 * 32), s=(32, 32))
-    assert np.allclose(g, f, atol=1e-13)
+    # cos x1 is the first cosine column of Q1 times sqrt(n1 / 2), and the
+    # constant column of Q2 times sqrt(n2): exactly nothing else along x2
+    c = sp._to_basis(f)
+    assert np.isclose(c[1, 0], np.sqrt(16 * 32), rtol=1e-14)
+    assert not c[:, 1:].any()
+    assert np.allclose(sp._from_basis(c), f, atol=1e-13)
     assert np.allclose(sp.horizontal_derivative(f, 1), -np.sin(X1), atol=1e-12)
 
 
 def test_mean_zero_guard():
     out = sp.remove_mean(np.ones((8, 8)))
     assert np.allclose(out, 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n1=st.integers(2, 16).map(lambda k: 2 * k),
+    n2=st.integers(2, 16).map(lambda k: 2 * k),
+    nz=st.integers(3, 17),
+    s=st.floats(-2.0, 3.0),
+    eps=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_real_basis_matches_fft_references(n1, n2, nz, s, eps, seed):
+    # every horizontal operator that acts in the real Fourier basis agrees
+    # with its rfft2 route, on fields with Nyquist content along both axes
+    rng = np.random.default_rng(seed)
+    i1, i2 = np.indices((n1, n2))
+    g = (rng.standard_normal((n1, n2)) + rng.standard_normal() * (-1.0) ** i1
+         + rng.standard_normal() * (-1.0) ** i2)
+    grid = geo.SlabGrid(n1, n2, nz)
+    flat = geo.build_map(np.zeros((n1, n2)), grid)
+
+    def close(got, want):
+        return np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    for axis in (1, 2):
+        assert close(sp.horizontal_derivative(g, axis),
+                     fft_horizontal_derivative(g, axis))
+    assert close(sp.bessel_multiplier(g, s), fft_bessel_multiplier(g, s))
+    assert close(sp.mollify(g, eps), fft_mollify(g, eps))
+    want = fft_sobolev_norm(g, s)
+    assert abs(sp.sobolev_norm(g, s) - want) <= 1e-12 * want
+    for bottom in (-1.0, 0.0):
+        assert close(geo._map_solve(grid, g, bottom),
+                     fft_map_solve(grid, g, bottom))
+    clamped, free, inverse = fft_flux_symbols(n1, n2)
+    assert close(dn.apply_dn(g, flat), fft_symbol_apply(g, clamped))
+    assert close(dn.apply_dn_neumann(g, flat), fft_symbol_apply(g, free))
+    h = g - g.mean()
+    z = fft_symbol_apply(h, inverse)
+    assert close(dn.invert_dn_neumann(h, flat), z - z.mean())
+    assert close(el.harmonic_ext_dirichlet(g, flat),
+                 fft_flat_extension(g, grid, "sinh"))
+    assert close(el.harmonic_ext_neumann(g, flat),
+                 fft_flat_extension(g, grid, "cosh"))
