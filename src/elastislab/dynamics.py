@@ -125,9 +125,19 @@ class FlowState:
     are kept on the state and never go stale.
     A state made by with_fields starts its pressure solves from its
     parent's pressure; a directly constructed one solves cold.
+
+    The finiteness scan takes the min and max of each of the 12 bulk
+    scalars (u[a], then F[j, a]), and keeps two flags per scalar in
+    (4, 3) arrays, row 0 for u and row 1 + j for F[j]: _varies (not
+    constant) and _nonzero (not all zero).  They describe the fields
+    after the floor rows are zeroed and may be conservative: a scalar
+    whose only nonzero entries sat on its floor row is still flagged.
+    The gradient stack, the pressure source, the rates and the
+    invariants skip what the flags show to be exactly 0.
     """
 
     __slots__ = ("t", "f", "u", "F", "eps", "s", "c0", "regions", "cmap",
+                 "_varies", "_nonzero",
                  "_gradients", "_pressure", "_invariants", "_hint")
 
     def __init__(self, t, f, u, F, eps, s=4, c0=0.1, regions=None):
@@ -138,10 +148,17 @@ class FlowState:
             raise GridMismatch(f"component axes: u {u.shape}, F {F.shape}")
         if u.shape[1:3] != f.shape or F.shape[2:4] != f.shape:
             raise GridMismatch(f"plane shapes: f {f.shape}, u {u.shape}")
-        for name, a in (("f", f), ("u", u), ("F", F)):
-            # min/max see NaN and inf with no field-sized temporary
-            if not (np.isfinite(a.min()) and np.isfinite(a.max())):
+        # min/max see NaN and inf with no field-sized temporary; per
+        # scalar of u and F they also tell which scalars are constant
+        lo, hi = [f.min()], [f.max()]
+        for a, rows in ((u, 3), (F, 9)):
+            lo.append(a.reshape(rows, -1).min(axis=1))
+            hi.append(a.reshape(rows, -1).max(axis=1))
+        for name, low, high in zip("fuF", lo, hi):
+            if not (np.all(np.isfinite(low)) and np.all(np.isfinite(high))):
                 raise PreconditionViolated(f"{name} has non-finite entries")
+        lo = np.concatenate(lo[1:]).reshape(4, 3)
+        hi = np.concatenate(hi[1:]).reshape(4, 3)
         f = f - np.mean(f)
         ceiling = 1.0 - c0
         if np.max(np.abs(f)) >= ceiling:
@@ -150,6 +167,11 @@ class FlowState:
             )
         u[2, ..., 0] = 0.0
         F[:, 2, ..., 0] = 0.0
+        # the zeroed floor rows join the range of the third components
+        np.minimum(lo[:, 2], 0.0, out=lo[:, 2])
+        np.maximum(hi[:, 2], 0.0, out=hi[:, 2])
+        self._varies = lo < hi
+        self._nonzero = (lo != 0.0) | (hi != 0.0)
         for a in (f, u, F):
             a.flags.writeable = False
         self.t = float(t)
@@ -385,16 +407,29 @@ class PressurePieces:
 
 
 def _gradient_stack(state: FlowState):
-    """Mapped gradients of u and of all deformation components.
+    """Mapped gradients of u and of all deformation components, and which
+    of their entries are nonzero.
 
-    One batched call per column, written in place: a nine-field batch or
-    a final stack of the columns would raise a step's peak memory."""
+    The gradient of a constant scalar is exactly +-0 (the horizontal
+    derivatives subtract the first row, d3_node differences from its
+    boundary levels), so it is not taken: its rows stay 0, and a field
+    whose scalars are all constant gets no call.  The varying rows of a
+    field are differentiated in one call, written in place: a nine-field
+    batch or a final stack of the columns would raise a step's peak
+    memory.  Returns (du, dF, du_nonzero, dF_nonzero), the flags of
+    shape (3, 3) and (3, 3, 3) from one reduction per stack.
+    """
     cmap = state.cmap
-    du = mapped_gradient(state.u, cmap)
-    dF = np.empty((3,) + du.shape)
-    for j in range(3):
-        dF[j] = mapped_gradient(state.F[j], cmap)
-    return du, dF
+    du = np.zeros((3, 3) + state.grid.shape)
+    dF = np.zeros((3,) + du.shape)
+    for field, varies, out in zip((state.u, *state.F), state._varies,
+                                  (du, *dF)):
+        if varies.all():
+            out[...] = mapped_gradient(field, cmap)
+        elif varies.any():
+            out[varies] = mapped_gradient(field[varies], cmap)
+    return (du, dF, du.reshape(9, -1).any(axis=1).reshape(3, 3),
+            dF.reshape(27, -1).any(axis=1).reshape(3, 3, 3))
 
 
 def _gradients(state: FlowState):
@@ -402,6 +437,24 @@ def _gradients(state: FlowState):
     if state._gradients is None:
         state._gradients = _gradient_stack(state)
     return state._gradients
+
+
+def _pressure_source(state: FlowState) -> np.ndarray:
+    """Quadratic pressure source: elastic minus velocity stretching.
+
+    Only products of two nonzero gradient entries are formed, in the
+    order of the full double sum, so the result equals that sum up to
+    the sign of zero."""
+    du, dF, du_nz, dF_nz = _gradients(state)
+    src = np.zeros(state.grid.shape)
+    for a in range(3):
+        for b in range(3):
+            if du_nz[a, b] and du_nz[b, a]:
+                src -= du[a, b] * du[b, a]
+            for j in range(3):
+                if dF_nz[j, a, b] and dF_nz[j, b, a]:
+                    src += dF[j, a, b] * dF[j, b, a]
+    return src
 
 
 def assemble_pressure(state: FlowState) -> PressurePieces:
@@ -419,13 +472,7 @@ def assemble_pressure(state: FlowState) -> PressurePieces:
         return state._pressure
     cmap = state.cmap
     hint, state._hint = state._hint, None
-    du, dF = _gradients(state)
-    src = np.zeros(state.grid.shape)
-    for a in range(3):
-        for b in range(3):
-            src -= du[a][b] * du[b][a]
-            for j in range(3):
-                src += dF[j, a][b] * dF[j, b][a]
+    src = _pressure_source(state)
     info = {}
     ring, info["ring"] = solve_weak(cmap, volume_load(src, cmap),
                                     x0=None if hint is None else hint.ring)
@@ -457,25 +504,37 @@ def bulk_rhs(state: FlowState):
     The rates are the last reader of the state's gradient stack in a
     step, so the state lets it go here: a kept history of stepped states
     then holds no stacks.
+    Only products of two nonzero factors are formed (the state's
+    _nonzero flags and the stack's zero pattern), in the order of the
+    full sums, so the rates equal them up to the sign of zero.
     """
     cmap = state.cmap
     dp = assemble_pressure(state).grad
-    du, dF = _gradients(state)
+    du, dF, du_nz, dF_nz = _gradients(state)
     state._gradients = None
     dtf = kinematic_rate(state)
     dtphi = map_time_derivative(cmap, dtf)
     u, F = state.u, state.F
+    u_nz, F_nz = state._nonzero[0], state._nonzero[1:]
     rate_u = np.empty_like(u)
     for a in range(3):
-        adv = sum(u[b] * du[a][b] for b in range(3))
-        ela = sum(F[j, b] * dF[j, a][b] for j in range(3) for b in range(3))
-        rate_u[a] = -adv - dp[a] + ela + dtphi * du[a][2]
+        adv = sum(u[b] * du[a, b] for b in range(3)
+                  if u_nz[b] and du_nz[a, b])
+        ela = sum(F[j, b] * dF[j, a, b] for j in range(3) for b in range(3)
+                  if F_nz[j, b] and dF_nz[j, a, b])
+        rate_u[a] = -adv - dp[a] + ela
+        if du_nz[a, 2]:
+            rate_u[a] += dtphi * du[a, 2]
     rate_F = np.empty_like(F)
     for j in range(3):
         for a in range(3):
-            adv = sum(u[b] * dF[j, a][b] for b in range(3))
-            stretch = sum(F[j, b] * du[a][b] for b in range(3))
-            rate_F[j, a] = -adv + stretch + dtphi * dF[j, a][2]
+            adv = sum(u[b] * dF[j, a, b] for b in range(3)
+                      if u_nz[b] and dF_nz[j, a, b])
+            stretch = sum(F[j, b] * du[a, b] for b in range(3)
+                          if F_nz[j, b] and du_nz[a, b])
+            rate_F[j, a] = -adv + stretch
+            if dF_nz[j, a, 2]:
+                rate_F[j, a] += dtphi * dF[j, a, 2]
     return dtf, rate_u, rate_F
 
 
@@ -660,7 +719,9 @@ def _reproject(state: FlowState, threshold: float):
     if flags["u"]:
         u, _ = project_div(u, cmap)
     if flags["F"]:
+        # an all-zero column is its own projection
         F = np.stack([project_div_normal(F[j], cmap)[0]
+                      if state._nonzero[1 + j].any() else F[j]
                       for j in range(3)])
     if flags["u"] or flags["F"]:
         state = state.with_fields(state.t, state.f, u, F)
@@ -712,16 +773,19 @@ def invariant_report(state: FlowState) -> dict:
     """Constraint residuals of a state (monitored quantities only).
 
     Measured on first use and kept on the state; each call returns a
-    fresh dict.
+    fresh dict.  An all-zero deformation column is skipped: its
+    divergence and trace defect are exactly 0.
     """
     if state._invariants is None:
         cmap = state.cmap
+        columns = [state.F[j] for j in range(3)
+                   if state._nonzero[1 + j].any()]
         state._invariants = {
             "div_u": divergence_residual(state.u, cmap),
-            "div_F": max(divergence_residual(state.F[j], cmap)
-                         for j in range(3)),
-            "trace_F": max(normal_trace_defect(state.F[j], cmap)
-                           for j in range(3)),
+            "div_F": max((divergence_residual(c, cmap) for c in columns),
+                         default=0.0),
+            "trace_F": max((normal_trace_defect(c, cmap) for c in columns),
+                           default=0.0),
             "f_mean": abs(float(np.mean(state.f))),
         }
     return dict(state._invariants)

@@ -319,7 +319,7 @@ def interface_theta_rhs(state, theta):
     ring-pressure flux (only the top row of its source load enters) and
     the regularizing Laplacian.  Runs before the state's bulk rates,
     which let its gradient stack go."""
-    du, dF = (g[..., -1] for g in dyn._gradients(state))
+    du, dF = (g[..., -1] for g in dyn._gradients(state)[:2])
     src = np.zeros(state.grid.shape)
     src[..., -1] = (np.einsum("jab...,jba...->...", dF, dF)
                     - np.einsum("ab...,ba...->...", du, du))
@@ -341,7 +341,7 @@ def step_theta(state, theta, dt):
 
     def rhs(pair):
         st, th = pair
-        du, dF = dyn._gradients(st)  # kept: bulk_rhs lets the stack go
+        du, dF = dyn._gradients(st)[:2]  # kept: bulk_rhs lets the stack go
         dtheta = interface_theta_rhs(st, th)
         dtf, rate_u, rate_F = dyn.bulk_rhs(st)
         # bulk_rhs moves the grid with the kinematic rate dtf; use theta

@@ -446,7 +446,7 @@ def material_pressure_derivative(state):
     regularization, else the inverse-flux transported datum with its
     commutator correction; the floor takes the horizontal velocity shear."""
     cmap, u, F = state.cmap, state.u, state.F
-    du, dF = dyn._gradients(state)
+    du, dF = dyn._gradients(state)[:2]
     dp = mapped_gradient(_pressure(state), cmap)
     ddu, ddF = mapped_gradient(du, cmap), mapped_gradient(dF, cmap)
     # gradient of the acceleration D_t u = -grad p + sum_j (F_j . grad) F_j
