@@ -114,10 +114,9 @@ def _metric_apply(cmap: CoordinateMap, q1, q2, q3):
 def apply_operator(u: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
     """Full-row symmetric operator G^T W K G applied to a node field."""
     grid = cmap.grid
-    m = _metric_apply(cmap, *grad_staggered(u, grid))
-    for a in m:
-        a *= grid.h1 * grid.h2 * grid.dz
-    return grad_adjoint(*m, grid)
+    out = grad_adjoint(*_metric_apply(cmap, *grad_staggered(u, grid)), grid)
+    out *= grid.h1 * grid.h2 * grid.dz
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -127,15 +126,17 @@ def apply_operator(u: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
 def _flat_eigen(n1: int, n2: int, nz: int, z0: int, z1: int):
     """Fast-diagonal form of the flat operator on free levels [z0, z1).
 
-    Returns (V, inv, kernel) for the eigen pair (V, mu) of
-    geometry.vertical_eigen: inv holds 1 / (1 + (|k|^2 - 1) mu) per
-    (Q1 column, Q2 column, eigenvector) of spectral._fourier_basis with
-    the 1/(h1 h2) load scaling folded in; |k|^2 is the eigenvalue of
-    D^T D, so 0 on the Nyquist column that D zeroes.  In the all-Neumann
-    case the vertical constant (index c, mu = 1) is dropped on the kernel
-    columns (constant or Nyquist on both axes, [::n - 1]) and
-    kernel = (c, w): the eigen coordinates y of a vertically mean-free
-    field have y[c] = -(y . w), w[c] = 0.  Otherwise kernel is None.
+    Returns (V, inv, kernel).  V is the eigenbasis of
+    geometry.vertical_eigen embedded in an (nz, nfree) matrix whose rows
+    at the fixed levels are 0, so it reads and writes full node columns.
+    inv holds 1 / (1 + (|k|^2 - 1) mu) per (Q1 column, Q2 column,
+    eigenvector) of spectral._fourier_basis with the 1/(h1 h2) load
+    scaling folded in; |k|^2 is the eigenvalue of D^T D, so 0 on the
+    Nyquist column that D zeroes.  In the all-Neumann case the vertical
+    constant (index c, mu = 1) is dropped on the kernel columns (constant
+    or Nyquist on both axes, [::n - 1]) and kernel = (c, w): the eigen
+    coordinates y of a vertically mean-free field have y[c] = -(y . w),
+    w[c] = 0.  Otherwise kernel is None.
     """
     v, mu = vertical_eigen(nz, z0, z1)
     k1, k2 = (np.append(_fourier_basis(n)[1][:-1], 0.0) for n in (n1, n2))
@@ -152,25 +153,29 @@ def _flat_eigen(n1: int, n2: int, nz: int, z0: int, z1: int):
         w.flags.writeable = False
         kernel = (c, w)
     inv = 1.0 / denom
-    inv.flags.writeable = False
-    return v, inv, kernel
+    full = np.zeros((nz, z1 - z0))
+    full[z0:z1] = v
+    for a in (full, inv):
+        a.flags.writeable = False
+    return full, inv, kernel
 
 
 def _flat_solve(r: np.ndarray, grid: SlabGrid, z0: int, z1: int) -> np.ndarray:
     """Exact flat-operator solve on free levels (the CG preconditioner).
 
-    Real matrix products only: r @ V along z, into the Q1 (x) Q2 basis
+    r and the result are full node arrays; the rows of r at the fixed
+    levels are not read, and the result is 0 on them.  Real matrix
+    products only: r @ V along z, into the Q1 (x) Q2 basis
     (spectral._to_basis), the diagonal scaling, then back and V^T.
     """
     v, inv, kernel = _flat_eigen(grid.n1, grid.n2, grid.nz, z0, z1)
-    shape = r.shape
-    y = _to_basis((r.reshape(-1, shape[-1]) @ v).reshape(shape))
+    y = _to_basis((r.reshape(-1, grid.nz) @ v).reshape(inv.shape))
     y *= inv
     if kernel is not None:
         c, w = kernel
         corners = y[::grid.n1 - 1, ::grid.n2 - 1]
         corners[..., c] = -(corners @ w)
-    return (_from_basis(y).reshape(-1, shape[-1]) @ v.T).reshape(shape)
+    return (_from_basis(y).reshape(-1, v.shape[1]) @ v.T).reshape(r.shape)
 
 
 def _project_kernel(r: np.ndarray, grid: SlabGrid) -> np.ndarray:
@@ -221,9 +226,8 @@ def solve_weak(
     info : dict with iterations and final relative residual.
     """
     grid = cmap.grid
-    nz = grid.nz
     z0 = 0 if bottom is None else 1
-    z1 = nz if top is None else nz - 1
+    z1 = grid.nz if top is None else grid.nz - 1
     b = np.zeros(grid.shape)
     if load is not None:
         b += load
@@ -234,46 +238,55 @@ def solve_weak(
         u0[..., 0] = bottom
     if np.any(u0):
         b -= apply_operator(u0, cmap)
-    bf = b[..., z0:z1]
-    neumann_all = (z0 == 0 and z1 == nz)
+    b[..., :z0] = 0.0
+    b[..., z1:] = 0.0
+    neumann_all = (z0 == 0 and z1 == grid.nz)
     if neumann_all:
-        bf = _project_kernel(bf, grid)
-    x, iters, rel = _pcg(cmap, bf, z0, z1, tol, neumann_all,
-                         None if x0 is None else x0[..., z0:z1])
-    u = u0
-    u[..., z0:z1] += x
-    return u, {"iterations": iters, "residual": rel}
+        b = _project_kernel(b, grid)
+    x, iters, rel = _pcg(cmap, b, z0, z1, tol, neumann_all, x0)
+    x += u0
+    return x, {"iterations": iters, "residual": rel}
 
 
-def _pcg(cmap, bf, z0, z1, tol, project_constants, x0):
+def _pcg(cmap, b, z0, z1, tol, project_constants, x0):
+    """Preconditioned CG for the free levels [z0, z1) on full node arrays.
+
+    b is 0 on the fixed levels, and every vector of the iteration is
+    held at 0 there: the operator's rows at those levels are zeroed, and
+    the preconditioner neither reads nor writes them.  x0, if given, is
+    a full node array whose fixed levels are ignored.
+    """
     grid = cmap.grid
-    full = np.zeros(grid.shape)  # boundary levels outside [z0, z1) stay 0
 
-    def apply_free(xf):
-        full[..., z0:z1] = xf
-        return apply_operator(full, cmap)[..., z0:z1]
+    def apply_free(x):
+        ax = apply_operator(x, cmap)
+        ax[..., :z0] = 0.0
+        ax[..., z1:] = 0.0
+        return ax
 
-    bnorm = float(np.linalg.norm(bf))
+    bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return np.zeros_like(bf), 0, 0.0
+        return np.zeros_like(b), 0, 0.0
     if x0 is not None:
         x = x0.copy()
-        r = bf - apply_free(x)
+        x[..., :z0] = 0.0
+        x[..., z1:] = 0.0
+        r = b - apply_free(x)
     else:
-        x = np.zeros_like(bf)
-        r = bf.copy()
+        x = np.zeros_like(b)
+        r = b.copy()
     if project_constants:
         r -= np.mean(r)
-    z = _flat_solve(r, grid, z0, z1)
+    p = _flat_solve(r, grid, z0, z1)
     if project_constants:
-        z -= np.mean(z)
-    p = z.copy()
-    rz = float(np.sum(r * z))
+        p -= np.mean(p)
+    rz = float(np.vdot(r, p))
+    scratch = np.empty_like(b)
     for it in range(1, MAXITER + 1):
         ap = apply_free(p)
-        alpha = rz / float(np.sum(p * ap))
-        x += alpha * p
-        r -= alpha * ap
+        alpha = rz / float(np.vdot(p, ap))
+        x += np.multiply(p, alpha, out=scratch)
+        r -= np.multiply(ap, alpha, out=scratch)
         if project_constants:
             r -= np.mean(r)
         rel = float(np.linalg.norm(r)) / bnorm
@@ -284,7 +297,7 @@ def _pcg(cmap, bf, z0, z1, tol, project_constants, x0):
         z = _flat_solve(r, grid, z0, z1)
         if project_constants:
             z -= np.mean(z)
-        rz, rz_old = float(np.sum(r * z)), rz
+        rz, rz_old = float(np.vdot(r, z)), rz
         p *= rz / rz_old
         p += z
     raise SolverDiverged(f"pcg stalled at rel residual {rel:.3e} after {MAXITER} its")

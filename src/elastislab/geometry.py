@@ -18,10 +18,10 @@ with no x2-dependence gives a map exactly constant along x2 and an
 x2-slope phi2 of exactly 0.
 
 Physical derivatives of a field w stored on the slab follow the chain
-rule through the graph map:
+rule through the graph map, the vertical one first:
 
-    d_i w_phys = d_i w - (d_i phi / d_3 phi) d_3 w   (i = 1, 2)
-    d_3 w_phys = d_3 w / d_3 phi.
+    d_3 w_phys = d_3 w / d_3 phi,
+    d_i w_phys = d_i w - d_i phi d_3 w_phys   (i = 1, 2).
 """
 
 from __future__ import annotations
@@ -343,16 +343,18 @@ def mapped_gradient(w: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
 
     Leading axes are batch axes, differentiated in one call; the result has
     shape (..., 3, n1, n2, nz) and its entry [i] is mapped_gradient(w[i]).
+    The chain rule runs as g3 = inv_phi3 d3 w first, then g_i = d_i w -
+    phi_i g3, two passes per component and no slope array; where phi2 is
+    exactly 0 an x2-invariant field keeps an exactly zero g2.
     """
     d3 = d3_node(w, cmap.grid.dz)
     d1, d2 = _dh_pair(w)
     # filled in place: a stack of the components would hold them twice
     g = np.empty(w.shape[:-3] + (3,) + w.shape[-3:])
-    inv3 = cmap.inv_phi3
     g1, g2, g3 = (g[..., i, :, :, :] for i in range(3))
-    np.subtract(d1, np.multiply(cmap.phi1 * inv3, d3, out=g1), out=g1)
-    np.subtract(d2, np.multiply(cmap.phi2 * inv3, d3, out=g2), out=g2)
-    np.multiply(inv3, d3, out=g3)
+    np.multiply(cmap.inv_phi3, d3, out=g3)
+    for gi, di, phi in ((g1, d1, cmap.phi1), (g2, d2, cmap.phi2)):
+        np.subtract(di, np.multiply(phi, g3, out=gi), out=gi)
     return g
 
 

@@ -10,6 +10,7 @@ from elastislab.geometry import (
     _dh_pair_adjoint,
     _node_to_cell,
     map_time_derivative,
+    mapped_gradient,
     trace,
     vertical_eigen,
     vertical_fem_rows,
@@ -311,6 +312,140 @@ def fft_project_kernel(r, grid):
     mask = kernel_mask(grid.n1, grid.n2)
     c[mask, :] -= np.mean(c[mask, :], axis=-1, keepdims=True)
     return np.fft.irfft2(c, s=(grid.n1, grid.n2), axes=(0, 1))
+
+
+def free_level_flat_solve(r, grid, z0, z1):
+    """Flat-operator solve on an array of the free levels [z0, z1) only
+    (reference for elliptic._flat_solve on full node arrays)."""
+    v, inv, kernel = el._flat_eigen(grid.n1, grid.n2, grid.nz, z0, z1)
+    v = v[z0:z1]
+    shape = r.shape
+    y = el._to_basis((r.reshape(-1, shape[-1]) @ v).reshape(shape))
+    y *= inv
+    if kernel is not None:
+        c, w = kernel
+        corners = y[::grid.n1 - 1, ::grid.n2 - 1]
+        corners[..., c] = -(corners @ w)
+    return (el._from_basis(y).reshape(-1, shape[-1]) @ v.T).reshape(shape)
+
+
+def free_level_pcg(cmap, bf, z0, z1, tol, project_constants, x0):
+    """PCG on free-level arrays, each operator application padded to full
+    node shape and sliced back (reference for elliptic._pcg)."""
+    grid = cmap.grid
+    full = np.zeros(grid.shape)  # boundary levels outside [z0, z1) stay 0
+
+    def apply_free(xf):
+        full[..., z0:z1] = xf
+        return el.apply_operator(full, cmap)[..., z0:z1]
+
+    bnorm = float(np.linalg.norm(bf))
+    if bnorm == 0.0:
+        return np.zeros_like(bf), 0, 0.0
+    if x0 is not None:
+        x = x0.copy()
+        r = bf - apply_free(x)
+    else:
+        x = np.zeros_like(bf)
+        r = bf.copy()
+    if project_constants:
+        r -= np.mean(r)
+    z = free_level_flat_solve(r, grid, z0, z1)
+    if project_constants:
+        z -= np.mean(z)
+    p = z.copy()
+    rz = float(np.sum(r * z))
+    for it in range(1, el.MAXITER + 1):
+        ap = apply_free(p)
+        alpha = rz / float(np.sum(p * ap))
+        x += alpha * p
+        r -= alpha * ap
+        if project_constants:
+            r -= np.mean(r)
+        rel = float(np.linalg.norm(r)) / bnorm
+        if rel <= tol:
+            return x, it, rel
+        z = free_level_flat_solve(r, grid, z0, z1)
+        if project_constants:
+            z -= np.mean(z)
+        rz, rz_old = float(np.sum(r * z)), rz
+        p *= rz / rz_old
+        p += z
+    raise AssertionError("reference pcg did not converge")
+
+
+def free_level_solve_weak(cmap, load, top=0.0, bottom=None, x0=None):
+    """elliptic.solve_weak through free_level_pcg (reference)."""
+    grid = cmap.grid
+    z0 = 0 if bottom is None else 1
+    z1 = grid.nz if top is None else grid.nz - 1
+    b = np.zeros(grid.shape)
+    if load is not None:
+        b += load
+    u = np.zeros(grid.shape)
+    if top is not None:
+        u[..., -1] = top
+    if bottom is not None:
+        u[..., 0] = bottom
+    if np.any(u):
+        b -= el.apply_operator(u, cmap)
+    bf = b[..., z0:z1]
+    neumann_all = z0 == 0 and z1 == grid.nz
+    if neumann_all:
+        bf = el._project_kernel(bf, grid)
+    x, iters, _ = free_level_pcg(cmap, bf, z0, z1, el.DEFAULT_TOL, neumann_all,
+                                 None if x0 is None else x0[..., z0:z1])
+    u[..., z0:z1] += x
+    return u, iters
+
+
+def loop_resample_columns(field, phi_old, phi_new):
+    """One np.interp call per column and batch scalar (reference for
+    dynamics._resample_columns)."""
+    out = np.empty_like(field)
+    for idx in np.ndindex(field.shape[:-1]):
+        out[idx] = np.interp(phi_new[idx[-2:]], phi_old[idx[-2:]], field[idx])
+    return out
+
+
+def full_gradient_stack(state):
+    """Every mapped gradient of u and F, constant scalars included
+    (reference for dynamics._gradient_stack)."""
+    du = mapped_gradient(state.u, state.cmap)
+    dF = np.stack([mapped_gradient(state.F[j], state.cmap) for j in range(3)])
+    return du, dF
+
+
+def full_pressure_source(du, dF):
+    """All 36 products of the pressure source (reference for
+    dynamics._pressure_source)."""
+    src = np.zeros(du.shape[2:])
+    for a in range(3):
+        for b in range(3):
+            src -= du[a][b] * du[b][a]
+            for j in range(3):
+                src += dF[j, a][b] * dF[j, b][a]
+    return src
+
+
+def full_rates(state, du, dF):
+    """The bulk rates of u and F with every product formed (reference for
+    dynamics.bulk_rhs)."""
+    dp = dyn.assemble_pressure(state).grad
+    dtphi = map_time_derivative(state.cmap, dyn.kinematic_rate(state))
+    u, F = state.u, state.F
+    rate_u = np.empty_like(u)
+    for a in range(3):
+        adv = sum(u[b] * du[a][b] for b in range(3))
+        ela = sum(F[j, b] * dF[j, a][b] for j in range(3) for b in range(3))
+        rate_u[a] = -adv - dp[a] + ela + dtphi * du[a][2]
+    rate_F = np.empty_like(F)
+    for j in range(3):
+        for a in range(3):
+            adv = sum(u[b] * dF[j, a][b] for b in range(3))
+            stretch = sum(F[j, b] * du[a][b] for b in range(3))
+            rate_F[j, a] = -adv + stretch + dtphi * dF[j, a][2]
+    return rate_u, rate_F
 
 
 def interface_theta_rhs(state, theta):

@@ -19,6 +19,9 @@ from conftest import (
     energy_product,
     fft_flat_solve,
     fft_project_kernel,
+    free_level_flat_solve,
+    free_level_pcg,
+    free_level_solve_weak,
     kernel_mask,
     ksq_eff,
     metric_cell,
@@ -285,6 +288,14 @@ def _thomas_flat_solve(r, grid, z0, z1):
     return np.fft.irfft2(x, s=(n1, n2), axes=(0, 1))
 
 
+def _full(r, grid, z0):
+    """r on the free levels from z0 up, embedded in a full node array
+    that is 0 on the other levels."""
+    out = np.zeros(grid.shape)
+    out[..., z0:z0 + r.shape[-1]] = r
+    return out
+
+
 class TestFlatPreconditioner:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -303,8 +314,10 @@ class TestFlatPreconditioner:
         r = np.random.default_rng(seed).standard_normal((n1, n2, z1 - z0))
         if levels == "neumann-both":
             r = el._project_kernel(r, grid)
-        got = el._flat_solve(r, grid, z0, z1)
+        got = el._flat_solve(_full(r, grid, z0), grid, z0, z1)
         want = _thomas_flat_solve(r, grid, z0, z1)
+        assert not got[..., :z0].any() and not got[..., z1:].any()
+        got = got[..., z0:z1]
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("z0, z1", [(1, 8), (0, 8), (0, 9)])
@@ -317,7 +330,7 @@ class TestFlatPreconditioner:
                                 (8, 6, z1 - z0)).copy()
             if z1 == 9:
                 r = el._project_kernel(r, grid)
-            x = el._flat_solve(r, grid, z0, z1)
+            x = el._flat_solve(_full(r, grid, z0), grid, z0, z1)
             axis = shape.index(1)
             assert np.array_equal(x, np.broadcast_to(x.take([0], axis), x.shape))
 
@@ -342,9 +355,98 @@ class TestFlatPreconditioner:
             want = fft_project_kernel(r, grid)
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
             r = want
-        got = el._flat_solve(r, grid, z0, z1)
+        got = el._flat_solve(_full(r, grid, z0), grid, z0, z1)[..., z0:z1]
         want = fft_flat_solve(r, grid, z0, z1)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("z0, z1", [(1, 8), (0, 8), (0, 9)])
+    def test_fixed_levels_neither_read_nor_written(self, rng, z0, z1):
+        grid = SlabGrid(8, 6, 9)
+        r = rng.standard_normal(grid.shape)
+        if z1 == 9:
+            r = el._project_kernel(r, grid)
+        got = el._flat_solve(r, grid, z0, z1)
+        want = free_level_flat_solve(r[..., z0:z1], grid, z0, z1)
+        assert np.array_equal(got[..., z0:z1], want)
+        assert not got[..., :z0].any() and not got[..., z1:].any()
+
+
+BOUNDARIES = {"dirichlet-top": (0.0, None), "dirichlet-both": (0.3, 0.0),
+              "neumann-both": (None, None)}
+
+
+class TestFullArrayPCG:
+    """PCG on full node arrays with the fixed levels held at 0; the
+    free-level iteration of conftest is the reference."""
+
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("levels", sorted(BOUNDARIES))
+    def test_matches_free_level_solve(self, rng, levels, warm):
+        cmap = _wavy_map(16, 12, 17, a1=0.2, a2=0.1)
+        grid = cmap.grid
+        top, bottom = BOUNDARIES[levels]
+        if top is not None:
+            top = top + 0.1 * random_band_limited(rng, 16, 12, 3)
+        load = el.volume_load(rng.standard_normal(grid.shape), cmap)
+        x0 = rng.standard_normal(grid.shape) if warm else None
+        got, _ = el.solve_weak(cmap, load, top=top, bottom=bottom, x0=x0)
+        want, _ = free_level_solve_weak(cmap, load, top=top, bottom=bottom,
+                                        x0=x0)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("levels", sorted(BOUNDARIES))
+    def test_every_vector_is_zero_on_the_fixed_levels(self, rng, monkeypatch,
+                                                      levels):
+        cmap = _wavy_map(8, 8, 9, a1=0.2, a2=0.1)
+        grid = cmap.grid
+        top, bottom = BOUNDARIES[levels]
+        z0 = 0 if bottom is None else 1
+        z1 = grid.nz if top is None else grid.nz - 1
+        b = el.volume_load(rng.standard_normal(grid.shape), cmap)
+        b[..., :z0] = 0.0
+        b[..., z1:] = 0.0
+        if z1 == grid.nz and z0 == 0:
+            b = el._project_kernel(b, grid)
+        seen = []  # operator inputs, preconditioner inputs and outputs
+        apply_operator, flat_solve = el.apply_operator, el._flat_solve
+
+        def applied(v, cmap):
+            seen.append(v.copy())
+            return apply_operator(v, cmap)
+
+        def preconditioned(r, *args):
+            seen.append(r.copy())
+            seen.append(flat_solve(r, *args))
+            return seen[-1]
+
+        monkeypatch.setattr(el, "apply_operator", applied)
+        monkeypatch.setattr(el, "_flat_solve", preconditioned)
+        x0 = rng.standard_normal(grid.shape)
+        x, iters, _ = el._pcg(cmap, b, z0, z1, el.DEFAULT_TOL,
+                              z0 == 0 and z1 == grid.nz, x0)
+        assert iters > 1 and len(seen) == 3 * iters + 1
+        for v in seen + [x]:
+            assert not v[..., :z0].any() and not v[..., z1:].any()
+        want, _, _ = free_level_pcg(cmap, b[..., z0:z1], z0, z1,
+                                    el.DEFAULT_TOL, z0 == 0 and z1 == grid.nz,
+                                    x0[..., z0:z1])
+        assert (np.linalg.norm(x[..., z0:z1] - want)
+                <= 1e-12 * np.linalg.norm(want))
+
+    @pytest.mark.parametrize("n", [12, 24])
+    @pytest.mark.parametrize("levels", sorted(BOUNDARIES))
+    def test_x2_invariant_load_gives_x2_invariant_solution(self, rng, n,
+                                                          levels):
+        grid = SlabGrid(n, n, n + 1)
+        x1, _ = _coords(n, n)
+        cmap = build_map(0.15 * np.cos(x1)[:, None] * np.ones(n), grid)
+        load = np.broadcast_to(rng.standard_normal((n, 1, n + 1)),
+                               grid.shape)
+        top, bottom = BOUNDARIES[levels]
+        if top is not None:
+            top = top + 0.1 * np.sin(x1)[:, None] * np.ones(n)
+        u, _ = el.solve_weak(cmap, load, top=top, bottom=bottom)
+        assert _constant_along(u, 1)
 
 
 class TestCurvedSolves:
