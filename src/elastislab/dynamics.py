@@ -761,12 +761,25 @@ def _resample_columns(field: np.ndarray, phi_old: np.ndarray,
     Column by column the old profile is read as a function of physical
     height and sampled at the new map's node heights (linear in the
     vertical; values beyond the old range are clamped to the end values).
-    Leading axes of field are batch axes.
+    Leading axes of field are batch axes.  Each column's bracket search
+    is done once for all batch scalars, and the values follow np.interp
+    bit for bit: slope (x - xp[j]) + fp[j] inside a bracket, fp[j] at an
+    exact node hit, and the end values outside.
     """
-    out = np.empty_like(field)
-    for idx in np.ndindex(field.shape[:-1]):
-        out[idx] = np.interp(phi_new[idx[-2:]], phi_old[idx[-2:]], field[idx])
-    return out
+    nz = phi_old.shape[-1]
+    # j = index of the last old node at or below each new height
+    below = np.sum(phi_old[..., None, :] <= phi_new[..., None], axis=-1) - 1
+    lo = np.clip(below, 0, nz - 2)
+    x0 = np.take_along_axis(phi_old, lo, axis=-1)
+    x1 = np.take_along_axis(phi_old, lo + 1, axis=-1)
+    idx = np.broadcast_to(lo, field.shape)
+    f0 = np.take_along_axis(field, idx, axis=-1)
+    f1 = np.take_along_axis(field, idx + 1, axis=-1)
+    out = (f1 - f0) / (x1 - x0) * (phi_new - x0) + f0
+    hit = (below >= 0) & (below < nz - 1) & (phi_new == x0)
+    out = np.where(hit, f0, out)
+    out = np.where(below < 0, field[..., :1], out)
+    return np.where(below >= nz - 1, field[..., -1:], out)
 
 
 def invariant_report(state: FlowState) -> dict:

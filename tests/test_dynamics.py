@@ -22,9 +22,17 @@ from elastislab.geometry import (
     trace,
 )
 from elastislab.elliptic import solve_weak, volume_load
-from elastislab.spectral import horizontal_derivative, remove_mean
+from elastislab.spectral import horizontal_derivative, mollify, remove_mean
 
-from conftest import sample_flow, step_theta
+from conftest import (
+    full_gradient_stack,
+    full_pressure_source,
+    full_rates,
+    loop_resample_columns,
+    random_band_limited,
+    sample_flow,
+    step_theta,
+)
 
 
 def _coords(n):
@@ -94,6 +102,37 @@ class TestFlowState:
         with pytest.raises(PreconditionViolated):
             dyn.FlowState(0.0, f, np.zeros((3, n, n, nz)),
                           np.zeros((3, 3, n, n, nz)), eps=0.0)
+
+    @pytest.mark.parametrize("name", ["u", "F"])
+    def test_non_finite_floor_row_rejected(self, name):
+        # the floor rows of u3 and F[j, 3] are overwritten with 0, but the
+        # finiteness scan reads the fields before that
+        n, nz = 8, 9
+        f = 0.05 * np.cos(_coords(n)[0])
+        u, F = np.zeros((3, n, n, nz)), np.zeros((3, 3, n, n, nz))
+        if name == "u":
+            u[2, 3, 2, 0] = np.nan
+        else:
+            F[1, 2, 3, 2, 0] = np.inf
+        with pytest.raises(PreconditionViolated, match=f"{name} has"):
+            dyn.FlowState(0.0, f, u, F, eps=0.0)
+
+    def test_scalar_flags_read_the_zeroed_fields(self):
+        n, nz = 8, 9
+        f = 0.05 * np.cos(_coords(n)[0])
+        u, F = np.zeros((3, n, n, nz)), np.zeros((3, 3, n, n, nz))
+        u[2] = 0.3        # constant, but its floor row is zeroed
+        F[0, 0] = 1.0     # constant
+        F[1, 1] = np.cos(_coords(n)[0])[..., None]
+        st = dyn.FlowState(0.0, f, u, F, eps=0.0)
+        assert st._varies.tolist() == [[False, False, True],
+                                       [False, False, False],
+                                       [False, True, False],
+                                       [False, False, False]]
+        assert st._nonzero.tolist() == [[False, False, True],
+                                        [True, False, False],
+                                        [False, True, False],
+                                        [False, False, False]]
 
     def test_fields_are_read_only(self):
         st = sample_flow(8, 9, 0.05, 0.0)
@@ -317,6 +356,88 @@ class TestPressure:
         assert np.array_equal(pr.grad, mapped_gradient(pr.ring, st.cmap))
 
 
+def _skip_state(kind, n, nz, seed=5):
+    """A state whose scalars are all zero, all constant (u3 and F[j, 3]
+    then vary through their zeroed floor rows), x2-invariant with the
+    zero and constant scalars of the elastic-mode preset, or random."""
+    rng = np.random.default_rng(seed)
+    x1, x2 = _coords(n)
+    shape = (n, n, nz)
+    u, F = np.zeros((3,) + shape), np.zeros((3, 3) + shape)
+    if kind == "x2-invariant":
+        f = 0.1 * np.cos(x1)
+        for a in (0, 2):
+            u[a] = rng.standard_normal((n, 1, nz))
+        for a in (0, 2):
+            F[0, a] = rng.standard_normal((n, 1, nz))
+        F[1, 1] = 1.0
+    else:
+        f = random_band_limited(rng, n, n, 2, 0.1)
+        if kind == "constant":
+            u[:] = rng.standard_normal((3, 1, 1, 1))
+            F[:] = rng.standard_normal((3, 3, 1, 1, 1))
+        elif kind == "random":
+            u = rng.standard_normal(u.shape)
+            F = rng.standard_normal(F.shape)
+    return dyn.FlowState(0.0, f - f.mean(), u, F, eps=0.01)
+
+
+SKIP_KINDS = ["zero", "constant", "x2-invariant", "random"]
+
+
+class TestSkippedScalars:
+    """The stack, the pressure source and the rates skip what is exactly
+    0; the full forms of conftest are the references, and the values
+    agree up to the sign of zero."""
+
+    @pytest.mark.parametrize("n, nz", [(8, 9), (16, 17)])
+    @pytest.mark.parametrize("kind", SKIP_KINDS)
+    def test_match_full_forms(self, kind, n, nz):
+        st = _skip_state(kind, n, nz)
+        du, dF, du_nz, dF_nz = dyn._gradient_stack(st)
+        ref_du, ref_dF = full_gradient_stack(st)
+        assert np.array_equal(du, ref_du) and np.array_equal(dF, ref_dF)
+        assert np.array_equal(du_nz, ref_du.reshape(3, 3, -1).any(axis=-1))
+        assert np.array_equal(dF_nz, ref_dF.reshape(3, 3, 3, -1).any(axis=-1))
+        assert np.array_equal(dyn._pressure_source(st),
+                              full_pressure_source(ref_du, ref_dF))
+        _, rate_u, rate_F = dyn.bulk_rhs(st)
+        ref_u, ref_F = full_rates(st, ref_du, ref_dF)
+        assert np.array_equal(rate_u, ref_u) and np.array_equal(rate_F, ref_F)
+
+    @pytest.mark.parametrize("kind", SKIP_KINDS)
+    def test_one_gradient_call_per_varying_field(self, monkeypatch, kind):
+        st = _skip_state(kind, 8, 9)
+        calls = []
+        original = dyn.mapped_gradient
+
+        def counted(w, cmap):
+            calls.append(w.shape)
+            return original(w, cmap)
+
+        monkeypatch.setattr(dyn, "mapped_gradient", counted)
+        dyn._gradient_stack(st)
+        varying = sum(any(np.ptp(c) > 0 for c in field)
+                      for field in (st.u, *st.F))
+        assert len(calls) == varying
+        assert varying == {"zero": 0, "constant": 4, "x2-invariant": 2,
+                           "random": 4}[kind]
+
+    def test_zero_column_skipped_by_invariants_and_reprojection(self):
+        st = _skip_state("x2-invariant", 8, 9)
+        assert not st.F[2].any()
+        rep = dyn.invariant_report(st)
+        assert rep["div_F"] == max(dyn.divergence_residual(st.F[j], st.cmap)
+                                   for j in range(3))
+        assert rep["trace_F"] == max(dyn.normal_trace_defect(st.F[j], st.cmap)
+                                     for j in range(3))
+        new, flags = dyn._reproject(st, -1.0)
+        assert flags["F"]
+        want = np.stack([dyn.project_div_normal(st.F[j], st.cmap)[0]
+                         for j in range(3)])
+        assert np.array_equal(new.F, want)
+
+
 class TestSteadyStates:
     def test_rest_is_exact(self):
         n, nz = 8, 9
@@ -497,6 +618,39 @@ class TestPressureDerivative:
         g24 = self._fd_gap(24, 25, 1e-3, eps=0.0)
         assert g16 < 2.5e-3
         assert g24 < 0.7 * g16
+
+
+class TestResampleColumns:
+    """_resample_columns against one np.interp call per column
+    (conftest), bit for bit."""
+
+    @pytest.mark.parametrize("batch", [(3,), (3, 3)])
+    def test_matches_interp_loop_on_random_columns(self, rng, batch):
+        n1, n2, nz = 6, 4, 9
+        shape = (n1, n2, nz)
+        old = -1.0 + np.cumsum(rng.uniform(0.02, 0.25, shape), axis=-1)
+        new = rng.uniform(old[..., :1] - 0.3, old[..., -1:] + 0.3, shape)
+        # exact hits of old nodes, the end nodes among them, and clamping
+        hit = rng.random(shape) < 0.3
+        pick = rng.integers(0, nz, shape)
+        new = np.where(hit, np.take_along_axis(old, pick, axis=-1), new)
+        new[0, 0, :2] = old[0, 0, 0], old[0, 0, -1]
+        new[1, 1, :2] = old[1, 1, 0] - 0.5, old[1, 1, -1] + 0.5
+        field = rng.standard_normal(batch + shape)
+        assert np.array_equal(dyn._resample_columns(field, old, new),
+                              loop_resample_columns(field, old, new))
+
+    @pytest.mark.parametrize("n", [12, 24])
+    @pytest.mark.parametrize("amplitude", [0.05, 0.2])
+    def test_matches_interp_loop_on_mollified_maps(self, rng, n, amplitude):
+        grid = SlabGrid(n, n, n + 1)
+        f0 = random_band_limited(rng, n, n, 4, amplitude)
+        f0 -= f0.mean()
+        old = build_map(f0, grid).phi
+        new = build_map(remove_mean(mollify(f0, 0.05)), grid).phi
+        field = rng.standard_normal((3, 3) + grid.shape)
+        assert np.array_equal(dyn._resample_columns(field, old, new),
+                              loop_resample_columns(field, old, new))
 
 
 class TestPreparation:
