@@ -148,17 +148,17 @@ class FlowState:
             raise GridMismatch(f"component axes: u {u.shape}, F {F.shape}")
         if u.shape[1:3] != f.shape or F.shape[2:4] != f.shape:
             raise GridMismatch(f"plane shapes: f {f.shape}, u {u.shape}")
-        # min/max see NaN and inf with no field-sized temporary; per
-        # scalar of u and F they also tell which scalars are constant
-        lo, hi = [f.min()], [f.max()]
-        for a, rows in ((u, 3), (F, 9)):
-            lo.append(a.reshape(rows, -1).min(axis=1))
-            hi.append(a.reshape(rows, -1).max(axis=1))
-        for name, low, high in zip("fuF", lo, hi):
-            if not (np.all(np.isfinite(low)) and np.all(np.isfinite(high))):
+        lo, hi = {}, {}
+        for name, a, rows in (("f", f, 1), ("u", u, 3), ("F", F, 9)):
+            # min/max see NaN and inf with no field-sized temporary; per
+            # scalar they also tell which scalars are constant
+            lo[name] = a.reshape(rows, -1).min(axis=1)
+            hi[name] = a.reshape(rows, -1).max(axis=1)
+            if not (np.all(np.isfinite(lo[name]))
+                    and np.all(np.isfinite(hi[name]))):
                 raise PreconditionViolated(f"{name} has non-finite entries")
-        lo = np.concatenate(lo[1:]).reshape(4, 3)
-        hi = np.concatenate(hi[1:]).reshape(4, 3)
+        lo = np.concatenate((lo["u"], lo["F"])).reshape(4, 3)
+        hi = np.concatenate((hi["u"], hi["F"])).reshape(4, 3)
         f = f - np.mean(f)
         ceiling = 1.0 - c0
         if np.max(np.abs(f)) >= ceiling:
@@ -776,8 +776,7 @@ def _resample_columns(field: np.ndarray, phi_old: np.ndarray,
     f0 = np.take_along_axis(field, idx, axis=-1)
     f1 = np.take_along_axis(field, idx + 1, axis=-1)
     out = (f1 - f0) / (x1 - x0) * (phi_new - x0) + f0
-    hit = (below >= 0) & (below < nz - 1) & (phi_new == x0)
-    out = np.where(hit, f0, out)
+    out = np.where(phi_new == x0, f0, out)
     out = np.where(below < 0, field[..., :1], out)
     return np.where(below >= nz - 1, field[..., -1:], out)
 

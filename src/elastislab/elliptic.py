@@ -21,9 +21,13 @@ Dirichlet-to-Neumann operators built on top of it exactly self-adjoint:
 boundary fluxes are recovered variationally as the operator residual at
 constrained rows divided by the horizontal cell area.
 
-Solves run matrix-free preconditioned CG; the preconditioner inverts
-the flat-map (K = I) operator exactly, so flat solves converge in a
-single iteration and near-flat ones in a handful.  Per horizontal mode
+Solves run matrix-free preconditioned CG on full node arrays: the
+levels a Dirichlet condition fixes are held at 0 in every vector of the
+iteration (the operator's rows there are zeroed, and the preconditioner
+neither reads nor writes them), and the boundary values are added after.
+The preconditioner inverts the flat-map (K = I) operator exactly, so
+flat solves converge in a single iteration and near-flat ones in a
+handful.  Per horizontal mode
 that operator is S + |k|^2 M with the same vertical stiffness S and
 mass M for every mode, so the cached eigenbasis of the pair that the
 harmonic map also uses (geometry.vertical_eigen, fast diagonalization)
