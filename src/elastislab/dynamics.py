@@ -424,9 +424,7 @@ def _gradient_stack(state: FlowState):
     dF = np.zeros((3,) + du.shape)
     for field, varies, out in zip((state.u, *state.F), state._varies,
                                   (du, *dF)):
-        if varies.all():
-            out[...] = mapped_gradient(field, cmap)
-        elif varies.any():
+        if varies.any():
             out[varies] = mapped_gradient(field[varies], cmap)
     return (du, dF, du.reshape(9, -1).any(axis=1).reshape(3, 3),
             dF.reshape(27, -1).any(axis=1).reshape(3, 3, 3))
