@@ -148,17 +148,17 @@ class FlowState:
             raise GridMismatch(f"component axes: u {u.shape}, F {F.shape}")
         if u.shape[1:3] != f.shape or F.shape[2:4] != f.shape:
             raise GridMismatch(f"plane shapes: f {f.shape}, u {u.shape}")
-        lo, hi = {}, {}
-        for name, a, rows in (("f", f, 1), ("u", u, 3), ("F", F, 9)):
-            # min/max see NaN and inf with no field-sized temporary; per
-            # scalar they also tell which scalars are constant
-            lo[name] = a.reshape(rows, -1).min(axis=1)
-            hi[name] = a.reshape(rows, -1).max(axis=1)
-            if not (np.all(np.isfinite(lo[name]))
-                    and np.all(np.isfinite(hi[name]))):
-                raise PreconditionViolated(f"{name} has non-finite entries")
-        lo = np.concatenate((lo["u"], lo["F"])).reshape(4, 3)
-        hi = np.concatenate((hi["u"], hi["F"])).reshape(4, 3)
+        # min/max see NaN and inf with no field-sized temporary; taken per
+        # scalar of u and F they also tell which scalars are constant
+        lo = np.concatenate(([f.min()], u.reshape(3, -1).min(axis=1),
+                             F.reshape(9, -1).min(axis=1)))
+        hi = np.concatenate(([f.max()], u.reshape(3, -1).max(axis=1),
+                             F.reshape(9, -1).max(axis=1)))
+        finite = np.isfinite(lo) & np.isfinite(hi)
+        if not finite.all():
+            name = ("f" + "u" * 3 + "F" * 9)[np.argmin(finite)]
+            raise PreconditionViolated(f"{name} has non-finite entries")
+        lo, hi = lo[1:].reshape(4, 3), hi[1:].reshape(4, 3)
         f = f - np.mean(f)
         ceiling = 1.0 - c0
         if np.max(np.abs(f)) >= ceiling:
@@ -516,24 +516,42 @@ def bulk_rhs(state: FlowState):
     u_nz, F_nz = state._nonzero[0], state._nonzero[1:]
     rate_u = np.empty_like(u)
     for a in range(3):
-        adv = sum(u[b] * du[a, b] for b in range(3)
-                  if u_nz[b] and du_nz[a, b])
-        ela = sum(F[j, b] * dF[j, a, b] for j in range(3) for b in range(3)
-                  if F_nz[j, b] and dF_nz[j, a, b])
-        rate_u[a] = -adv - dp[a] + ela
+        adv = _sum_products((u[b], du[a, b]) for b in range(3)
+                            if u_nz[b] and du_nz[a, b])
+        ela = _sum_products((F[j, b], dF[j, a, b])
+                            for j in range(3) for b in range(3)
+                            if F_nz[j, b] and dF_nz[j, a, b])
+        out = rate_u[a]
+        np.negative(adv, out=out)
+        out -= dp[a]
+        out += ela
         if du_nz[a, 2]:
-            rate_u[a] += dtphi * du[a, 2]
+            out += dtphi * du[a, 2]
     rate_F = np.empty_like(F)
     for j in range(3):
         for a in range(3):
-            adv = sum(u[b] * dF[j, a, b] for b in range(3)
-                      if u_nz[b] and dF_nz[j, a, b])
-            stretch = sum(F[j, b] * du[a, b] for b in range(3)
-                          if F_nz[j, b] and du_nz[a, b])
-            rate_F[j, a] = -adv + stretch
+            adv = _sum_products((u[b], dF[j, a, b]) for b in range(3)
+                                if u_nz[b] and dF_nz[j, a, b])
+            stretch = _sum_products((F[j, b], du[a, b]) for b in range(3)
+                                    if F_nz[j, b] and du_nz[a, b])
+            out = rate_F[j, a]
+            np.negative(adv, out=out)
+            out += stretch
             if dF_nz[j, a, 2]:
-                rate_F[j, a] += dtphi * dF[j, a, 2]
+                out += dtphi * dF[j, a, 2]
     return dtf, rate_u, rate_F
+
+
+def _sum_products(pairs):
+    """Sum of x * y over the pairs, left to right and in place; 0.0 for
+    none."""
+    total = 0.0
+    for k, (x, y) in enumerate(pairs):
+        if k == 0:
+            total = x * y
+        else:
+            total += x * y
+    return total
 
 
 # ---------------------------------------------------------------------------
