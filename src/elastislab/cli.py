@@ -40,7 +40,6 @@ from .spectral import (
     horizontal_derivative,
     mollify,
     sobolev_norm,
-    wavenumbers,
 )
 
 __all__ = [
@@ -329,7 +328,13 @@ def _smooth_flow(n1, n2, nz, amp, eps):
 
 
 def _mode_coefficient(f: np.ndarray, k1: int, k2: int) -> float:
-    return float(np.real(np.fft.fft2(f)[k1 % f.shape[0], k2 % f.shape[1]]))
+    """sum f cos(k1 x1 + k2 x2), the real part of the (k1, k2) DFT
+    coefficient of f."""
+    n1, n2 = f.shape
+    # 2 pi k j / n with k j reduced mod n, so each phase is one rounding
+    x1 = (2.0 * np.pi / n1) * (k1 * np.arange(n1) % n1)
+    x2 = (2.0 * np.pi / n2) * (k2 * np.arange(n2) % n2)
+    return float(np.sum(f * np.cos(x1[:, None] + x2)))
 
 
 def _predicted_omega(state, xi) -> float:
@@ -457,7 +462,8 @@ def cmd_run(cfg: RunConfig, outdir: Path) -> int:
 def _band(rng, n1, n2, kmax, amplitude=1.0):
     """Random real field with modes only inside |k1|, |k2| <= kmax."""
     c = np.zeros((n1, n2 // 2 + 1), dtype=complex)
-    k1, k2 = wavenumbers(n1, n2)
+    k1 = np.fft.fftfreq(n1, d=1.0 / n1)[:, None]
+    k2 = np.fft.rfftfreq(n2, d=1.0 / n2)[None, :]
     mask = (np.abs(k1) <= kmax) & (np.abs(k2) <= kmax)
     c[mask] = rng.normal(size=mask.sum()) + 1j * rng.normal(size=mask.sum())
     c[0, 0] = 0.0

@@ -2,11 +2,11 @@
 
 All interface quantities live on the doubly periodic square [0, 2pi)^2
 sampled on a uniform n1 x n2 grid.  Fields are real.  Every horizontal
-operator but the dealiased product acts in the real orthonormal Fourier
-basis Q1 (x) Q2 of _fourier_basis: the coefficients of g are
-c = Q1^T g Q2 (_to_basis, inverted by _from_basis), so Parseval reads
-int |g|^2 dx = h1 h2 sum c^2, a radial multiplier (a function of |k|^2)
-is one diagonal scaling of c, and d/dx is the real matrix D.
+operator acts in the real orthonormal Fourier basis Q1 (x) Q2 of
+_fourier_basis: the coefficients of g are c = Q1^T g Q2 (_to_basis,
+inverted by _from_basis), so Parseval reads int |g|^2 dx = h1 h2 sum c^2,
+a radial multiplier (a function of |k|^2) is one diagonal scaling of c,
+and d/dx is the real matrix D.
 
 Conventions
 -----------
@@ -15,8 +15,9 @@ Conventions
 * D zeroes the Nyquist column, which keeps real fields real and D
   exactly antisymmetric.
 * The dealiased product keeps modes with |k1| <= n1//3 and |k2| <= n2//3
-  (the 2/3 rule) and computes the surviving coefficients exactly via
-  padded rfft2 transforms, the one FFT route.
+  (the 2/3 rule).  It multiplies the factors sampled on 2n1 x 2n2 points,
+  where the surviving coefficients are exact, reading each Nyquist
+  column as cos(n x / 2).
 """
 
 from __future__ import annotations
@@ -36,14 +37,6 @@ __all__ = [
     "field_mean",
     "remove_mean",
 ]
-
-
-@lru_cache(maxsize=32)
-def wavenumbers(n1: int, n2: int):
-    """Integer wavenumber arrays (k1, k2) broadcast to the rfft2 shape."""
-    k1 = np.fft.fftfreq(n1, d=1.0 / n1)[:, None]
-    k2 = np.fft.rfftfreq(n2, d=1.0 / n2)[None, :]
-    return k1, k2
 
 
 @lru_cache(maxsize=32)
@@ -138,10 +131,24 @@ def _derivative(w: np.ndarray, axis: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def dealias_mask(n1: int, n2: int):
-    """Boolean keep-mask for the 2/3 rule in the rfft2 layout."""
-    k1, k2 = wavenumbers(n1, n2)
-    return (np.abs(k1) <= n1 // 3) & (np.abs(k2) <= n2 // 3)
+def _dealias_matrices(n: int):
+    """Read-only (E, R) of the 2/3-rule product along one axis of n samples.
+
+    E (2n x n) samples the interpolant on 2n points, the Nyquist column
+    read as cos(n x / 2); R (n x 2n) keeps the modes |k| <= n//3 of 2n
+    samples and resamples them on n points.
+    """
+    q, q2 = _fourier_basis(n)[0], _fourier_basis(2 * n)[0]
+    # Q_2n's first n columns are Q_n's modes, each sqrt(2) smaller but for
+    # the Nyquist column, which is the cosine column of k = n/2 there
+    scale = np.full(n, np.sqrt(2.0))
+    scale[-1] = 1.0
+    e = (q2[:, :n] * scale) @ q.T
+    keep = 2 * (n // 3) + 1
+    r = np.sqrt(0.5) * (q[:, :keep] @ q2[:, :keep].T)
+    for a in (e, r):
+        a.flags.writeable = False
+    return e, r
 
 
 def _as_plane(g) -> np.ndarray:
@@ -197,40 +204,17 @@ def sobolev_norm(g: np.ndarray, s: float) -> float:
 def dealiased_product(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Pointwise product with 2/3-rule dealiasing.
 
-    The product is evaluated on a 3/2-padded grid so the coefficients that
-    survive the truncation are exact convolution values, then modes beyond
-    the 2/3 cutoff are dropped.
+    The factors are sampled on the doubled grid, where a product of two
+    modes up to n/2 aliases only onto |k| >= n, so the coefficients that
+    survive the truncation are exact convolution values.
     """
     g = _as_plane(g)
     h = _as_plane(h)
     if g.shape != h.shape:
         raise GridMismatch(f"shapes {g.shape} vs {h.shape}")
-    n1, n2 = g.shape
-    m1, m2 = (3 * n1) // 2, (3 * n2) // 2
-    gp = _pad(np.fft.rfft2(g), n1, n2, m1, m2)
-    hp = _pad(np.fft.rfft2(h), n1, n2, m1, m2)
-    big = np.fft.rfft2(np.fft.irfft2(gp, s=(m1, m2)) * np.fft.irfft2(hp, s=(m1, m2)))
-    c = _unpad(big, m1, m2, n1, n2)
-    c *= dealias_mask(n1, n2)
-    return np.fft.irfft2(c, s=(n1, n2))
-
-
-def _pad(c: np.ndarray, n1: int, n2: int, m1: int, m2: int) -> np.ndarray:
-    out = np.zeros((m1, m2 // 2 + 1), dtype=complex)
-    half = n1 // 2
-    out[:half, : n2 // 2 + 1] = c[:half]
-    out[m1 - (n1 - half):, : n2 // 2 + 1] = c[half:]
-    out *= (m1 * m2) / (n1 * n2)
-    return out
-
-
-def _unpad(c: np.ndarray, m1: int, m2: int, n1: int, n2: int) -> np.ndarray:
-    out = np.zeros((n1, n2 // 2 + 1), dtype=complex)
-    half = n1 // 2
-    out[:half] = c[:half, : n2 // 2 + 1]
-    out[half:] = c[m1 - (n1 - half):, : n2 // 2 + 1]
-    out *= (n1 * n2) / (m1 * m2)
-    return out
+    e1, r1 = _dealias_matrices(g.shape[0])
+    e2, r2 = _dealias_matrices(g.shape[1])
+    return r1 @ ((e1 @ g @ e2.T) * (e1 @ h @ e2.T)) @ r2.T
 
 
 def field_mean(g: np.ndarray) -> float:

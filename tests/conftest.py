@@ -15,7 +15,7 @@ from elastislab.geometry import (
     vertical_eigen,
     vertical_fem_rows,
 )
-from elastislab.spectral import horizontal_derivative, wavenumbers
+from elastislab.spectral import horizontal_derivative
 
 
 @pytest.fixture
@@ -65,15 +65,22 @@ def thomas_batched(sub, diag, sup, rhs):
 # FFT references: the rfft2 route of each horizontal operator that now acts
 # in the real Fourier basis
 
+def rfft_wavenumbers(n1, n2):
+    """Integer wavenumber arrays (k1, k2) broadcast to the rfft2 shape."""
+    k1 = np.fft.fftfreq(n1, d=1.0 / n1)[:, None]
+    k2 = np.fft.rfftfreq(n2, d=1.0 / n2)[None, :]
+    return k1, k2
+
+
 def rfft_ksq(n1, n2):
     """|k|^2 in the rfft2 layout, with the true Nyquist value."""
-    k1, k2 = wavenumbers(n1, n2)
+    k1, k2 = rfft_wavenumbers(n1, n2)
     return k1 * k1 + k2 * k2
 
 
 def rfft_deriv_factors(n1, n2):
     """(i k1, i k2) rfft2 multipliers with the Nyquist rows/columns zeroed."""
-    k1, k2 = wavenumbers(n1, n2)
+    k1, k2 = rfft_wavenumbers(n1, n2)
     f1 = 1j * np.broadcast_to(k1, (n1, n2 // 2 + 1)).copy()
     f2 = 1j * np.broadcast_to(k2, (n1, n2 // 2 + 1)).copy()
     f1[n1 // 2, :] = 0.0
@@ -112,6 +119,41 @@ def fft_sobolev_norm(g, s):
     w[0] = w[-1] = 1.0
     total = np.sum(w * (1.0 + rfft_ksq(n1, n2)) ** s * np.abs(c) ** 2)
     return float(2.0 * np.pi * np.sqrt(total))
+
+
+def _pad(c, n1, n2, m1, m2):
+    out = np.zeros((m1, m2 // 2 + 1), dtype=complex)
+    half = n1 // 2
+    out[:half, : n2 // 2 + 1] = c[:half]
+    out[m1 - (n1 - half):, : n2 // 2 + 1] = c[half:]
+    out *= (m1 * m2) / (n1 * n2)
+    return out
+
+
+def _unpad(c, m1, m2, n1, n2):
+    out = np.zeros((n1, n2 // 2 + 1), dtype=complex)
+    half = n1 // 2
+    out[:half] = c[:half, : n2 // 2 + 1]
+    out[half:] = c[m1 - (n1 - half):, : n2 // 2 + 1]
+    out *= (n1 * n2) / (m1 * m2)
+    return out
+
+
+def fft_dealiased_product(g, h):
+    """2/3-rule product through 3/2-padded rfft2 transforms, keeping
+    |k1| <= n1//3 and |k2| <= n2//3 (reference for
+    spectral.dealiased_product below Nyquist; this route doubles an x2
+    Nyquist component)."""
+    n1, n2 = g.shape
+    m1, m2 = (3 * n1) // 2, (3 * n2) // 2
+    gp = _pad(np.fft.rfft2(g), n1, n2, m1, m2)
+    hp = _pad(np.fft.rfft2(h), n1, n2, m1, m2)
+    big = np.fft.rfft2(np.fft.irfft2(gp, s=(m1, m2))
+                       * np.fft.irfft2(hp, s=(m1, m2)))
+    c = _unpad(big, m1, m2, n1, n2)
+    k1, k2 = rfft_wavenumbers(n1, n2)
+    c *= (np.abs(k1) <= n1 // 3) & (np.abs(k2) <= n2 // 3)
+    return np.fft.irfft2(c, s=(n1, n2))
 
 
 def fft_flux_symbols(n1, n2):

@@ -163,6 +163,33 @@ class TestRunCommand:
         assert result["rel_error"] < 0.05
         assert result["measured_omega"] == pytest.approx(1.0, abs=0.02)
 
+    def test_mode_coefficient_is_real_part_of_fft2(self, rng):
+        f = rng.standard_normal((12, 10))
+        for k1, k2 in ((0, 0), (1, 0), (0, -2), (-1, 3), (-5, -4), (6, 5)):
+            want = np.fft.fft2(f)[k1 % 12, k2 % 10].real
+            assert cli._mode_coefficient(f, k1, k2) == pytest.approx(
+                want, rel=0, abs=1e-13)
+
+    def test_elastic_run_makes_no_fft(self, tmp_path, monkeypatch):
+        # the mode readout, the steps and the outputs of a run are real
+        # matrix products; only the seeded check data draw through np.fft
+        calls = []
+        for name in dir(np.fft):
+            fn = getattr(np.fft, name)
+            if callable(fn) and not name.startswith("_"):
+                def counted(*args, _name=name, _fn=fn, **kwargs):
+                    calls.append(_name)
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(np.fft, name, counted)
+        path = _write(tmp_path, "schema = 1\nscenario = elastic-mode\n"
+                                "grid = 8x8x9\nt_final = 0.2\n"
+                                "output_interval = 0.1\n")
+        assert cli.main(["run", "--config", str(path),
+                         "--out", str(tmp_path / "osc")]) == 0
+        result = json.loads((tmp_path / "osc" / "result.json").read_text())
+        assert result["steps"] > 2
+        assert calls == []
+
     def test_outputs_retain_no_arrays(self, tmp_path, monkeypatch):
         # each output does the same work, so the traced heap after the
         # last one is the heap after the first plus the recorded rows

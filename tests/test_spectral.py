@@ -12,6 +12,7 @@ from elastislab.errors import GridMismatch
 
 from conftest import (
     fft_bessel_multiplier,
+    fft_dealiased_product,
     fft_flat_extension,
     fft_flux_symbols,
     fft_horizontal_derivative,
@@ -171,6 +172,31 @@ class TestDealiasedProduct:
             oracle = conv_product_oracle(g, h, keep, keep)
             out = sp.dealiased_product(g, h)
             assert np.allclose(out, oracle, atol=1e-11)
+
+    @pytest.mark.parametrize("n1, n2", [(n, n) for n in (4, 6, 8, 10, 12,
+                                                         14, 16, 24)]
+                             + [(10, 6), (14, 22), (8, 16), (24, 12)])
+    def test_matches_padded_fft_reference(self, rng, n1, n2):
+        # below Nyquist the doubled-grid product equals the padded rfft2 one
+        kmax = min(n1, n2) // 2 - 1
+        for _ in range(3):
+            g = random_band_limited(rng, n1, n2, kmax)
+            h = random_band_limited(rng, n1, n2, kmax)
+            assert np.allclose(sp.dealiased_product(g, h),
+                               fft_dealiased_product(g, h), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_nyquist_reads_as_cosine(self, axis):
+        # cos(4 x) cos(2 x) = cos(2 x) / 2 + cos(6 x) / 2 on 8 points, and
+        # 6 > 8 // 3 is dropped, along either axis
+        x = torus_grid(8, 8)[axis]
+        out = sp.dealiased_product(np.cos(4 * x), np.cos(2 * x))
+        assert np.allclose(out, 0.5 * np.cos(2 * x), rtol=0, atol=1e-13)
+
+    def test_axes_treated_alike(self, rng):
+        g, h = rng.standard_normal((2, 8, 8))
+        assert np.allclose(sp.dealiased_product(g.T, h.T),
+                           sp.dealiased_product(g, h).T, rtol=0, atol=1e-13)
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(GridMismatch):
