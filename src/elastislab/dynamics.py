@@ -42,7 +42,7 @@ from .geometry import (
     mapped_gradient,
     trace,
 )
-from .spectral import horizontal_derivative, mollify, remove_mean
+from .spectral import horizontal_derivative, mollify
 from .elliptic import (
     _metric_apply,
     grad_adjoint,
@@ -840,7 +840,8 @@ def prepare_initial_data(f0: np.ndarray, u0: np.ndarray, F0: np.ndarray,
     F0 = np.array(F0, dtype=float)
     nz = u0.shape[-1]
     grid = SlabGrid(f0.shape[0], f0.shape[1], nz)
-    f_eps = remove_mean(mollify(f0, eps))
+    f_eps = mollify(f0, eps)
+    f_eps -= np.mean(f_eps)
     cmap0 = build_map(f0, grid)
     cmap = build_map(f_eps, grid)
     if eps == 0.0:

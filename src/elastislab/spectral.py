@@ -34,8 +34,6 @@ __all__ = [
     "mollify",
     "sobolev_norm",
     "dealiased_product",
-    "field_mean",
-    "remove_mean",
 ]
 
 
@@ -215,13 +213,3 @@ def dealiased_product(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     e1, r1 = _dealias_matrices(g.shape[0])
     e2, r2 = _dealias_matrices(g.shape[1])
     return r1 @ ((e1 @ g @ e2.T) * (e1 @ h @ e2.T)) @ r2.T
-
-
-def field_mean(g: np.ndarray) -> float:
-    """Horizontal mean (the k = 0 coefficient)."""
-    return float(np.mean(g))
-
-
-def remove_mean(g: np.ndarray) -> np.ndarray:
-    """Subtract the horizontal mean."""
-    return g - field_mean(g)
