@@ -44,7 +44,6 @@ from .geometry import (
 )
 from .spectral import horizontal_derivative, mollify
 from .elliptic import (
-    _metric_apply,
     grad_adjoint,
     grad_staggered,
     harmonic_ext_dirichlet,
@@ -222,13 +221,6 @@ def _piola_cell(cmap: CoordinateMap, v1, v2, v3):
     return p3 * v1, p3 * v2, v3 - p1 * v1 - p2 * v2
 
 
-def _piola_cell_inv(cmap: CoordinateMap, m1, m2, m3):
-    p1, p2, p3 = cmap.phi1_cell, cmap.phi2_cell, cmap.phi3_cell
-    v1 = m1 / p3
-    v2 = m2 / p3
-    return v1, v2, m3 + p1 * v1 + p2 * v2
-
-
 def weak_div_load(v: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
     """Weak divergence functional of a vector field, one row per level.
 
@@ -302,9 +294,14 @@ def _anchored_lift(q: np.ndarray, anchor: np.ndarray) -> np.ndarray:
 
 
 def _correction_cells(cmap: CoordinateMap, psi: np.ndarray):
-    """Cell components of the gradient-type correction for a potential."""
-    m = _metric_apply(cmap, *grad_staggered(psi, cmap.grid))
-    return _piola_cell_inv(cmap, *m)
+    """Cell components Jinv^T q of the gradient-type correction for a
+    potential, q its staggered gradient: the chain rule of mapped_gradient
+    at cells, g3 = q3 / phi3 first, then g_i = q_i - phi_i g3."""
+    q1, q2, q3 = grad_staggered(psi, cmap.grid)
+    q3 /= cmap.phi3_cell
+    for q, p in ((q1, cmap.phi1_cell), (q2, cmap.phi2_cell)):
+        q -= p * q3
+    return q1, q2, q3
 
 
 def _gradient_correction(cmap: CoordinateMap, psi: np.ndarray):

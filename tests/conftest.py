@@ -325,6 +325,16 @@ def energy_product(u, v, cmap):
     return float(w * sum(np.sum(a * b) for a, b in zip(q, m)))
 
 
+def metric_correction_cells(cmap, psi):
+    """Jinv^T q of the staggered gradient q as the metric product K q
+    mapped back by the inverse Piola map (reference for
+    dynamics._correction_cells)."""
+    m1, m2, m3 = _metric_apply(cmap, *grad_staggered(psi, cmap.grid))
+    p1, p2, p3 = cmap.phi1_cell, cmap.phi2_cell, cmap.phi3_cell
+    v1, v2 = m1 / p3, m2 / p3
+    return v1, v2, m3 + p1 * v1 + p2 * v2
+
+
 def fft_flat_solve(r, grid, z0, z1):
     """Flat-operator solve with the vertical eigenbasis between 2-D
     transforms (reference for elliptic._flat_solve)."""

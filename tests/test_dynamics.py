@@ -29,6 +29,7 @@ from conftest import (
     full_pressure_source,
     full_rates,
     loop_resample_columns,
+    metric_correction_cells,
     random_band_limited,
     sample_flow,
     step_theta,
@@ -197,6 +198,14 @@ class TestMinNormLift:
 
 
 class TestProjectDiv:
+    def test_correction_cells_match_metric_route(self, rng):
+        cmap = _curved_map()
+        psi = rng.standard_normal(cmap.grid.shape)
+        for got, want in zip(dyn._correction_cells(cmap, psi),
+                             metric_correction_cells(cmap, psi)):
+            assert np.allclose(got, want, rtol=0,
+                               atol=1e-14 * np.max(np.abs(want)))
+
     def test_removes_divergence(self, rng):
         cmap = _curved_map()
         v = rng.standard_normal((3,) + cmap.grid.shape)
