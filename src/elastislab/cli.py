@@ -24,7 +24,7 @@ import numpy as np
 from . import dn
 from . import dynamics as dyn
 from . import stability as stab
-from .elliptic import harmonic_ext_neumann, weight_field
+from .elliptic import DEFAULT_TOL, harmonic_ext_neumann, weight_field
 from .errors import (
     CeilingViolated,
     ConfigInvalid,
@@ -720,9 +720,9 @@ def cmd_convergence(cfg: RunConfig, outdir: Path) -> int:
         pair = (cfg.nz, 2 * (cfg.nz - 1) + 1)
         for nzl in pair:
             fl = build_map(np.zeros((n, n)), SlabGrid(n, n, nzl))
-            e = max(np.max(np.abs(dn.apply_dn(mode, fl, via_solver=True)
+            e = max(np.max(np.abs(dn._solved_flux(mode, fl, 0.0, DEFAULT_TOL)
                                   - (2 / np.tanh(2)) * mode)),
-                    np.max(np.abs(dn.apply_dn_neumann(mode, fl, via_solver=True)
+                    np.max(np.abs(dn._solved_flux(mode, fl, None, DEFAULT_TOL)
                                   - (2 * np.tanh(2)) * mode)))
             errs.append(e)
             rows.append(("spatial", f"nz={nzl}", e, ""))

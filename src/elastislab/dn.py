@@ -9,10 +9,10 @@ with zero flux there (flat symbol |k| tanh |k|, mean mode annihilated).
 
 On flat maps both operators and the inverse of the free variant are
 exact symbols, one diagonal scaling in the real Fourier basis of
-spectral._to_basis (no FFT); the flux maps' via_solver forces
-the generic discrete route (one elliptic.solve_weak call with the datum
-as the interface value), which is what the self-adjointness and
-convergence checks exercise.  On curved maps the inverse is one
+spectral._to_basis (no FFT).  On curved maps the flux maps take the
+discrete route _solved_flux (one elliptic.solve_weak call with the datum
+as the interface value), which the self-adjointness checks exercise and
+the spatial convergence study runs on flat maps.  On curved maps the inverse is one
 all-Neumann solve, least squares: a datum's kernel part is dropped.
 
 The commutator assemblies implement exact interface identities:
@@ -63,24 +63,29 @@ def _flux_symbols(n1: int, n2: int):
     return el.dn_symbol_dirichlet(kappa), free, inverse
 
 
-def apply_dn(g: np.ndarray, cmap: CoordinateMap, via_solver: bool = False,
+def _solved_flux(g: np.ndarray, cmap: CoordinateMap, bottom, tol: float):
+    """Interface flux of the harmonic extension of g by one solve_weak,
+    on any map: bottom = 0.0 clamps the floor, None leaves it free."""
+    u, _ = el.solve_weak(cmap, None, top=g, bottom=bottom, tol=tol)
+    return el.boundary_flux_top(u, cmap)
+
+
+def apply_dn(g: np.ndarray, cmap: CoordinateMap,
              tol: float = DEFAULT_TOL) -> np.ndarray:
     """Interface flux of the floor-clamped harmonic extension of g."""
     g = np.asarray(g, dtype=float)
-    if cmap.is_flat and not via_solver:
+    if cmap.is_flat:
         return _apply_symbol(g, _flux_symbols(*g.shape)[0])
-    u, _ = el.solve_weak(cmap, None, top=g, bottom=0.0, tol=tol)
-    return el.boundary_flux_top(u, cmap)
+    return _solved_flux(g, cmap, 0.0, tol)
 
 
-def apply_dn_neumann(g: np.ndarray, cmap: CoordinateMap, via_solver: bool = False,
+def apply_dn_neumann(g: np.ndarray, cmap: CoordinateMap,
                      tol: float = DEFAULT_TOL) -> np.ndarray:
     """Interface flux of the free-floor harmonic extension of g."""
     g = np.asarray(g, dtype=float)
-    if cmap.is_flat and not via_solver:
+    if cmap.is_flat:
         return _apply_symbol(g, _flux_symbols(*g.shape)[1])
-    u, _ = el.solve_weak(cmap, None, top=g, tol=tol)
-    return el.boundary_flux_top(u, cmap)
+    return _solved_flux(g, cmap, None, tol)
 
 
 def invert_dn_neumann(h: np.ndarray, cmap: CoordinateMap) -> np.ndarray:

@@ -22,6 +22,7 @@ from conftest import ablation_flow, mixed_flow, random_band_limited, sample_flow
 from elastislab import cli, dn
 from elastislab import dynamics as dyn
 from elastislab import stability as stab
+from elastislab.elliptic import DEFAULT_TOL
 from elastislab.errors import StabilityLost
 from elastislab.geometry import SlabGrid, build_map, normal_vector
 from elastislab.spectral import dealiased_product, horizontal_derivative
@@ -59,9 +60,9 @@ def test_01_flat_interface_flux_symbols():
     for nz in (33, 65):
         fl = build_map(np.zeros((16, 16)), SlabGrid(16, 16, nz))
         errs.append(max(
-            np.max(np.abs(dn.apply_dn(mode, fl, via_solver=True)
+            np.max(np.abs(dn._solved_flux(mode, fl, 0.0, DEFAULT_TOL)
                           - (2 / np.tanh(2)) * mode)),
-            np.max(np.abs(dn.apply_dn_neumann(mode, fl, via_solver=True)
+            np.max(np.abs(dn._solved_flux(mode, fl, None, DEFAULT_TOL)
                           - (2 * np.tanh(2)) * mode))))
     order = float(np.log2(errs[0] / errs[1]))
     _verdict(1, "flat-flux-symbols", worst <= 1e-6 and order >= 1.9,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from elastislab import dn
+from elastislab.elliptic import DEFAULT_TOL
 from elastislab.errors import NotMeanZero, SolverDiverged
 from elastislab.geometry import SlabGrid, build_map
 from elastislab.spectral import horizontal_derivative as hd
@@ -48,9 +49,9 @@ class TestFlatSymbols:
     def test_discrete_route_second_order(self):
         x1 = 2 * np.pi * np.arange(16) / 16
         g = np.cos(2 * x1)[:, None] * np.ones((1, 16))
-        for variant, ref in ((dn.apply_dn, 2 / np.tanh(2)),
-                             (dn.apply_dn_neumann, 2 * np.tanh(2))):
-            errs = [np.max(np.abs(variant(g, _flat(16, nz), via_solver=True)
+        for bottom, ref in ((0.0, 2 / np.tanh(2)), (None, 2 * np.tanh(2))):
+            errs = [np.max(np.abs(dn._solved_flux(g, _flat(16, nz), bottom,
+                                                  DEFAULT_TOL)
                                   - ref * g)) for nz in (17, 33)]
             assert np.log2(errs[0] / errs[1]) > 1.9
 
