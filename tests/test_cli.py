@@ -310,6 +310,12 @@ class TestConvergenceCommand:
         order_row = [r for r in rows[1:] if r.split(",")[1] == "order"]
         assert float(order_row[0].split(",")[2]) >= 1.9
 
+    def test_spatial_study_on_the_smallest_grid(self, tmp_path):
+        # validate accepts 4x4x5; the study's mode must still be resolved
+        path = _write(tmp_path, "schema = 1\nstudy = spatial\n")
+        assert cli.main(["convergence", "--config", str(path), "--grid",
+                         "4x4x5", "--out", str(tmp_path / "conv")]) == 0
+
     def test_unknown_study_rejected(self):
         with pytest.raises(ConfigInvalid, match="study"):
             cli.preset("rest", study="everything")
