@@ -10,10 +10,10 @@ with zero flux there (flat symbol |k| tanh |k|, mean mode annihilated).
 On flat maps both operators and the inverse of the free variant are
 exact symbols, one diagonal scaling in the real Fourier basis of
 spectral._to_basis (no FFT).  On curved maps the flux maps take the
-discrete route _solved_flux (one elliptic.solve_weak call with the datum
-as the interface value), which the self-adjointness checks exercise and
-the spatial convergence study runs on flat maps.  On curved maps the inverse is one
-all-Neumann solve, least squares: a datum's kernel part is dropped.
+discrete route _solved_flux, one elliptic.solve_weak call with the datum
+as the interface value; the self-adjointness checks exercise it, and the
+spatial convergence study runs it on flat maps.  The curved inverse is
+one all-Neumann solve, least squares: a datum's kernel part is dropped.
 
 The commutator assemblies implement exact interface identities:
 differentiating the extension problem in time trades the moving domain
