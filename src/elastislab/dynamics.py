@@ -36,6 +36,8 @@ from .geometry import (
     SlabGrid,
     _node_to_cell,
     _normal_flux,
+    _spread,
+    _x2_extent,
     bottom_trace,
     build_map,
     map_time_derivative,
@@ -217,7 +219,8 @@ def kinematic_rate(state: FlowState) -> np.ndarray:
 
 def _piola_cell(cmap: CoordinateMap, v1, v2, v3):
     """Flux components J Jinv v at vertical cell midpoints."""
-    p1, p2, p3 = cmap.phi1_cell, cmap.phi2_cell, cmap.phi3_cell
+    p1, p2, p3 = (p[:, :v1.shape[-2]] for p in (cmap.phi1_cell,
+                                                cmap.phi2_cell, cmap.phi3_cell))
     return p3 * v1, p3 * v2, v3 - p1 * v1 - p2 * v2
 
 
@@ -227,16 +230,17 @@ def weak_div_load(v: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
     Row r is the integral of div(v) against the hat function of level r,
     written through the flux form so that the interface and floor rows
     carry the true boundary fluxes v.N and -v3.  Constant fields are
-    exactly annihilated on any map.
+    exactly annihilated on any map.  Works on x2 columns where it can.
     """
     grid = cmap.grid
+    v = v[..., :_x2_extent(cmap, v), :]
     m1, m2, m3 = _piola_cell(cmap, *(_node_to_cell(v[a]) for a in range(3)))
     w = grid.h1 * grid.h2 * grid.dz
     b = -grad_adjoint(w * m1, w * m2, w * m3, grid)
     area = grid.h1 * grid.h2
     b[..., -1] += area * _normal_flux(v, cmap)
     b[..., 0] += -area * bottom_trace(v[2])
-    return b
+    return _spread(b, grid.n2)
 
 
 def divergence_field(v: np.ndarray, cmap: CoordinateMap) -> np.ndarray:

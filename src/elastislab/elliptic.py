@@ -27,14 +27,14 @@ iteration (the operator's rows there are zeroed, and the preconditioner
 neither reads nor writes them), and the boundary values are added after.
 The preconditioner inverts the flat-map (K = I) operator exactly, so
 flat solves converge in a single iteration and near-flat ones in a
-handful.  Per horizontal mode
-that operator is S + |k|^2 M with the same vertical stiffness S and
-mass M for every mode, so the cached eigenbasis of the pair that the
-harmonic map also uses (geometry.vertical_eigen, fast diagonalization)
-and the real Fourier basis of spectral._to_basis turn the inverse into
-real matrix products around one diagonal scaling.  The flat closed
-forms below are diagonal scalings in the same basis, so no solve here
-runs an FFT.
+handful.  Per horizontal mode that operator is S + |k|^2 M with the same
+vertical stiffness S and mass M for every mode, so the cached eigenbasis
+of the pair that the harmonic map also uses (geometry.vertical_eigen,
+fast diagonalization) and the real Fourier basis of spectral._to_basis
+turn the inverse into real matrix products around one diagonal scaling.
+The flat closed forms below are diagonal scalings in the same basis, so
+no solve here runs an FFT.  An x2-invariant solve runs the operator and
+the preconditioner on one x2 column (geometry's x2 rule).
 
 Flat fast path
 --------------
@@ -57,6 +57,8 @@ from .geometry import (
     _dh_pair,
     _dh_pair_adjoint,
     _node_to_cell,
+    _spread,
+    _x2_extent,
     vertical_eigen,
 )
 from .spectral import _fourier_basis, _from_basis, _ksq, _to_basis
@@ -103,20 +105,21 @@ def grad_adjoint(q1, q2, q3, grid: SlabGrid):
 def _metric_apply(cmap: CoordinateMap, q1, q2, q3):
     """K q for the cell metric K = J Jinv Jinv^T (k11 = k22 = phi3, k13 =
     -phi1, k23 = -phi2, k12 = 0, k33 kept on the map), in place: the
-    inputs are overwritten with the result and returned."""
-    p1, p2, p3 = cmap.phi1_cell, cmap.phi2_cell, cmap.phi3_cell
+    inputs (or x2 columns) are overwritten with the result and returned."""
+    p1, p2, p3, k33 = (p[:, :q1.shape[-2]] for p in (
+        cmap.phi1_cell, cmap.phi2_cell, cmap.phi3_cell, cmap.k33))
     s = p1 * q1
     s += p2 * q2                 # -(k13 q1 + k23 q2)
     for q, p in ((q1, p1), (q2, p2)):
         q *= p3
         q -= p * q3
-    q3 *= cmap.k33
+    q3 *= k33
     q3 -= s
     return q1, q2, q3
 
 
 def apply_operator(u: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
-    """Full-row symmetric operator G^T W K G applied to a node field."""
+    """Full-row symmetric operator G^T W K G on a node field or x2 column."""
     grid = cmap.grid
     out = grad_adjoint(*_metric_apply(cmap, *grad_staggered(u, grid)), grid)
     out *= grid.h1 * grid.h2 * grid.dz
@@ -167,28 +170,30 @@ def _flat_eigen(n1: int, n2: int, nz: int, z0: int, z1: int):
 def _flat_solve(r: np.ndarray, grid: SlabGrid, z0: int, z1: int) -> np.ndarray:
     """Exact flat-operator solve on free levels (the CG preconditioner).
 
-    r and the result are full node arrays; the rows of r at the fixed
-    levels are not read, and the result is 0 on them.  Real matrix
-    products only: r @ V along z, into the Q1 (x) Q2 basis
+    r and the result are full node arrays (or x2 columns); the rows of r
+    at the fixed levels are not read, and the result is 0 on them.  Real
+    matrix products only: r @ V along z, into the Q1 (x) Q2 basis
     (spectral._to_basis), the diagonal scaling, then back and V^T.
     """
     v, inv, kernel = _flat_eigen(grid.n1, grid.n2, grid.nz, z0, z1)
-    y = _to_basis((r.reshape(-1, grid.nz) @ v).reshape(inv.shape))
-    y *= inv
+    y = _to_basis((r.reshape(-1, grid.nz) @ v).reshape(r.shape[:2] + (-1,)),
+                  grid.n2)
+    y *= inv[:, :r.shape[1]]
     if kernel is not None:
         c, w = kernel
-        corners = y[::grid.n1 - 1, ::grid.n2 - 1]
+        # one product per pair of x1 corners, the shape an x2 column has
+        corners = y[::grid.n1 - 1, ::grid.n2 - 1].swapaxes(0, 1)
         corners[..., c] = -(corners @ w)
-    return (_from_basis(y).reshape(-1, v.shape[1]) @ v.T).reshape(r.shape)
+    return (_from_basis(y, grid.n2).reshape(-1, v.shape[1]) @ v.T).reshape(r.shape)
 
 
 def _project_kernel(r: np.ndarray, grid: SlabGrid) -> np.ndarray:
     """Remove the all-Neumann kernel component: the vertical mean of the
     coefficients on the four constant/Nyquist products of Q1 and Q2."""
-    c = _to_basis(np.mean(r, axis=-1))
+    c = _to_basis(np.mean(r, axis=-1), grid.n2)
     kernel = np.zeros_like(c)
     kernel[::grid.n1 - 1, ::grid.n2 - 1] = c[::grid.n1 - 1, ::grid.n2 - 1]
-    return r - _from_basis(kernel)[..., None]
+    return r - _from_basis(kernel, grid.n2)[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +246,7 @@ def solve_weak(
     if bottom is not None:
         u0[..., 0] = bottom
     if np.any(u0):
-        b -= apply_operator(u0, cmap)
+        b -= apply_operator(u0[..., :_x2_extent(cmap, u0), :], cmap)
     b[..., :z0] = 0.0
     b[..., z1:] = 0.0
     neumann_all = (z0 == 0 and z1 == grid.nz)
@@ -261,12 +266,13 @@ def _pcg(cmap, b, z0, z1, tol, project_constants, x0):
     a full node array whose fixed levels are ignored.
     """
     grid = cmap.grid
+    m = _x2_extent(cmap, b, x0)  # decided once per solve
 
     def apply_free(x):
-        ax = apply_operator(x, cmap)
+        ax = apply_operator(x[..., :m, :], cmap)
         ax[..., :z0] = 0.0
         ax[..., z1:] = 0.0
-        return ax
+        return _spread(ax, grid.n2)
 
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
@@ -281,7 +287,7 @@ def _pcg(cmap, b, z0, z1, tol, project_constants, x0):
         r = b.copy()
     if project_constants:
         r -= np.mean(r)
-    p = _flat_solve(r, grid, z0, z1)
+    p = _spread(_flat_solve(r[..., :m, :], grid, z0, z1), grid.n2)
     if project_constants:
         p -= np.mean(p)
     rz = float(np.vdot(r, p))
@@ -298,7 +304,7 @@ def _pcg(cmap, b, z0, z1, tol, project_constants, x0):
             raise SolverDiverged(f"pcg residual is not finite after {it} its")
         if rel <= tol:
             return x, it, rel
-        z = _flat_solve(r, grid, z0, z1)
+        z = _spread(_flat_solve(r[..., :m, :], grid, z0, z1), grid.n2)
         if project_constants:
             z -= np.mean(z)
         rz, rz_old = float(np.vdot(r, z)), rz
@@ -364,7 +370,8 @@ def dn_symbol_neumann(kappa: np.ndarray) -> np.ndarray:
 
 def _flat_extension(g: np.ndarray, grid: SlabGrid, kind: str) -> np.ndarray:
     prof = _stable_profiles(np.sqrt(_ksq(grid.n1, grid.n2)), grid.y3, kind)
-    return _from_basis(_to_basis(np.asarray(g, dtype=float))[..., None] * prof)
+    c = _to_basis(np.asarray(g, dtype=float), grid.n2)
+    return _from_basis(c[..., None] * prof, grid.n2)
 
 
 def harmonic_ext_dirichlet(g: np.ndarray, cmap: CoordinateMap):

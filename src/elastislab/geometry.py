@@ -13,9 +13,10 @@ ladder (second order), the horizontal one is Fourier collocation, so
 phi splits into per-mode vertical solves, all diagonalized by the one
 cached eigenbasis of vertical_eigen.  Every horizontal operator is a
 real matrix product: derivatives with spectral._deriv_matrix, the map
-solve in the real Fourier basis of spectral._to_basis, so an interface
-with no x2-dependence gives a map exactly constant along x2 and an
-x2-slope phi2 of exactly 0.
+solve in the real Fourier basis of spectral._to_basis.  The x2 rule: on
+a map with f constant along x2 (phi2 = 0), a field constant along x2 may
+be given by its (..., n1, 1, nz) x2 column, which the bulk operators
+work on without an x2 derivative (_x2_extent decides once per call).
 
 Physical derivatives of a field w stored on the slab follow the chain
 rule through the graph map, the vertical one first:
@@ -190,16 +191,30 @@ def _node_to_cell(w):
 def _dh_pair(w):
     """Both horizontal spectral derivatives of a bulk (..., n1, n2, nz)
     array (spectral._derivative along axes -3 and -2): a field constant
-    along an axis differentiates to exactly 0 along it."""
-    return _derivative(w, 1), _derivative(w, 2)
+    along an axis differentiates to exactly 0 along it, an x2 column too."""
+    d1 = _derivative(w, 1)
+    return d1, (_derivative(w, 2) if w.shape[-2] > 1 else np.zeros_like(d1))
 
 
 def _dh_pair_adjoint(p1, p2):
     """Adjoint of _dh_pair: D1^T p1 + D2^T p2 = -(D1 p1 + D2 p2), as D is
     exactly antisymmetric."""
     out = _derivative(p1, 1)
-    out += _derivative(p2, 2)
+    if p2.shape[-2] > 1:
+        out += _derivative(p2, 2)
     return np.negative(out, out=out)
+
+
+def _spread(a, n2):
+    """The full array of a field given whole or by its x2 column."""
+    return a if a.shape[-2] == n2 else np.repeat(a, n2, axis=-2)
+
+
+def _x2_extent(cmap, *fields):
+    """1 when cmap and each (..., n1, n2, nz) field (None skipped) are
+    constant along x2, else n2: the x2 extent to work on."""
+    return 1 if cmap.x2_invariant and all(
+        a is None or (a == a[..., :1, :]).all() for a in fields) else cmap.grid.n2
 
 
 class CoordinateMap:
@@ -225,6 +240,8 @@ class CoordinateMap:
     is_flat : bool
         True when f is identically zero, enabling the analytic per-mode
         fast paths downstream.
+    x2_invariant : bool
+        f is constant along x2 (module docstring); phi2 is then 0.
     normal : array (3, n1, n2)
         Outward non-unit normal of the interface (normal_vector(f)),
         computed on first use.
@@ -238,6 +255,7 @@ class CoordinateMap:
         self.f = f
         self.phi = phi
         self.is_flat = bool(np.all(f == 0.0))
+        self.x2_invariant = bool((f == f[:, :1]).all())
         dz = grid.dz
         if self.is_flat:
             shape = phi.shape
@@ -248,7 +266,9 @@ class CoordinateMap:
             self.phi2_cell = np.zeros(shape[:2] + (grid.ncells,))
             self.phi3_cell = np.ones(shape[:2] + (grid.ncells,))
         else:
-            self.phi1, self.phi2 = _dh_pair(phi)
+            self.phi1 = _derivative(phi, 1)
+            self.phi2 = (np.zeros_like(phi) if self.x2_invariant
+                         else _derivative(phi, 2))
             self.phi3 = d3_node(phi, dz)
             self.phi1_cell = _node_to_cell(self.phi1)
             self.phi2_cell = _node_to_cell(self.phi2)
@@ -297,8 +317,9 @@ def _map_profiles(n1: int, n2: int, nz: int) -> np.ndarray:
 def _map_solve(grid: SlabGrid, top: np.ndarray, bottom_value: float) -> np.ndarray:
     """Solve the discrete vertical harmonic problem per basis column; the
     floor datum reaches only the mean column, whose profile is linear."""
-    phi = _from_basis(_to_basis(top)[..., None] * _map_profiles(*grid.shape))
-    return phi - bottom_value * grid.y3
+    m = 1 if (top == top[:, :1]).all() else grid.n2  # the x2 rule
+    c = _to_basis(top, grid.n2)[:, :m, None] * _map_profiles(*grid.shape)[:, :m]
+    return _spread(_from_basis(c, grid.n2), grid.n2) - bottom_value * grid.y3
 
 
 def build_map(f: np.ndarray, grid: SlabGrid) -> CoordinateMap:
@@ -344,31 +365,34 @@ def mapped_gradient(w: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
     Leading axes are batch axes, differentiated in one call; the result has
     shape (..., 3, n1, n2, nz) and its entry [i] is mapped_gradient(w[i]).
     The chain rule runs as g3 = inv_phi3 d3 w first, then g_i = d_i w -
-    phi_i g3, two passes per component and no slope array; where phi2 is
-    exactly 0 an x2-invariant field keeps an exactly zero g2.
+    phi_i g3, two passes per component and no slope array; on the x2
+    column of an x2-invariant w (module docstring) g2 is exactly 0.
     """
+    m = _x2_extent(cmap, w)
+    w = w[..., :m, :]
     d3 = d3_node(w, cmap.grid.dz)
     d1, d2 = _dh_pair(w)
     # filled in place: a stack of the components would hold them twice
     g = np.empty(w.shape[:-3] + (3,) + w.shape[-3:])
     g1, g2, g3 = (g[..., i, :, :, :] for i in range(3))
-    np.multiply(cmap.inv_phi3, d3, out=g3)
+    np.multiply(cmap.inv_phi3[:, :m], d3, out=g3)
     for gi, di, phi in ((g1, d1, cmap.phi1), (g2, d2, cmap.phi2)):
-        np.subtract(di, np.multiply(phi, g3, out=gi), out=gi)
-    return g
+        np.subtract(di, np.multiply(phi[:, :m], g3, out=gi), out=gi)
+    return _spread(g, cmap.grid.n2)
 
 
 def normal_vector(f: np.ndarray) -> np.ndarray:
     """Outward non-unit normal (-d1 f, -d2 f, 1) of the graph interface."""
     f = np.asarray(f, dtype=float)
     d1 = horizontal_derivative(f, 1)
-    d2 = horizontal_derivative(f, 2)
+    x2 = (f == f[:, :1]).all()
+    d2 = np.zeros_like(f) if x2 else horizontal_derivative(f, 2)
     return np.stack([-d1, -d2, np.ones_like(f)])
 
 
 def _normal_flux(v: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
-    """Interface flux v.N of a slab-stored vector field, N = cmap.normal."""
-    n = cmap.normal
+    """Interface flux v.N (N = cmap.normal) of a field or its x2 column."""
+    n = cmap.normal[..., :v.shape[-2]]
     return sum(n[a] * trace(v[a]) for a in range(3))
 
 

@@ -18,6 +18,8 @@ Conventions
   (the 2/3 rule).  It multiplies the factors sampled on 2n1 x 2n2 points,
   where the surviving coefficients are exact, reading each Nyquist
   column as cos(n x / 2).
+* Products along axis 1 take their matrix in column-major order, which
+  rounds every output column alike (geometry's x2 rule relies on it).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ def _fourier_basis(n: int):
     each column, both read-only.
 
     Columns: the constant, cos/sin pairs for k = 1 .. n/2 - 1, then the
-    Nyquist mode k = n/2.
+    Nyquist mode k = n/2.  The third entry is Q in column-major order.
     """
     k = np.arange(1, n // 2)
     # 2 pi j k / n with j k reduced mod n, so each phase is one rounding
@@ -56,9 +58,10 @@ def _fourier_basis(n: int):
     kcol = np.zeros(n)
     kcol[1:-1:2] = kcol[2:-1:2] = k
     kcol[-1] = n // 2
-    for a in (q, kcol):
+    qf = np.asfortranarray(q)
+    for a in (q, kcol, qf):
         a.flags.writeable = False
-    return q, kcol
+    return q, kcol, qf
 
 
 @lru_cache(maxsize=32)
@@ -85,45 +88,50 @@ def _deriv_matrix(n: int) -> np.ndarray:
     return d
 
 
-def _to_basis(g: np.ndarray) -> np.ndarray:
+def _to_basis(g: np.ndarray, n2: int) -> np.ndarray:
     """Coefficients Q1^T g Q2 of an (n1, n2, ...) array, axis 2 first.
 
     Along each axis the first row is subtracted and its exact image
     sqrt(n) e_0 added back, so data constant along an axis have exactly
-    zero coefficients off its constant column.
+    zero coefficients off its constant column; along axis 2 they may be
+    given by their (n1, 1, ...) column (geometry's x2 rule).
     """
-    n1, n2 = g.shape[:2]
-    q1, q2 = _fourier_basis(n1)[0], _fourier_basis(n2)[0]
-    t = g.reshape(n1, n2, -1)
-    a = np.matmul(q2.T, t - t[:, :1])
-    a[:, 0] += np.sqrt(n2) * t[:, 0]
-    c = (q1.T @ (a - a[:1]).reshape(n1, -1)).reshape(a.shape)
+    n1, m = g.shape[:2]
+    t = g.reshape(n1, m, -1)
+    if m < n2:
+        a = np.sqrt(n2) * t
+    else:
+        a = np.matmul(_fourier_basis(n2)[0].T, t - t[:, :1])
+        a[:, 0] += np.sqrt(n2) * t[:, 0]
+    c = (_fourier_basis(n1)[0].T @ (a - a[:1]).reshape(n1, -1)).reshape(a.shape)
     c[0] += np.sqrt(n1) * a[0]
     return c.reshape(g.shape)
 
 
-def _from_basis(c: np.ndarray) -> np.ndarray:
+def _from_basis(c: np.ndarray, n2: int) -> np.ndarray:
     """Inverse of _to_basis, axis 2 last: coefficients that vanish off the
     constant column of Q2 give a field exactly constant along axis 2."""
-    n1, n2 = c.shape[:2]
-    q1, q2 = _fourier_basis(n1)[0], _fourier_basis(n2)[0]
-    a = (q1 @ c.reshape(n1, -1)).reshape(n1, n2, -1)
-    return np.matmul(q2, a).reshape(c.shape)
+    n1, m = c.shape[:2]
+    a = (_fourier_basis(n1)[2] @ c.reshape(n1, -1)).reshape(n1, m, -1)
+    if m < n2:
+        return (a * _fourier_basis(n2)[0][0, 0]).reshape(c.shape)
+    return np.matmul(_fourier_basis(n2)[0], a).reshape(c.shape)
 
 
 def _apply_symbol(g: np.ndarray, symbol: np.ndarray) -> np.ndarray:
     """Radial multiplier given per basis column (an (n1, n2) array, such as
     a function of _ksq) applied to a plane field."""
-    return _from_basis(_to_basis(g) * symbol)
+    return _from_basis(_to_basis(g, g.shape[1]) * symbol, g.shape[1])
 
 
 def _derivative(w: np.ndarray, axis: int) -> np.ndarray:
     """d/dx_axis (axis 1 or 2) of (..., n1, n2, m) arrays: D along axis -3
     or -2 after the first row along it is subtracted, so a field constant
-    along that axis differentiates to exactly 0."""
+    along that axis differentiates to exactly 0.  Along axis 1 it is
+    D^T (-t) = D t (D is exactly antisymmetric), D^T being column-major."""
     if axis == 1:
-        t = w - w[..., :1, :, :]
-        d = _deriv_matrix(w.shape[-3])
+        t = w[..., :1, :, :] - w
+        d = _deriv_matrix(w.shape[-3]).T
         return (d @ t.reshape(w.shape[:-2] + (-1,))).reshape(w.shape)
     return np.matmul(_deriv_matrix(w.shape[-2]), w - w[..., :1, :])
 
@@ -195,7 +203,7 @@ def sobolev_norm(g: np.ndarray, s: float) -> float:
     """
     g = _as_plane(g)
     n1, n2 = g.shape
-    total = np.sum((1.0 + _ksq(n1, n2)) ** s * _to_basis(g) ** 2)
+    total = np.sum((1.0 + _ksq(n1, n2)) ** s * _to_basis(g, n2) ** 2)
     return float(2.0 * np.pi * np.sqrt(total / (n1 * n2)))
 
 

@@ -372,13 +372,13 @@ def free_level_flat_solve(r, grid, z0, z1):
     v, inv, kernel = el._flat_eigen(grid.n1, grid.n2, grid.nz, z0, z1)
     v = v[z0:z1]
     shape = r.shape
-    y = el._to_basis((r.reshape(-1, shape[-1]) @ v).reshape(shape))
+    y = el._to_basis((r.reshape(-1, shape[-1]) @ v).reshape(shape), grid.n2)
     y *= inv
     if kernel is not None:
         c, w = kernel
         corners = y[::grid.n1 - 1, ::grid.n2 - 1]
         corners[..., c] = -(corners @ w)
-    return (el._from_basis(y).reshape(-1, shape[-1]) @ v.T).reshape(shape)
+    return (el._from_basis(y, grid.n2).reshape(-1, shape[-1]) @ v.T).reshape(shape)
 
 
 def free_level_pcg(cmap, bf, z0, z1, tol, project_constants, x0):

@@ -1,10 +1,13 @@
 """Tests for the slab grid, harmonic map, and snapshot IO."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elastislab import geometry as geo
+from elastislab import cli, dynamics as dyn, elliptic as el, geometry as geo
+from elastislab import spectral as sp
 from elastislab.errors import DegenerateMap, GridMismatch, PreconditionViolated
 from elastislab.snapshots import read_snapshot, write_snapshot
 
@@ -441,3 +444,168 @@ class TestSnapshots:
         p.write_bytes(corrupt(p.read_bytes()))
         with pytest.raises(error, match=match):
             read_snapshot(p)
+
+
+def _x2_invariant_map(n1, n2, nz):
+    """Harmonic map of an interface with no x2-dependence."""
+    x1 = np.arange(n1) * 2.0 * np.pi / n1
+    f = 0.15 * np.cos(x1) + 0.05 * np.sin(2.0 * x1)
+    return geo.build_map(np.repeat(f[:, None], n2, axis=1),
+                         geo.SlabGrid(n1, n2, nz))
+
+
+def _full_path(cmap):
+    """The same map with its x2 flag cleared, so every operator takes the
+    full path."""
+    full = copy.copy(cmap)
+    full.x2_invariant = False
+    return full
+
+
+def _x2_invariant_field(rng, shape):
+    return np.repeat(rng.standard_normal(shape[:-2] + (1, shape[-1])),
+                     shape[-2], axis=-2)
+
+
+# n1 != n2 and nz from 5 to 31.  The column path equals the full path only
+# where the BLAS rounds each row of the vertical products the same for n1
+# rows as for n1 n2 rows.  OpenBLAS 0.3.31 (Haswell kernels) does on these
+# grids and on the benchmark's, but not with 33 node levels, where the
+# column moves in the last digits.
+X2_GRIDS = [(12, 8, 5), (8, 12, 9), (16, 12, 13), (24, 16, 17), (16, 24, 25),
+            (12, 8, 31)]
+
+
+class TestX2Rule:
+    """An x2-invariant field on an x2-invariant map is computed on one x2
+    column (the x2 rule of geometry's module docstring), bit for bit the
+    full path's."""
+
+    @pytest.mark.parametrize("n1, n2, nz", X2_GRIDS)
+    def test_map_build_is_the_full_path(self, n1, n2, nz):
+        cmap = _x2_invariant_map(n1, n2, nz)
+        grid = cmap.grid
+        assert cmap.x2_invariant and not cmap.phi2.any()
+        profiles = geo._map_profiles(n1, n2, nz)
+
+        def full_map_solve(top):
+            # every basis column, as on a map that varies along x2
+            return sp._from_basis(sp._to_basis(top, n2)[..., None] * profiles,
+                                  n2)
+
+        phi = full_map_solve(cmap.f) + grid.y3
+        phi[..., -1] = cmap.f
+        phi[..., 0] = -1.0
+        assert np.array_equal(cmap.phi, phi)
+        for got, want in zip((cmap.phi1, cmap.phi2), geo._dh_pair(phi)):
+            assert np.array_equal(got, want)
+        dtf = 0.3 * cmap.f
+        assert np.array_equal(geo.map_time_derivative(cmap, dtf),
+                              full_map_solve(dtf))
+
+    @pytest.mark.parametrize("n1, n2, nz", X2_GRIDS)
+    def test_operators_are_the_full_path(self, rng, n1, n2, nz):
+        cmap = _x2_invariant_map(n1, n2, nz)
+        full, grid = _full_path(cmap), cmap.grid
+        for batch in ((), (3,), (2, 3)):
+            w = _x2_invariant_field(rng, batch + grid.shape)
+            assert np.array_equal(geo.mapped_gradient(w, cmap),
+                                  geo.mapped_gradient(w, full))
+        u = _x2_invariant_field(rng, grid.shape)
+        column = el.apply_operator(u[:, :1], cmap)
+        assert column.shape == (n1, 1, nz)
+        assert np.array_equal(np.repeat(column, n2, axis=1),
+                              el.apply_operator(u, cmap))
+        # the all-Neumann case includes the kernel fix-up
+        for z0, z1 in ((1, nz - 1), (0, nz - 1), (0, nz)):
+            column = el._flat_solve(u[:, :1], grid, z0, z1)
+            assert np.array_equal(np.repeat(column, n2, axis=1),
+                                  el._flat_solve(u, grid, z0, z1))
+        v = _x2_invariant_field(rng, (3,) + grid.shape)
+        assert np.array_equal(dyn.weak_div_load(v, cmap),
+                              dyn.weak_div_load(v, full))
+
+    @pytest.mark.parametrize("n1, n2, nz", X2_GRIDS)
+    @pytest.mark.parametrize("top, bottom", [(0.0, 0.0), (0.0, None),
+                                             (None, 0.0), (None, None)])
+    def test_solves_are_the_full_path(self, rng, n1, n2, nz, top, bottom):
+        cmap = _x2_invariant_map(n1, n2, nz)
+        grid = cmap.grid
+        load = el.volume_load(_x2_invariant_field(rng, grid.shape), cmap)
+        if top is not None:
+            top = np.repeat(rng.standard_normal((n1, 1)), n2, axis=1)
+        for x0 in (None, _x2_invariant_field(rng, grid.shape)):
+            got = el.solve_weak(cmap, load, top=top, bottom=bottom, x0=x0)
+            want = el.solve_weak(_full_path(cmap), load, top=top,
+                                 bottom=bottom, x0=x0)
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+    def test_three_d_fields_take_the_full_path(self, rng, monkeypatch):
+        # the flat map is x2-invariant; a field that varies along x2 on it
+        # must not be read from one column
+        grid = geo.SlabGrid(12, 8, 9)
+        flat = geo.build_map(np.zeros((12, 8)), grid)
+        assert flat.x2_invariant
+        w = rng.standard_normal(grid.shape)
+        w[:, 1:] = w[:, :1]
+        w[3, 5, 4] += 1e-3
+        assert geo._x2_extent(flat, w) == grid.n2
+        assert np.array_equal(geo.mapped_gradient(w, flat),
+                              geo.mapped_gradient(w, _full_path(flat)))
+        shapes = []
+        apply_operator = el.apply_operator
+
+        def recorded(u, cmap):
+            shapes.append(u.shape)
+            return apply_operator(u, cmap)
+
+        monkeypatch.setattr(el, "apply_operator", recorded)
+        el.solve_weak(flat, el.volume_load(w, flat))
+        assert shapes and set(shapes) == {grid.shape}
+
+    def test_no_x2_derivative_in_an_x2_invariant_step(self, monkeypatch):
+        # deterministic counters: an elastic-mode step takes no derivative
+        # along x2, a 3-D step does, and the column path changes neither
+        # the PCG iteration total nor a bit of the stepped state
+        calls = []
+        derivative = sp._derivative
+
+        def counted(w, axis):
+            calls.append(axis)
+            return derivative(w, axis)
+
+        def stepped(state):
+            iters = []
+            solve_weak = el.solve_weak
+
+            def recorded(*args, **kwargs):
+                out = solve_weak(*args, **kwargs)
+                iters.append(out[1]["iterations"])
+                return out
+
+            with monkeypatch.context() as m:
+                for module in (sp, geo):
+                    m.setattr(module, "_derivative", counted)
+                for module in (el, dyn):
+                    m.setattr(module, "solve_weak", recorded)
+                calls.clear()
+                new, _ = dyn.step(state, 0.5 * dyn.stable_dt(state))
+            return new, calls.count(2), sum(iters)
+
+        def elastic_mode():
+            # a fresh state each time: a state keeps its pressure
+            return cli.build_scenario(cli.preset("elastic-mode", n1=12,
+                                                 n2=12, nz=13))
+
+        new, x2_calls, iters = stepped(elastic_mode())
+        assert x2_calls == 0 and iters > 0
+        with monkeypatch.context() as m:
+            for module in (geo, el, dyn):
+                m.setattr(module, "_x2_extent",
+                          lambda cmap, *fields: cmap.grid.n2)
+            full, full_x2_calls, full_iters = stepped(elastic_mode())
+        assert full_x2_calls > 0 and full_iters == iters
+        for name in ("f", "u", "F"):
+            assert np.array_equal(getattr(new, name), getattr(full, name))
+        from conftest import sample_flow
+        assert stepped(sample_flow(8, 9, 0.05, 0.01))[1] > 0
