@@ -67,6 +67,10 @@ MAX_STEPS = 1_000_000
 # measured peak RSS slope per grid node of checks, the steepest command
 # (68 -> 108 MB from 24x24x25 to 32x32x33; run: 1.4 KB per node)
 PEAK_BYTES_PER_NODE = 2_200
+# largest energy index: its ladder grows as 2^s to 3^s (0.34 s at 8, 24^2x25)
+MAX_S = 8
+HALTS = (StabilityLost, CeilingViolated, DegenerateMap, PreconditionViolated,
+         SolverDiverged)
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +198,8 @@ def validate(cfg: RunConfig) -> None:
                      ("stretch", 0.0), ("dt", 0.0), ("snapshot_interval", 0.0)):
         if getattr(cfg, name) < lo:
             bad.append(f"{name}: must be >= {lo}, got {getattr(cfg, name)}")
-    if cfg.s < 4:
-        bad.append(f"s: energy index must be an integer >= 4, got {cfg.s}")
+    if not 4 <= cfg.s <= MAX_S:
+        bad.append(f"s: energy index must be from 4 to MAX_S = {MAX_S}, got {cfg.s}")
     if cfg.t_final <= 0.0:
         bad.append(f"t_final: must be positive, got {cfg.t_final}")
     if cfg.output_interval <= 0.0:
@@ -418,8 +422,7 @@ def cmd_run(cfg: RunConfig, outdir: Path) -> int:
             emit(state)
             if snap_every and iout % snap_every == 0:
                 _write_snapshots(outdir, state, iout)
-    except (StabilityLost, CeilingViolated, DegenerateMap,
-            PreconditionViolated, SolverDiverged) as exc:
+    except HALTS as exc:
         reason, message = type(exc).__name__, str(exc)
 
     t_end = 0.0 if state is None else float(state.t)
@@ -816,7 +819,11 @@ def measure_dispersion(cfg: RunConfig) -> list:
 
 def cmd_dispersion(cfg: RunConfig, outdir: Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
-    table = measure_dispersion(cfg)
+    try:
+        table = measure_dispersion(cfg)
+    except HALTS as exc:
+        print(f"dispersion: {type(exc).__name__}\n  {exc}")
+        return 3
     with open(outdir / "dispersion.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["regime", "eps", "stretch", "dt", "steps",

@@ -216,39 +216,49 @@ class TestRunCommand:
         assert len(current) == 5
         assert current[-1] <= current[0] + 64 * 1024
 
-    @pytest.mark.parametrize("body, grid, code, reason", [
-        ("what = 1\n", None, 2, None),
-        ("", "10x9x9", 2, None),
-        ("grid = 8x8x9\nt_final = nan\n", None, 2, None),
-        ("scenario = elastic-mode\ngrid = 8x8x9\ndt = 5.0\n", None, 3,
-         "PreconditionViolated"),
-        ("scenario = mixed-regions\ngrid = 8x8x9\namplitude = 2.0\n", None, 3,
-         "DegenerateMap"),
-        ("scenario = rest\ngrid = 8x8x9\nc0 = 0.1\n", None, 3,
+    @pytest.mark.parametrize("command, body, grid, code, reason", [
+        ("run", "what = 1\n", None, 2, None),
+        ("run", "", "10x9x9", 2, None),
+        ("run", "grid = 8x8x9\nt_final = nan\n", None, 2, None),
+        ("run", "scenario = elastic-mode\ngrid = 8x8x9\ndt = 5.0\n", None,
+         3, "PreconditionViolated"),
+        ("run", "scenario = mixed-regions\ngrid = 8x8x9\namplitude = 2.0\n",
+         None, 3, "DegenerateMap"),
+        ("run", "scenario = rest\ngrid = 8x8x9\nc0 = 0.1\n", None, 3,
          "StabilityLost"),
-        ("scenario = elastic-mode\ngrid = 12x12x13\nmode1 = 6\n", None, 2,
-         None),
-        ("scenario = mixed-regions\noutput_interval = 1e-12\n", None, 2,
-         None),
-        ("scenario = mixed-regions\ndt = 1e-12\n", None, 2, None),
+        ("run", "scenario = elastic-mode\ngrid = 12x12x13\nmode1 = 6\n", None,
+         2, None),
+        ("run", "scenario = mixed-regions\noutput_interval = 1e-12\n", None,
+         2, None),
+        ("run", "scenario = mixed-regions\ndt = 1e-12\n", None, 2, None),
         # 10,000 outputs pass validate; half stable_dt is about 0.06
-        ("scenario = elastic-mode\ngrid = 8x8x9\nt_final = 1e5\n"
+        ("run", "scenario = elastic-mode\ngrid = 8x8x9\nt_final = 1e5\n"
          "output_interval = 10\n", None, 2, None),
-        ("", "4096x4096x4097", 2, None),
+        ("run", "", "4096x4096x4097", 2, None),
+        # dispersion steps at fixed dt: at this amplitude the first regime's
+        # dt = 0.02 is above the stable bound of about 0.0196
+        ("dispersion", "scenario = elastic-mode\namplitude = 0.6\n",
+         "12x12x13", 3, "PreconditionViolated"),
     ], ids=["unknown-key", "odd-grid", "non-finite-value", "dt-above-bound",
             "degenerate-map", "stability-loss", "mode-past-nyquist",
             "outputs-above-cap", "steps-above-cap", "stable-steps-above-cap",
-            "grid-above-memory"])
-    def test_failure_table(self, tmp_path, body, grid, code, reason):
+            "grid-above-memory", "dispersion-dt-above-bound"])
+    def test_failure_table(self, tmp_path, capsys, command, body, grid, code,
+                           reason):
         # config errors (2) write no result.json;
         # physical halts (3) record the exception name and a message,
-        # with the diagnostics written so far
+        # with the diagnostics written so far (run) or print them
+        # (dispersion, which writes no partial table)
         out = tmp_path / "fail"
-        argv = ["run", "--config", str(_write(tmp_path, "schema = 1\n" + body)),
-                "--out", str(out)]
+        argv = [command, "--config",
+                str(_write(tmp_path, "schema = 1\n" + body)), "--out", str(out)]
         assert cli.main(argv + (["--grid", grid] if grid else [])) == code
         if reason is None:
             assert not (out / "result.json").exists()
+        elif command == "dispersion":
+            printed = capsys.readouterr().out
+            assert reason in printed and "exceeds the stable bound" in printed
+            assert not (out / "dispersion.csv").exists()
         else:
             result = json.loads((out / "result.json").read_text())
             assert result["reason"] == reason
@@ -259,7 +269,9 @@ class TestRunCommand:
         ("scenario = elastic-mode\ngrid = 8x8x9\nt_final = 1e5\n"
          "output_interval = 10\n", "MAX_STEPS"),
         ("grid = 4096x4096x4097\n", "PEAK_BYTES_PER_NODE"),
-    ], ids=["stable-steps", "grid-memory"])
+        # refused before any work: one energy at s = 30 would take weeks
+        ("scenario = mixed-regions\ns = 30\n", "MAX_S"),
+    ], ids=["stable-steps", "grid-memory", "energy-index"])
     def test_refusal_names_its_bound(self, tmp_path, capsys, body, bound):
         argv = ["run", "--config", str(_write(tmp_path, "schema = 1\n" + body)),
                 "--out", str(tmp_path / "fail")]
