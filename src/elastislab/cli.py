@@ -67,8 +67,7 @@ MAX_STEPS = 1_000_000
 # measured peak RSS slope per grid node of checks, the steepest command
 # (68 -> 108 MB from 24x24x25 to 32x32x33; run: 1.4 KB per node)
 PEAK_BYTES_PER_NODE = 2_200
-# largest energy index: its ladder grows as 2^s to 3^s (0.34 s at 8, 24^2x25)
-MAX_S = 8
+MAX_S = 8  # largest energy index (its ladder grows as 2^s to 3^s)
 HALTS = (StabilityLost, CeilingViolated, DegenerateMap, PreconditionViolated,
          SolverDiverged)
 

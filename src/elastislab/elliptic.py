@@ -167,24 +167,26 @@ def _flat_eigen(n1: int, n2: int, nz: int, z0: int, z1: int):
     return full, inv, kernel
 
 
-def _flat_solve(r: np.ndarray, grid: SlabGrid, z0: int, z1: int) -> np.ndarray:
+def _flat_solve(r: np.ndarray, grid: SlabGrid, z0: int, z1: int, m: int):
     """Exact flat-operator solve on free levels (the CG preconditioner).
 
-    r and the result are full node arrays (or x2 columns); the rows of r
-    at the fixed levels are not read, and the result is 0 on them.  Real
-    matrix products only: r @ V along z, into the Q1 (x) Q2 basis
-    (spectral._to_basis), the diagonal scaling, then back and V^T.
+    r and the result are full node arrays; the rows of r at the fixed
+    levels are not read, and the result is 0 on them.  Real matrix
+    products only: r @ V along z, into the Q1 (x) Q2 basis
+    (spectral._to_basis), the diagonal scaling, then back and V^T; the z
+    products on every row (a BLAS may round a row by the row count), the
+    rest on m x2 columns (m = 1: an x2-invariant r, geometry's x2 rule).
     """
     v, inv, kernel = _flat_eigen(grid.n1, grid.n2, grid.nz, z0, z1)
-    y = _to_basis((r.reshape(-1, grid.nz) @ v).reshape(r.shape[:2] + (-1,)),
-                  grid.n2)
-    y *= inv[:, :r.shape[1]]
+    y = _to_basis((r.reshape(-1, grid.nz) @ v).reshape(inv.shape)[:, :m], grid.n2)
+    y *= inv[:, :m]
     if kernel is not None:
         c, w = kernel
         # one product per pair of x1 corners, the shape an x2 column has
         corners = y[::grid.n1 - 1, ::grid.n2 - 1].swapaxes(0, 1)
         corners[..., c] = -(corners @ w)
-    return (_from_basis(y, grid.n2).reshape(-1, v.shape[1]) @ v.T).reshape(r.shape)
+    y = _spread(_from_basis(y, grid.n2), grid.n2)
+    return (y.reshape(-1, v.shape[1]) @ v.T).reshape(r.shape)
 
 
 def _project_kernel(r: np.ndarray, grid: SlabGrid) -> np.ndarray:
@@ -287,7 +289,7 @@ def _pcg(cmap, b, z0, z1, tol, project_constants, x0):
         r = b.copy()
     if project_constants:
         r -= np.mean(r)
-    p = _spread(_flat_solve(r[..., :m, :], grid, z0, z1), grid.n2)
+    p = _flat_solve(r, grid, z0, z1, m)
     if project_constants:
         p -= np.mean(p)
     rz = float(np.vdot(r, p))
@@ -304,7 +306,7 @@ def _pcg(cmap, b, z0, z1, tol, project_constants, x0):
             raise SolverDiverged(f"pcg residual is not finite after {it} its")
         if rel <= tol:
             return x, it, rel
-        z = _spread(_flat_solve(r[..., :m, :], grid, z0, z1), grid.n2)
+        z = _flat_solve(r, grid, z0, z1, m)
         if project_constants:
             z -= np.mean(z)
         rz, rz_old = float(np.vdot(r, z)), rz

@@ -13,10 +13,9 @@ ladder (second order), the horizontal one is Fourier collocation, so
 phi splits into per-mode vertical solves, all diagonalized by the one
 cached eigenbasis of vertical_eigen.  Every horizontal operator is a
 real matrix product: derivatives with spectral._deriv_matrix, the map
-solve in the real Fourier basis of spectral._to_basis.  The x2 rule: on
-a map with f constant along x2 (phi2 = 0), a field constant along x2 may
-be given by its (..., n1, 1, nz) x2 column, which the bulk operators
-work on without an x2 derivative (_x2_extent decides once per call).
+solve in the real Fourier basis of spectral._to_basis.  The x2 rule: if f
+and a field are constant along x2 (phi2 = 0), the bulk operators take the
+field's (..., n1, 1, nz) x2 column, with no x2 derivative (_x2_extent).
 
 Physical derivatives of a field w stored on the slab follow the chain
 rule through the graph map, the vertical one first:
@@ -210,11 +209,15 @@ def _spread(a, n2):
     return a if a.shape[-2] == n2 else np.repeat(a, n2, axis=-2)
 
 
+def _x2_constant(a) -> bool:
+    """(..., n2, nz) data (a plane f as f[..., None]) are constant along x2."""
+    return bool((a == a[..., :1, :]).all())
+
+
 def _x2_extent(cmap, *fields):
-    """1 when cmap and each (..., n1, n2, nz) field (None skipped) are
-    constant along x2, else n2: the x2 extent to work on."""
+    """1 if cmap and each field (None skipped) are constant along x2, else n2."""
     return 1 if cmap.x2_invariant and all(
-        a is None or (a == a[..., :1, :]).all() for a in fields) else cmap.grid.n2
+        a is None or _x2_constant(a) for a in fields) else cmap.grid.n2
 
 
 class CoordinateMap:
@@ -255,7 +258,7 @@ class CoordinateMap:
         self.f = f
         self.phi = phi
         self.is_flat = bool(np.all(f == 0.0))
-        self.x2_invariant = bool((f == f[:, :1]).all())
+        self.x2_invariant = _x2_constant(f[..., None])
         dz = grid.dz
         if self.is_flat:
             shape = phi.shape
@@ -266,9 +269,8 @@ class CoordinateMap:
             self.phi2_cell = np.zeros(shape[:2] + (grid.ncells,))
             self.phi3_cell = np.ones(shape[:2] + (grid.ncells,))
         else:
-            self.phi1 = _derivative(phi, 1)
-            self.phi2 = (np.zeros_like(phi) if self.x2_invariant
-                         else _derivative(phi, 2))
+            m = 1 if self.x2_invariant else grid.n2  # the x2 rule
+            self.phi1, self.phi2 = (_spread(d, grid.n2) for d in _dh_pair(phi[:, :m]))
             self.phi3 = d3_node(phi, dz)
             self.phi1_cell = _node_to_cell(self.phi1)
             self.phi2_cell = _node_to_cell(self.phi2)
@@ -317,7 +319,7 @@ def _map_profiles(n1: int, n2: int, nz: int) -> np.ndarray:
 def _map_solve(grid: SlabGrid, top: np.ndarray, bottom_value: float) -> np.ndarray:
     """Solve the discrete vertical harmonic problem per basis column; the
     floor datum reaches only the mean column, whose profile is linear."""
-    m = 1 if (top == top[:, :1]).all() else grid.n2  # the x2 rule
+    m = 1 if _x2_constant(top[..., None]) else grid.n2  # x2 rule, after the basis
     c = _to_basis(top, grid.n2)[:, :m, None] * _map_profiles(*grid.shape)[:, :m]
     return _spread(_from_basis(c, grid.n2), grid.n2) - bottom_value * grid.y3
 
@@ -385,7 +387,7 @@ def normal_vector(f: np.ndarray) -> np.ndarray:
     """Outward non-unit normal (-d1 f, -d2 f, 1) of the graph interface."""
     f = np.asarray(f, dtype=float)
     d1 = horizontal_derivative(f, 1)
-    x2 = (f == f[:, :1]).all()
+    x2 = _x2_constant(f[..., None])
     d2 = np.zeros_like(f) if x2 else horizontal_derivative(f, 2)
     return np.stack([-d1, -d2, np.ones_like(f)])
 

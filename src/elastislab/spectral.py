@@ -97,13 +97,11 @@ def _to_basis(g: np.ndarray, n2: int) -> np.ndarray:
     given by their (n1, 1, ...) column (geometry's x2 rule).
     """
     n1, m = g.shape[:2]
+    q1, q2 = _fourier_basis(n1)[0], _fourier_basis(n2)[0][:m, :m]
     t = g.reshape(n1, m, -1)
-    if m < n2:
-        a = np.sqrt(n2) * t
-    else:
-        a = np.matmul(_fourier_basis(n2)[0].T, t - t[:, :1])
-        a[:, 0] += np.sqrt(n2) * t[:, 0]
-    c = (_fourier_basis(n1)[0].T @ (a - a[:1]).reshape(n1, -1)).reshape(a.shape)
+    a = np.matmul(q2.T, t - t[:, :1])
+    a[:, 0] += np.sqrt(n2) * t[:, 0]
+    c = (q1.T @ (a - a[:1]).reshape(n1, -1)).reshape(a.shape)
     c[0] += np.sqrt(n1) * a[0]
     return c.reshape(g.shape)
 
@@ -112,10 +110,9 @@ def _from_basis(c: np.ndarray, n2: int) -> np.ndarray:
     """Inverse of _to_basis, axis 2 last: coefficients that vanish off the
     constant column of Q2 give a field exactly constant along axis 2."""
     n1, m = c.shape[:2]
-    a = (_fourier_basis(n1)[2] @ c.reshape(n1, -1)).reshape(n1, m, -1)
-    if m < n2:
-        return (a * _fourier_basis(n2)[0][0, 0]).reshape(c.shape)
-    return np.matmul(_fourier_basis(n2)[0], a).reshape(c.shape)
+    q1, q2 = _fourier_basis(n1)[2], _fourier_basis(n2)[0][:m, :m]
+    a = (q1 @ c.reshape(n1, -1)).reshape(n1, m, -1)
+    return np.matmul(q2, a).reshape(c.shape)
 
 
 def _apply_symbol(g: np.ndarray, symbol: np.ndarray) -> np.ndarray:

@@ -314,7 +314,7 @@ class TestFlatPreconditioner:
         r = np.random.default_rng(seed).standard_normal((n1, n2, z1 - z0))
         if levels == "neumann-both":
             r = el._project_kernel(r, grid)
-        got = el._flat_solve(_full(r, grid, z0), grid, z0, z1)
+        got = el._flat_solve(_full(r, grid, z0), grid, z0, z1, grid.n2)
         want = _thomas_flat_solve(r, grid, z0, z1)
         assert not got[..., :z0].any() and not got[..., z1:].any()
         got = got[..., z0:z1]
@@ -330,7 +330,7 @@ class TestFlatPreconditioner:
                                 (8, 6, z1 - z0)).copy()
             if z1 == 9:
                 r = el._project_kernel(r, grid)
-            x = el._flat_solve(_full(r, grid, z0), grid, z0, z1)
+            x = el._flat_solve(_full(r, grid, z0), grid, z0, z1, grid.n2)
             axis = shape.index(1)
             assert np.array_equal(x, np.broadcast_to(x.take([0], axis), x.shape))
 
@@ -355,7 +355,7 @@ class TestFlatPreconditioner:
             want = fft_project_kernel(r, grid)
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
             r = want
-        got = el._flat_solve(_full(r, grid, z0), grid, z0, z1)[..., z0:z1]
+        got = el._flat_solve(_full(r, grid, z0), grid, z0, z1, grid.n2)[..., z0:z1]
         want = fft_flat_solve(r, grid, z0, z1)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
@@ -365,7 +365,7 @@ class TestFlatPreconditioner:
         r = rng.standard_normal(grid.shape)
         if z1 == 9:
             r = el._project_kernel(r, grid)
-        got = el._flat_solve(r, grid, z0, z1)
+        got = el._flat_solve(r, grid, z0, z1, grid.n2)
         want = free_level_flat_solve(r[..., z0:z1], grid, z0, z1)
         assert np.array_equal(got[..., z0:z1], want)
         assert not got[..., :z0].any() and not got[..., z1:].any()
