@@ -387,8 +387,7 @@ def normal_vector(f: np.ndarray) -> np.ndarray:
     """Outward non-unit normal (-d1 f, -d2 f, 1) of the graph interface."""
     f = np.asarray(f, dtype=float)
     d1 = horizontal_derivative(f, 1)
-    x2 = _x2_constant(f[..., None])
-    d2 = np.zeros_like(f) if x2 else horizontal_derivative(f, 2)
+    d2 = np.zeros_like(f) if _x2_constant(f[..., None]) else horizontal_derivative(f, 2)
     return np.stack([-d1, -d2, np.ones_like(f)])
 
 

@@ -97,11 +97,13 @@ def _to_basis(g: np.ndarray, n2: int) -> np.ndarray:
     given by their (n1, 1, ...) column (geometry's x2 rule).
     """
     n1, m = g.shape[:2]
-    q1, q2 = _fourier_basis(n1)[0], _fourier_basis(n2)[0][:m, :m]
     t = g.reshape(n1, m, -1)
-    a = np.matmul(q2.T, t - t[:, :1])
-    a[:, 0] += np.sqrt(n2) * t[:, 0]
-    c = (q1.T @ (a - a[:1]).reshape(n1, -1)).reshape(a.shape)
+    if m < n2:
+        a = np.sqrt(n2) * t
+    else:
+        a = np.matmul(_fourier_basis(n2)[0].T, t - t[:, :1])
+        a[:, 0] += np.sqrt(n2) * t[:, 0]
+    c = (_fourier_basis(n1)[0].T @ (a - a[:1]).reshape(n1, -1)).reshape(a.shape)
     c[0] += np.sqrt(n1) * a[0]
     return c.reshape(g.shape)
 
@@ -124,11 +126,10 @@ def _apply_symbol(g: np.ndarray, symbol: np.ndarray) -> np.ndarray:
 def _derivative(w: np.ndarray, axis: int) -> np.ndarray:
     """d/dx_axis (axis 1 or 2) of (..., n1, n2, m) arrays: D along axis -3
     or -2 after the first row along it is subtracted, so a field constant
-    along that axis differentiates to exactly 0.  Along axis 1 it is
-    D^T (-t) = D t (D is exactly antisymmetric), D^T being column-major."""
+    along that axis differentiates to exactly 0."""
     if axis == 1:
         t = w[..., :1, :, :] - w
-        d = _deriv_matrix(w.shape[-3]).T
+        d = _deriv_matrix(w.shape[-3]).T  # column-major; D^T (-t) = D t
         return (d @ t.reshape(w.shape[:-2] + (-1,))).reshape(w.shape)
     return np.matmul(_deriv_matrix(w.shape[-2]), w - w[..., :1, :])
 
