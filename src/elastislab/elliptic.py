@@ -167,7 +167,7 @@ def _flat_eigen(n1: int, n2: int, nz: int, z0: int, z1: int):
     return full, inv, kernel
 
 
-def _flat_solve(r: np.ndarray, grid: SlabGrid, z0: int, z1: int, m: int):
+def _flat_solve(r: np.ndarray, grid: SlabGrid, z0: int, z1: int, m: int) -> np.ndarray:
     """Exact flat-operator solve on free levels (the CG preconditioner).
 
     r and the result are full node arrays; the rows of r at the fixed

@@ -319,7 +319,7 @@ def _map_profiles(n1: int, n2: int, nz: int) -> np.ndarray:
 def _map_solve(grid: SlabGrid, top: np.ndarray, bottom_value: float) -> np.ndarray:
     """Solve the discrete vertical harmonic problem per basis column; the
     floor datum reaches only the mean column, whose profile is linear."""
-    m = 1 if _x2_constant(top[..., None]) else grid.n2  # x2 rule, after the basis
+    m = 1 if _x2_constant(top[..., None]) else grid.n2  # x2 rule (top: whole plane)
     c = _to_basis(top, grid.n2)[:, :m, None] * _map_profiles(*grid.shape)[:, :m]
     return _spread(_from_basis(c, grid.n2), grid.n2) - bottom_value * grid.y3
 
