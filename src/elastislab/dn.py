@@ -35,8 +35,7 @@ import numpy as np
 from . import elliptic as el
 from .elliptic import DEFAULT_TOL
 from .errors import NotMeanZero, SolverDiverged
-from .geometry import (CoordinateMap, _normal_flux, mapped_gradient,
-                       normal_vector, tangent_vectors)
+from .geometry import CoordinateMap, _normal_flux, mapped_gradient
 from .spectral import _apply_symbol, _ksq, horizontal_derivative
 
 __all__ = [
@@ -140,10 +139,11 @@ def dt_normal(u_trace: np.ndarray, f: np.ndarray) -> DtNormal:
     exact pointwise identity, so both views agree to roundoff.
     """
     f = np.asarray(f, dtype=float)
-    n = normal_vector(f)
-    t1, t2 = tangent_vectors(f)
     f1 = horizontal_derivative(f, 1)
     f2 = horizontal_derivative(f, 2)
+    one, zero = np.ones_like(f), np.zeros_like(f)
+    n = np.stack([-f1, -f2, one])
+    t1, t2 = np.stack([one, zero, f1]), np.stack([zero, one, f2])
     c1 = sum(horizontal_derivative(u_trace[a], 1) * n[a] for a in range(3))
     c2 = sum(horizontal_derivative(u_trace[a], 2) * n[a] for a in range(3))
     denom = 1.0 + f1 * f1 + f2 * f2

@@ -218,9 +218,9 @@ def kinematic_rate(state: FlowState) -> np.ndarray:
 
 
 def _piola_cell(cmap: CoordinateMap, v1, v2, v3):
-    """Flux components J Jinv v at vertical cell midpoints."""
-    p1, p2, p3 = (p[:, :v1.shape[-2]] for p in (cmap.phi1_cell,
-                                                cmap.phi2_cell, cmap.phi3_cell))
+    """Flux components J Jinv v at vertical cell midpoints, of full fields
+    or x2 columns; the map's arrays broadcast along x2."""
+    p1, p2, p3 = cmap.phi1_cell, cmap.phi2_cell, cmap.phi3_cell
     return p3 * v1, p3 * v2, v3 - p1 * v1 - p2 * v2
 
 
@@ -318,10 +318,14 @@ def _gradient_correction(cmap: CoordinateMap, psi: np.ndarray):
     leave a vertical two-node oscillation of amplitude O(dz), which the
     one-sided interface stencils turn into an O(1) gradient error.
     Components 1 and 2 use the minimum-norm lift; component 3 is anchored
-    so the floor value of the total is exactly zero.
+    so the floor value of the total is exactly zero.  The cell data and
+    the gradient of an x2-invariant psi are taken on its x2 column; the
+    lifts, dense products along z (rounded by the row count on some
+    BLAS), run on every row.
     """
-    q1, q2, q3 = _correction_cells(cmap, psi)
-    g = mapped_gradient(psi, cmap)
+    col = psi[..., :_x2_extent(cmap, psi), :]
+    q1, q2, q3 = (_spread(q, cmap.grid.n2) for q in _correction_cells(cmap, col))
+    g = mapped_gradient(col, cmap)
     corr = np.empty((3,) + psi.shape)
     corr[0] = g[0] + _minnorm_lift(q1 - _node_to_cell(g[0]))
     corr[1] = g[1] + _minnorm_lift(q2 - _node_to_cell(g[1]))

@@ -105,15 +105,15 @@ def grad_adjoint(q1, q2, q3, grid: SlabGrid):
 def _metric_apply(cmap: CoordinateMap, q1, q2, q3):
     """K q for the cell metric K = J Jinv Jinv^T (k11 = k22 = phi3, k13 =
     -phi1, k23 = -phi2, k12 = 0, k33 kept on the map), in place: the
-    inputs (or x2 columns) are overwritten with the result and returned."""
-    p1, p2, p3, k33 = (p[:, :q1.shape[-2]] for p in (
-        cmap.phi1_cell, cmap.phi2_cell, cmap.phi3_cell, cmap.k33))
+    inputs (full or x2 columns) are overwritten with the result and
+    returned; the map's arrays broadcast along x2 (geometry's x2 rule)."""
+    p1, p2, p3 = cmap.phi1_cell, cmap.phi2_cell, cmap.phi3_cell
     s = p1 * q1
     s += p2 * q2                 # -(k13 q1 + k23 q2)
     for q, p in ((q1, p1), (q2, p2)):
         q *= p3
         q -= p * q3
-    q3 *= k33
+    q3 *= cmap.k33
     q3 -= s
     return q1, q2, q3
 
@@ -202,11 +202,12 @@ def _project_kernel(r: np.ndarray, grid: SlabGrid) -> np.ndarray:
 # weak solver
 
 def volume_weights(cmap: CoordinateMap) -> np.ndarray:
-    """Quadrature weights for volume integrals over the moving domain."""
+    """Quadrature weights for volume integrals over the moving domain,
+    (n1, n2, nz) read-only."""
     grid = cmap.grid
     w = np.full(grid.nz, grid.dz)
     w[0] = w[-1] = 0.5 * grid.dz
-    return grid.h1 * grid.h2 * w[None, None, :] * cmap.jac
+    return np.broadcast_to(grid.h1 * grid.h2 * w * cmap.jac, grid.shape)
 
 
 def solve_weak(

@@ -14,8 +14,11 @@ phi splits into per-mode vertical solves, all diagonalized by the one
 cached eigenbasis of vertical_eigen.  Every horizontal operator is a
 real matrix product: derivatives with spectral._deriv_matrix, the map
 solve in the real Fourier basis of spectral._to_basis.  The x2 rule: if f
-and a field are constant along x2 (phi2 = 0), the bulk operators take the
-field's (..., n1, 1, nz) x2 column, with no x2 derivative (_x2_extent).
+is constant along x2, the map keeps its metric arrays (phi1, phi2 = 0,
+phi3, their cell averages, k33, jac, inv_phi3) on one (n1, 1, .) x2
+column, which broadcasts against full and column fields alike; and if a
+field is constant along x2 too, the bulk operators take its
+(..., n1, 1, nz) x2 column, with no x2 derivative (_x2_extent).
 
 Physical derivatives of a field w stored on the slab follow the chain
 rule through the graph map, the vertical one first:
@@ -44,7 +47,6 @@ __all__ = [
     "bottom_trace",
     "mapped_gradient",
     "normal_vector",
-    "tangent_vectors",
 ]
 
 
@@ -231,14 +233,17 @@ class CoordinateMap:
     phi : array (n1, n2, nz)
         Vertical map values at slab nodes; phi[..., -1] == f exactly and
         phi[..., 0] == -1 exactly.
-    phi1, phi2, phi3 : arrays (n1, n2, nz)
+    phi1, phi2, phi3 : arrays (n1, m, nz)
         Node-collocated derivatives of phi (spectral horizontal, second
-        order vertical).
-    k33 : array (n1, n2, nz - 1)
+        order vertical); m = 1 on an x2-invariant map (the x2 rule of the
+        module docstring), else n2.  So are the arrays below.
+    phi1_cell, phi2_cell, phi3_cell : arrays (n1, m, nz - 1)
+        The same derivatives at vertical cell midpoints.
+    k33 : array (n1, m, nz - 1)
         The metric entry (1 + phi1^2 + phi2^2) / phi3 at cell midpoints,
         computed once; the other entries of the flux-form metric
         K = J Jinv Jinv^T are cell derivatives of phi up to sign.
-    jac : array (n1, n2, nz)
+    jac : array (n1, m, nz)
         Jacobian determinant of the map at nodes (equals phi3).
     is_flat : bool
         True when f is identically zero, enabling the analytic per-mode
@@ -248,7 +253,7 @@ class CoordinateMap:
     normal : array (3, n1, n2)
         Outward non-unit normal of the interface (normal_vector(f)),
         computed on first use.
-    inv_phi3 : array (n1, n2, nz)
+    inv_phi3 : array (n1, m, nz)
         1 / phi3 for the chain rule of mapped_gradient, read-only,
         computed on first use.
     """
@@ -259,22 +264,17 @@ class CoordinateMap:
         self.phi = phi
         self.is_flat = bool(np.all(f == 0.0))
         self.x2_invariant = _x2_constant(f[..., None])
-        dz = grid.dz
+        col = phi[:, :1 if self.x2_invariant else grid.n2]  # the x2 rule
         if self.is_flat:
-            shape = phi.shape
-            self.phi1 = np.zeros(shape)
-            self.phi2 = np.zeros(shape)
-            self.phi3 = np.ones(shape)
-            self.phi1_cell = np.zeros(shape[:2] + (grid.ncells,))
-            self.phi2_cell = np.zeros(shape[:2] + (grid.ncells,))
-            self.phi3_cell = np.ones(shape[:2] + (grid.ncells,))
+            self.phi1, self.phi2 = np.zeros(col.shape), np.zeros(col.shape)
+            self.phi3 = np.ones(col.shape)
+            self.phi3_cell = np.ones(col.shape[:2] + (grid.ncells,))
         else:
-            m = 1 if self.x2_invariant else grid.n2  # the x2 rule
-            self.phi1, self.phi2 = (_spread(d, grid.n2) for d in _dh_pair(phi[:, :m]))
-            self.phi3 = d3_node(phi, dz)
-            self.phi1_cell = _node_to_cell(self.phi1)
-            self.phi2_cell = _node_to_cell(self.phi2)
-            self.phi3_cell = np.diff(phi, axis=-1) / dz
+            self.phi1, self.phi2 = _dh_pair(col)
+            self.phi3 = d3_node(col, grid.dz)
+            self.phi3_cell = np.diff(col, axis=-1) / grid.dz
+        self.phi1_cell = _node_to_cell(self.phi1)
+        self.phi2_cell = _node_to_cell(self.phi2)
         if np.min(self.phi3_cell) <= 0.0 or np.min(self.phi3) <= 0.0:
             raise DegenerateMap(
                 f"d3 phi reaches {min(np.min(self.phi3_cell), np.min(self.phi3)):.3e}"
@@ -370,16 +370,15 @@ def mapped_gradient(w: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
     phi_i g3, two passes per component and no slope array; on the x2
     column of an x2-invariant w (module docstring) g2 is exactly 0.
     """
-    m = _x2_extent(cmap, w)
-    w = w[..., :m, :]
+    w = w[..., :_x2_extent(cmap, w), :]
     d3 = d3_node(w, cmap.grid.dz)
     d1, d2 = _dh_pair(w)
     # filled in place: a stack of the components would hold them twice
     g = np.empty(w.shape[:-3] + (3,) + w.shape[-3:])
     g1, g2, g3 = (g[..., i, :, :, :] for i in range(3))
-    np.multiply(cmap.inv_phi3[:, :m], d3, out=g3)
+    np.multiply(cmap.inv_phi3, d3, out=g3)
     for gi, di, phi in ((g1, d1, cmap.phi1), (g2, d2, cmap.phi2)):
-        np.subtract(di, np.multiply(phi[:, :m], g3, out=gi), out=gi)
+        np.subtract(di, np.multiply(phi, g3, out=gi), out=gi)
     return _spread(g, cmap.grid.n2)
 
 
@@ -395,15 +394,3 @@ def _normal_flux(v: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
     """Interface flux v.N (N = cmap.normal) of a field or its x2 column."""
     n = cmap.normal[..., :v.shape[-2]]
     return sum(n[a] * trace(v[a]) for a in range(3))
-
-
-def tangent_vectors(f: np.ndarray):
-    """Coordinate tangents tau_1 = (1, 0, d1 f), tau_2 = (0, 1, d2 f)."""
-    f = np.asarray(f, dtype=float)
-    d1 = horizontal_derivative(f, 1)
-    d2 = horizontal_derivative(f, 2)
-    one = np.ones_like(f)
-    zero = np.zeros_like(f)
-    tau1 = np.stack([one, zero, d1])
-    tau2 = np.stack([zero, one, d2])
-    return tau1, tau2

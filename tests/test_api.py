@@ -300,3 +300,42 @@ def test_fft_has_one_home():
              for node in ast.parse(path.read_text()).body
              if _refers_to_fft(node)}
     assert found == FFT_HOMES
+
+
+# The derived arrays of CoordinateMap: on an x2-invariant map they are kept
+# at x2 width 1 and broadcast (geometry's x2 rule), so no operator slices
+# them to a field's width.
+MAP_ARRAYS = {"phi1", "phi2", "phi3", "phi1_cell", "phi2_cell", "phi3_cell",
+              "k33", "jac", "inv_phi3"}
+
+
+def _reads_map_array(node):
+    return any(isinstance(sub, ast.Attribute) and sub.attr in MAP_ARRAYS
+               for sub in ast.walk(node))
+
+
+def test_map_arrays_are_not_sliced():
+    sliced = set()
+    for module, _, fn, _ in _src_functions():
+        # names bound to a map array, directly or through a loop or a
+        # comprehension over them
+        bound = set()
+        for node in ast.walk(fn):
+            if isinstance(node, (ast.For, ast.comprehension)):
+                pairs = [(node.target, node.iter)]
+            elif isinstance(node, ast.Assign):
+                pairs = [(t, node.value) for t in node.targets]
+            else:
+                continue
+            for target, value in pairs:
+                if _reads_map_array(value):
+                    bound.update(sub.id for sub in ast.walk(target)
+                                 if isinstance(sub, ast.Name))
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Subscript) and (
+                    isinstance(node.value, ast.Attribute)
+                    and node.value.attr in MAP_ARRAYS
+                    or isinstance(node.value, ast.Name)
+                    and node.value.id in bound):
+                sliced.add((module, fn.name))
+    assert sliced == set()

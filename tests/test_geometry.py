@@ -374,7 +374,10 @@ class TestNormalsAndTangents:
         from conftest import random_band_limited
         f = random_band_limited(rng, n, n, 8, amplitude=0.2)
         N = geo.normal_vector(f)
-        tau1, tau2 = geo.tangent_vectors(f)
+        # the coordinate tangents (1, 0, d1 f) and (0, 1, d2 f)
+        d1, d2 = (sp.horizontal_derivative(f, axis) for axis in (1, 2))
+        one, zero = np.ones_like(f), np.zeros_like(f)
+        tau1, tau2 = np.stack([one, zero, d1]), np.stack([zero, one, d2])
         assert np.max(np.abs(np.sum(N * tau1, axis=0))) == 0.0
         assert np.max(np.abs(np.sum(N * tau2, axis=0))) == 0.0
 
@@ -454,11 +457,19 @@ def _x2_invariant_map(n1, n2, nz):
                          geo.SlabGrid(n1, n2, nz))
 
 
+MAP_ARRAYS = ("phi1", "phi2", "phi3", "phi1_cell", "phi2_cell",
+              "phi3_cell", "k33", "jac", "inv_phi3")
+
+
 def _full_path(cmap):
-    """The same map with its x2 flag cleared, so every operator takes the
-    full path."""
+    """The same map with its x2 flag cleared and its arrays spread to full
+    width, so every operator takes the full path with full-array
+    arithmetic."""
     full = copy.copy(cmap)
     full.x2_invariant = False
+    for name in MAP_ARRAYS:
+        setattr(full, name, np.repeat(getattr(cmap, name), cmap.grid.n2,
+                                      axis=1))
     return full
 
 
@@ -493,8 +504,18 @@ class TestX2Rule:
         phi[..., -1] = cmap.f
         phi[..., 0] = -1.0
         assert np.array_equal(cmap.phi, phi)
-        for got, want in zip((cmap.phi1, cmap.phi2), geo._dh_pair(phi)):
-            assert np.array_equal(got, want)
+        # each derived array is kept at x2 width 1, and broadcasts to the
+        # full path's value
+        phi1, phi2 = geo._dh_pair(phi)
+        phi3 = geo.d3_node(phi, grid.dz)
+        cells = [geo._node_to_cell(phi1), geo._node_to_cell(phi2),
+                 np.diff(phi, axis=-1) / grid.dz]
+        k33 = (1.0 + cells[0] * cells[0] + cells[1] * cells[1]) / cells[2]
+        for name, want in zip(MAP_ARRAYS, [phi1, phi2, phi3, *cells, k33,
+                                           phi3, 1.0 / phi3]):
+            got = getattr(cmap, name)
+            assert got.shape == (n1, 1, want.shape[-1]), name
+            assert np.array_equal(np.broadcast_to(got, want.shape), want), name
         dtf = 0.3 * cmap.f
         assert np.array_equal(geo.map_time_derivative(cmap, dtf),
                               full_map_solve(dtf))
@@ -519,6 +540,17 @@ class TestX2Rule:
         v = _x2_invariant_field(rng, (3,) + grid.shape)
         assert np.array_equal(dyn.weak_div_load(v, cmap),
                               dyn.weak_div_load(v, full))
+
+    @pytest.mark.parametrize("n1, n2, nz", X2_GRIDS)
+    def test_projections_are_the_full_path(self, rng, n1, n2, nz):
+        # the correction's cell data are taken on the x2 column, its lifts
+        # on every row
+        cmap = _x2_invariant_map(n1, n2, nz)
+        v = _x2_invariant_field(rng, (3,) + cmap.grid.shape)
+        for project in (dyn.project_div, dyn.project_div_normal):
+            got, info = project(v, cmap)
+            want, want_info = project(v, _full_path(cmap))
+            assert np.array_equal(got, want) and info == want_info
 
     @pytest.mark.parametrize("n1, n2, nz", X2_GRIDS)
     @pytest.mark.parametrize("top, bottom", [(0.0, 0.0), (0.0, None),
@@ -559,9 +591,10 @@ class TestX2Rule:
         assert shapes and set(shapes) == {grid.shape}
 
     def test_no_x2_derivative_in_an_x2_invariant_step(self, monkeypatch):
-        # deterministic counters: an elastic-mode step takes no derivative
-        # along x2, a 3-D step does, and the column path changes neither
-        # the PCG iteration total nor a bit of the stepped state
+        # deterministic counters: a step of either x2-invariant preset
+        # takes no derivative along x2, a 3-D step does, and the column
+        # path changes neither the PCG iteration total nor a bit of the
+        # stepped state
         calls = []
         derivative = sp._derivative
 
@@ -587,20 +620,21 @@ class TestX2Rule:
                 new, _ = dyn.step(state, 0.5 * dyn.stable_dt(state))
             return new, calls.count(2), sum(iters)
 
-        def elastic_mode():
+        def fresh(scenario):
             # a fresh state each time: a state keeps its pressure
-            return cli.build_scenario(cli.preset("elastic-mode", n1=12,
-                                                 n2=12, nz=13))
+            return cli.build_scenario(cli.preset(scenario, n1=12, n2=12,
+                                                 nz=13))
 
-        new, x2_calls, iters = stepped(elastic_mode())
-        assert x2_calls == 0 and iters > 0
-        with monkeypatch.context() as m:
-            for module in (geo, el, dyn):
-                m.setattr(module, "_x2_extent",
-                          lambda cmap, *fields: cmap.grid.n2)
-            full, full_x2_calls, full_iters = stepped(elastic_mode())
-        assert full_x2_calls > 0 and full_iters == iters
-        for name in ("f", "u", "F"):
-            assert np.array_equal(getattr(new, name), getattr(full, name))
+        for scenario in ("elastic-mode", "mixed-regions"):
+            new, x2_calls, iters = stepped(fresh(scenario))
+            assert x2_calls == 0 and iters > 0
+            with monkeypatch.context() as m:
+                for module in (geo, el, dyn):
+                    m.setattr(module, "_x2_extent",
+                              lambda cmap, *fields: cmap.grid.n2)
+                full, full_x2_calls, full_iters = stepped(fresh(scenario))
+            assert full_x2_calls > 0 and full_iters == iters
+            for name in ("f", "u", "F"):
+                assert np.array_equal(getattr(new, name), getattr(full, name))
         from conftest import sample_flow
         assert stepped(sample_flow(8, 9, 0.05, 0.01))[1] > 0
