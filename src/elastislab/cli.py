@@ -65,8 +65,12 @@ STUDIES = ("all", "spatial", "temporal", "evo")
 MAX_OUTPUTS = 10_000
 MAX_STEPS = 1_000_000
 # measured peak RSS slope per grid node of checks, the steepest command
-# (68 -> 108 MB from 24x24x25 to 32x32x33; run: 1.4 KB per node)
+# (68 -> 108 MB from 24x24x25 to 32x32x33; run: 1.4 KB per node), and per
+# nz^2 of the dense vertical matrices, steepest in convergence, whose
+# spatial study runs 2 nz - 1 levels (152 -> 458 MB from 4x4x513 to
+# 4x4x1025; checks: 120 bytes per nz^2)
 PEAK_BYTES_PER_NODE = 2_200
+PEAK_BYTES_PER_NZ2 = 420
 MAX_S = 8  # largest energy index (its ladder grows as 2^s to 3^s)
 HALTS = (StabilityLost, CeilingViolated, DegenerateMap, PreconditionViolated,
          SolverDiverged)
@@ -186,10 +190,12 @@ def validate(cfg: RunConfig) -> None:
     if cfg.n1 % 2 or cfg.n2 % 2:
         bad.append(f"grid: n1 and n2 must be even, "
                    f"got {cfg.n1}x{cfg.n2}x{cfg.nz}")
-    need = cfg.n1 * cfg.n2 * cfg.nz * PEAK_BYTES_PER_NODE
+    need = (cfg.n1 * cfg.n2 * cfg.nz * PEAK_BYTES_PER_NODE
+            + cfg.nz ** 2 * PEAK_BYTES_PER_NZ2)
     if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
         bad.append(f"grid: {need / 1e9:.3g} GB at PEAK_BYTES_PER_NODE = "
-                   f"{PEAK_BYTES_PER_NODE} is above physical memory")
+                   f"{PEAK_BYTES_PER_NODE} and PEAK_BYTES_PER_NZ2 = "
+                   f"{PEAK_BYTES_PER_NZ2} is above physical memory")
     for name in (k for k, kind in _CONFIG_KEYS.items() if kind == "float"):
         if not np.isfinite(getattr(cfg, name)):
             bad.append(f"{name}: must be finite, got {getattr(cfg, name)}")

@@ -1,12 +1,16 @@
 """Config parsing, scenario presets, run artifacts and the check suite."""
 
+import contextlib
 import gc
+import io
 import json
 import pathlib
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from elastislab import cli
 from elastislab.errors import ConfigInvalid
@@ -235,6 +239,8 @@ class TestRunCommand:
         ("run", "scenario = elastic-mode\ngrid = 8x8x9\nt_final = 1e5\n"
          "output_interval = 10\n", None, 2, None),
         ("run", "", "4096x4096x4097", 2, None),
+        # one dense nz x nz vertical matrix alone would be 80 GB
+        ("run", "", "4x4x100001", 2, None),
         # dispersion steps at fixed dt: at this amplitude the first regime's
         # dt = 0.02 is above the stable bound of about 0.0196
         ("dispersion", "scenario = elastic-mode\namplitude = 0.6\n",
@@ -242,7 +248,8 @@ class TestRunCommand:
     ], ids=["unknown-key", "odd-grid", "non-finite-value", "dt-above-bound",
             "degenerate-map", "stability-loss", "mode-past-nyquist",
             "outputs-above-cap", "steps-above-cap", "stable-steps-above-cap",
-            "grid-above-memory", "dispersion-dt-above-bound"])
+            "grid-above-memory", "levels-above-memory",
+            "dispersion-dt-above-bound"])
     def test_failure_table(self, tmp_path, capsys, command, body, grid, code,
                            reason):
         # config errors (2) write no result.json;
@@ -269,14 +276,74 @@ class TestRunCommand:
         ("scenario = elastic-mode\ngrid = 8x8x9\nt_final = 1e5\n"
          "output_interval = 10\n", "MAX_STEPS"),
         ("grid = 4096x4096x4097\n", "PEAK_BYTES_PER_NODE"),
+        ("grid = 4x4x100001\n", "PEAK_BYTES_PER_NZ2"),
         # refused before any work: one energy at s = 30 would take weeks
         ("scenario = mixed-regions\ns = 30\n", "MAX_S"),
-    ], ids=["stable-steps", "grid-memory", "energy-index"])
+    ], ids=["stable-steps", "grid-memory", "levels-memory", "energy-index"])
     def test_refusal_names_its_bound(self, tmp_path, capsys, body, bound):
         argv = ["run", "--config", str(_write(tmp_path, "schema = 1\n" + body)),
                 "--out", str(tmp_path / "fail")]
         assert cli.main(argv) == 2
         assert bound in capsys.readouterr().err
+
+
+# Small grids, few outputs and at most about 20 steps only: the fuzz checks
+# how a run ends, never a large grid, a large s or a long run.  Each example
+# draws a grid, a t_final and some other keys in range, and may put one key
+# out of range (mode1 = 4 is at or past Nyquist on every grid drawn).
+FUZZ_GRID = st.tuples(st.sampled_from([4, 6, 8]), st.sampled_from([4, 6, 8]),
+                     st.integers(3, 9)).map(lambda g: "%dx%dx%d" % g)
+FUZZ_KEYS = {
+    "scenario": st.sampled_from(cli.SCENARIOS),
+    "eps": st.sampled_from([0.0, 0.01, 1.0]),
+    "c0": st.sampled_from([0.0, 0.05, 0.3]),
+    "s": st.integers(4, 5),
+    "amplitude": st.sampled_from([0.0, 1e-3, 0.05, 0.6, 2.0]),
+    "stretch": st.sampled_from([0.0, 0.8, 1.5]),
+    "mode1": st.integers(-2, 2),
+    "mode2": st.integers(-2, 2),
+    "dt": st.sampled_from([0.0, 0.005, 0.05]),
+    "output_interval": st.sampled_from([0.01, 0.05]),
+    "snapshot_interval": st.sampled_from([0.0, 0.02]),
+    "seed": st.integers(0, 3),
+}
+FUZZ_OUT_OF_RANGE = {
+    "scenario": "wave", "grid": "3x4x9", "s": 3, "eps": -0.1,
+    "stretch": -1.0, "mode1": 4, "t_final": 0.0, "output_interval": 0.0,
+    "seed": -1,
+}
+
+
+class TestRunFuzz:
+    @settings(max_examples=25, deadline=None)
+    @given(st.fixed_dictionaries({"grid": FUZZ_GRID,
+                                  "t_final": st.sampled_from([0.01, 0.05])},
+                                 optional=FUZZ_KEYS),
+           st.one_of(st.just({}),
+                     st.sampled_from(sorted(FUZZ_OUT_OF_RANGE.items()))
+                     .map(lambda item: dict([item]))))
+    def test_every_config_ends_with_a_documented_code(self, keys, bad):
+        # 0 completed, 2 refused (no result.json), 3 halted (the exception
+        # named in result.json); anything else escapes as a traceback
+        body = "".join(f"{key} = {value}\n"
+                       for key, value in {**keys, **bad}.items())
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = pathlib.Path(tmp)
+            out = tmp / "out"
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = cli.main(["run", "--config",
+                                 str(_write(tmp, "schema = 1\n" + body)),
+                                 "--out", str(out)])
+            assert code in (0, 2, 3), body
+            assert code == 2 or not bad, body
+            if code == 2:
+                assert "config error" in err.getvalue()
+                assert not (out / "result.json").exists()
+            else:
+                reason = json.loads((out / "result.json").read_text())["reason"]
+                assert (reason == "completed") == (code == 0), body
 
 
 class TestChecksCommand:
