@@ -320,11 +320,11 @@ def _gradient_correction(cmap: CoordinateMap, psi: np.ndarray):
     Components 1 and 2 use the minimum-norm lift; component 3 is anchored
     so the floor value of the total is exactly zero.  The cell data and
     the gradient of an x2-invariant psi are taken on its x2 column; the
-    lifts, dense products along z (rounded by the row count on some
-    BLAS), run on every row.
+    gap they leave broadcasts to full width, so the lifts, dense products
+    along z (rounded by the row count on some BLAS), run on every row.
     """
     col = psi[..., :_x2_extent(cmap, psi), :]
-    q1, q2, q3 = (_spread(q, cmap.grid.n2) for q in _correction_cells(cmap, col))
+    q1, q2, q3 = _correction_cells(cmap, col)
     g = mapped_gradient(col, cmap)
     corr = np.empty((3,) + psi.shape)
     corr[0] = g[0] + _minnorm_lift(q1 - _node_to_cell(g[0]))
