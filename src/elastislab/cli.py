@@ -824,11 +824,7 @@ def measure_dispersion(cfg: RunConfig) -> list:
 
 def cmd_dispersion(cfg: RunConfig, outdir: Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
-    try:
-        table = measure_dispersion(cfg)
-    except HALTS as exc:
-        print(f"dispersion: {type(exc).__name__}\n  {exc}")
-        return 3
+    table = measure_dispersion(cfg)
     with open(outdir / "dispersion.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["regime", "eps", "stretch", "dt", "steps",
@@ -908,6 +904,9 @@ def main(argv=None) -> int:
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except HALTS as exc:  # a halt that cmd_run does not record itself
+        print(f"{args.command}: {type(exc).__name__}\n  {exc}")
+        return 3
 
 
 if __name__ == "__main__":

@@ -34,7 +34,10 @@ fast diagonalization) and the real Fourier basis of spectral._to_basis
 turn the inverse into real matrix products around one diagonal scaling.
 The flat closed forms below are diagonal scalings in the same basis, so
 no solve here runs an FFT.  An x2-invariant solve runs the operator and
-the preconditioner on one x2 column (geometry's x2 rule).
+the preconditioner on one x2 column (geometry's x2 rule).  Each solve
+builds one workspace, kept nowhere after it: the operator's cell
+coefficients at node shape (top level 0: vertical pair sums and
+differences become flat shifts) and the buffers iterations write into.
 
 Flat fast path
 --------------
@@ -57,11 +60,11 @@ from .geometry import (
     _dh_pair,
     _dh_pair_adjoint,
     _node_to_cell,
-    _spread,
     _x2_extent,
     vertical_eigen,
 )
-from .spectral import _fourier_basis, _from_basis, _ksq, _to_basis
+from .spectral import (_deriv_matrix, _derivative, _fourier_basis, _from_basis, _ksq,
+                       _to_basis)
 
 DEFAULT_TOL = 1e-10
 MAXITER = 800
@@ -102,28 +105,59 @@ def grad_adjoint(q1, q2, q3, grid: SlabGrid):
     return out
 
 
-def _metric_apply(cmap: CoordinateMap, q1, q2, q3):
-    """K q for the cell metric K = J Jinv Jinv^T (k11 = k22 = phi3, k13 =
-    -phi1, k23 = -phi2, k12 = 0, k33 kept on the map), in place: the
-    inputs (full or x2 columns) are overwritten with the result and
-    returned; the map's arrays broadcast along x2 (geometry's x2 rule)."""
-    p1, p2, p3 = cmap.phi1_cell, cmap.phi2_cell, cmap.phi3_cell
-    s = p1 * q1
-    s += p2 * q2                 # -(k13 q1 + k23 q2)
-    for q, p in ((q1, p1), (q2, p2)):
-        q *= p3
-        q -= p * q3
-    q3 *= cmap.k33
-    q3 -= s
-    return q1, q2, q3
+def _operator_work(cmap: CoordinateMap, shape) -> tuple:
+    """apply_operator's buffers for fields of one shape: the coefficients
+    (a, b1, b2, e) = W (phi3, -2 phi1 / dz, -2 phi2 / dz, 4 k33 / dz^2) / 4,
+    W = h1 h2 dz, at that shape with the top level 0, and four arrays."""
+    w, dz = cmap.grid.h1 * cmap.grid.h2 * cmap.grid.dz, cmap.grid.dz
+    scaled = ((cmap.phi3_cell, 0.25 * w), (cmap.phi1_cell, -0.5 * w / dz),
+              (cmap.phi2_cell, -0.5 * w / dz), (cmap.k33, w / (dz * dz)))
+    coef = np.zeros((4,) + tuple(shape))
+    for i, (cell, k) in enumerate(scaled):
+        np.multiply(cell, k, out=coef[i, ..., :-1])
+    return tuple(coef), tuple(np.empty((4,) + tuple(shape)))
 
 
-def apply_operator(u: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
-    """Full-row symmetric operator G^T W K G on a node field or x2 column."""
-    grid = cmap.grid
-    out = grad_adjoint(*_metric_apply(cmap, *grad_staggered(u, grid)), grid)
-    out *= grid.h1 * grid.h2 * grid.dz
-    return out
+def apply_operator(u: np.ndarray, cmap: CoordinateMap, ws=None) -> np.ndarray:
+    """Full-row symmetric operator G^T W K G on a node field or x2 column.
+
+    ws: _operator_work(cmap, u.shape), or None for new; the result is its
+    first buffer, the others hold nothing between calls.  With s, d the
+    vertical pair sums and differences of u and g = D s, the cell fluxes
+    H = a g + b d, T = e d + b . g add D^T H -/+ T to a cell's lower/upper
+    node; the top level, pairing two columns, has coefficients 0.
+    """
+    (a, b1, b2, e), (g1, s, t, g2) = ws or _operator_work(cmap, u.shape)
+    uf = np.ascontiguousarray(u).reshape(-1)  # copies an x2 column only
+    sf = s.reshape(-1)
+
+    def scaled_difference(coef, out):
+        flat = out.reshape(-1)
+        np.subtract(uf[1:], uf[:-1], out=flat[:-1])
+        flat[-1] = 0.0
+        out *= coef
+        return out
+
+    np.add(uf[:-1], uf[1:], out=sf[:-1])
+    sf[-1] = 0.0
+    pairs = [(g1, b1, 1), (g2, b2, 2)][:1 + (u.shape[-2] > 1)]
+    for g, _, axis in pairs:
+        _derivative(s, axis, (t, g))
+    scaled_difference(e, s)
+    for g, b, _ in pairs:
+        s += np.multiply(b, g, out=t)
+        g *= a
+        g += scaled_difference(b, t)
+    # t = D^T H with no row subtracted: H is exactly 0 where g is, and
+    # column-major D1^T rounds every output column alike (x2 rule)
+    n1 = len(g1)
+    np.matmul(_deriv_matrix(n1).T, g1.reshape(n1, -1), out=t.reshape(n1, -1))
+    if len(pairs) > 1:
+        t += np.matmul(_deriv_matrix(g2.shape[-2]).T, g2, out=g1)
+    np.subtract(t, s, out=g1)
+    s += t
+    g1.reshape(-1)[1:] += sf[:-1]
+    return g1
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +201,8 @@ def _flat_eigen(n1: int, n2: int, nz: int, z0: int, z1: int):
     return full, inv, kernel
 
 
-def _flat_solve(r: np.ndarray, grid: SlabGrid, z0: int, z1: int, m: int) -> np.ndarray:
+def _flat_solve(r: np.ndarray, grid: SlabGrid, z0: int, z1: int, m: int,
+                work=None) -> np.ndarray:
     """Exact flat-operator solve on free levels (the CG preconditioner).
 
     r and the result are full node arrays; the rows of r at the fixed
@@ -176,17 +211,25 @@ def _flat_solve(r: np.ndarray, grid: SlabGrid, z0: int, z1: int, m: int) -> np.n
     (spectral._to_basis), the diagonal scaling, then back and V^T; the z
     products on every row (a BLAS may round a row by the row count), the
     rest on m x2 columns (m = 1: an x2-invariant r, geometry's x2 rule).
+    work: None, or three C-contiguous arrays to write into, the first and
+    last of r's size, the second of m columns; the result is in the last.
     """
     v, inv, kernel = _flat_eigen(grid.n1, grid.n2, grid.nz, z0, z1)
-    y = _to_basis((r.reshape(-1, grid.nz) @ v).reshape(inv.shape)[:, :m], grid.n2)
+    f, g, h = (w.reshape(-1) for w in work or [np.empty(r.size) for _ in range(3)])
+    ey = f[:grid.n1 * grid.n2 * v.shape[1]].reshape(grid.n1, grid.n2, -1)
+    a = g[:grid.n1 * m * v.shape[1]].reshape(grid.n1, m, -1)
+    b, out = h[:a.size].reshape(a.shape), h[:r.size].reshape(r.shape)
+    np.matmul(r.reshape(-1, grid.nz), v, out=ey.reshape(-1, v.shape[1]))
+    y = _to_basis(ey[:, :m], grid.n2, (a, b))
     y *= inv[:, :m]
     if kernel is not None:
         c, w = kernel
         # one product per pair of x1 corners, the shape an x2 column has
         corners = y[::grid.n1 - 1, ::grid.n2 - 1].swapaxes(0, 1)
         corners[..., c] = -(corners @ w)
-    y = _spread(_from_basis(y, grid.n2), grid.n2)
-    return (y.reshape(-1, v.shape[1]) @ v.T).reshape(r.shape)
+    np.copyto(ey, _from_basis(y, grid.n2, (ey if m == grid.n2 else a, b)))
+    return np.matmul(ey.reshape(-1, v.shape[1]), v.T,
+                     out=out.reshape(-1, grid.nz)).reshape(r.shape)
 
 
 def _project_kernel(r: np.ndarray, grid: SlabGrid) -> np.ndarray:
@@ -270,12 +313,21 @@ def _pcg(cmap, b, z0, z1, tol, project_constants, x0):
     """
     grid = cmap.grid
     m = _x2_extent(cmap, b, x0)  # decided once per solve
+    ws = _operator_work(cmap, (grid.n1, m, grid.nz))
+    # the operator's result is its first buffer; the preconditioner works in
+    # the others, or on an x2 column in two full arrays, the first of which
+    # spreads the operator's result while the preconditioner is idle
+    work = ws[1][1:] if m == grid.n2 else (np.empty_like(b), ws[1][2], np.empty_like(b))
+    spread, scratch = work[0], work[2]
 
     def apply_free(x):
-        ax = apply_operator(x[..., :m, :], cmap)
+        ax = apply_operator(x[..., :m, :], cmap, ws)
         ax[..., :z0] = 0.0
         ax[..., z1:] = 0.0
-        return _spread(ax, grid.n2)
+        if m == grid.n2:
+            return ax
+        np.copyto(spread, ax)
+        return spread
 
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
@@ -290,11 +342,10 @@ def _pcg(cmap, b, z0, z1, tol, project_constants, x0):
         r = b.copy()
     if project_constants:
         r -= np.mean(r)
-    p = _flat_solve(r, grid, z0, z1, m)
+    p = _flat_solve(r, grid, z0, z1, m, work).copy()
     if project_constants:
         p -= np.mean(p)
     rz = float(np.vdot(r, p))
-    scratch = np.empty_like(b)
     for it in range(1, MAXITER + 1):
         ap = apply_free(p)
         alpha = rz / float(np.vdot(p, ap))
@@ -307,7 +358,7 @@ def _pcg(cmap, b, z0, z1, tol, project_constants, x0):
             raise SolverDiverged(f"pcg residual is not finite after {it} its")
         if rel <= tol:
             return x, it, rel
-        z = _flat_solve(r, grid, z0, z1, m)
+        z = _flat_solve(r, grid, z0, z1, m, work)
         if project_constants:
             z -= np.mean(z)
         rz, rz_old = float(np.vdot(r, z)), rz

@@ -88,33 +88,39 @@ def _deriv_matrix(n: int) -> np.ndarray:
     return d
 
 
-def _to_basis(g: np.ndarray, n2: int) -> np.ndarray:
+def _to_basis(g: np.ndarray, n2: int, work=None) -> np.ndarray:
     """Coefficients Q1^T g Q2 of an (n1, n2, ...) array, axis 2 first.
 
     Along each axis the first row is subtracted and its exact image
     sqrt(n) e_0 added back, so data constant along an axis have exactly
     zero coefficients off its constant column; along axis 2 they may be
-    given by their (n1, 1, ...) column (geometry's x2 rule).
+    given by their (n1, 1, ...) column (geometry's x2 rule).  work: None,
+    or C-contiguous (result, scratch) arrays of a 3-d g's shape to write to.
     """
     n1, m = g.shape[:2]
     t = g.reshape(n1, m, -1)
+    a, s = work or (None, None)
     if m < n2:
-        a = np.sqrt(n2) * t
+        a = np.multiply(np.sqrt(n2), t, out=a)
     else:
-        a = np.matmul(_fourier_basis(n2)[0].T, t - t[:, :1])
+        a = np.matmul(_fourier_basis(n2)[0].T, np.subtract(t, t[:, :1], out=s), out=a)
         a[:, 0] += np.sqrt(n2) * t[:, 0]
-    c = (_fourier_basis(n1)[0].T @ (a - a[:1]).reshape(n1, -1)).reshape(a.shape)
-    c[0] += np.sqrt(n1) * a[0]
-    return c.reshape(g.shape)
+    c0 = np.sqrt(n1) * a[0]
+    np.matmul(_fourier_basis(n1)[0].T, np.subtract(a, a[:1], out=s).reshape(n1, -1),
+              out=a.reshape(n1, -1))
+    a[0] += c0
+    return a.reshape(g.shape)
 
 
-def _from_basis(c: np.ndarray, n2: int) -> np.ndarray:
+def _from_basis(c: np.ndarray, n2: int, work=None) -> np.ndarray:
     """Inverse of _to_basis, axis 2 last: coefficients that vanish off the
-    constant column of Q2 give a field exactly constant along axis 2."""
+    constant column of Q2 give a field exactly constant along axis 2;
+    work as in _to_basis."""
     n1, m = c.shape[:2]
     q1, q2 = _fourier_basis(n1)[2], _fourier_basis(n2)[0][:m, :m]
-    a = (q1 @ c.reshape(n1, -1)).reshape(n1, m, -1)
-    return np.matmul(q2, a).reshape(c.shape)
+    out, a = work or (None, None)
+    a = np.matmul(q1, c.reshape(n1, -1), out=None if a is None else a.reshape(n1, -1))
+    return np.matmul(q2, a.reshape(n1, m, -1), out=out).reshape(c.shape)
 
 
 def _apply_symbol(g: np.ndarray, symbol: np.ndarray) -> np.ndarray:
@@ -123,15 +129,19 @@ def _apply_symbol(g: np.ndarray, symbol: np.ndarray) -> np.ndarray:
     return _from_basis(_to_basis(g, g.shape[1]) * symbol, g.shape[1])
 
 
-def _derivative(w: np.ndarray, axis: int) -> np.ndarray:
+def _derivative(w: np.ndarray, axis: int, work=None) -> np.ndarray:
     """d/dx_axis (axis 1 or 2) of (..., n1, n2, m) arrays: D along axis -3
     or -2 after the first row along it is subtracted, so a field constant
-    along that axis differentiates to exactly 0."""
-    if axis == 1:
-        t = w[..., :1, :, :] - w
-        d = _deriv_matrix(w.shape[-3]).T  # column-major; D^T (-t) = D t
-        return (d @ t.reshape(w.shape[:-2] + (-1,))).reshape(w.shape)
-    return np.matmul(_deriv_matrix(w.shape[-2]), w - w[..., :1, :])
+    along that axis differentiates to exactly 0; work: None, or
+    C-contiguous (scratch, result) arrays of w's shape."""
+    t, out = work or (None, None)
+    if axis == 2:
+        return np.matmul(_deriv_matrix(w.shape[-2]),
+                         np.subtract(w, w[..., :1, :], out=t), out=out)
+    flat = w.shape[:-2] + (-1,)  # D^T column-major: D^T (-t) = D t
+    t = np.subtract(w[..., :1, :, :], w, out=t).reshape(flat)
+    return np.matmul(_deriv_matrix(w.shape[-3]).T, t,
+                     out=None if out is None else out.reshape(flat)).reshape(w.shape)
 
 
 @lru_cache(maxsize=32)

@@ -4,7 +4,7 @@ import pytest
 from elastislab import dynamics as dyn
 from elastislab import elliptic as el
 from elastislab.cli import _band, _smooth_flow
-from elastislab.elliptic import _metric_apply, grad_staggered
+from elastislab.elliptic import grad_staggered
 from elastislab.geometry import (
     _dh_pair,
     _dh_pair_adjoint,
@@ -236,6 +236,22 @@ def metric_cell(cmap):
     return p3, p3, cmap.k33, -cmap.phi1_cell, -cmap.phi2_cell
 
 
+def metric_apply(cmap, q1, q2, q3):
+    """K q for the cell metric K = J Jinv Jinv^T (k11 = k22 = phi3, k13 =
+    -phi1, k23 = -phi2, k12 = 0, k33 kept on the map), in place: the
+    inputs (full or x2 columns) are overwritten with the result and
+    returned; the map's arrays broadcast along x2 (geometry's x2 rule)."""
+    p1, p2, p3 = cmap.phi1_cell, cmap.phi2_cell, cmap.phi3_cell
+    s = p1 * q1
+    s += p2 * q2                 # -(k13 q1 + k23 q2)
+    for q, p in ((q1, p1), (q2, p2)):
+        q *= p3
+        q -= p * q3
+    q3 *= cmap.k33
+    q3 -= s
+    return q1, q2, q3
+
+
 def ksq_eff(n1, n2):
     """|k|^2 of the zeroed-Nyquist derivative factors, rfft2 layout."""
     f1, f2 = rfft_deriv_factors(n1, n2)
@@ -320,7 +336,7 @@ def energy_product(u, v, cmap):
     sum(apply_operator(u) * v))."""
     grid = cmap.grid
     q = grad_staggered(u, grid)
-    m = _metric_apply(cmap, *grad_staggered(v, grid))
+    m = metric_apply(cmap, *grad_staggered(v, grid))
     w = grid.h1 * grid.h2 * grid.dz
     return float(w * sum(np.sum(a * b) for a, b in zip(q, m)))
 
@@ -329,7 +345,7 @@ def metric_correction_cells(cmap, psi):
     """Jinv^T q of the staggered gradient q as the metric product K q
     mapped back by the inverse Piola map (reference for
     dynamics._correction_cells)."""
-    m1, m2, m3 = _metric_apply(cmap, *grad_staggered(psi, cmap.grid))
+    m1, m2, m3 = metric_apply(cmap, *grad_staggered(psi, cmap.grid))
     p1, p2, p3 = cmap.phi1_cell, cmap.phi2_cell, cmap.phi3_cell
     v1, v2 = m1 / p3, m2 / p3
     return v1, v2, m3 + p1 * v1 + p2 * v2

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from elastislab import cli
-from elastislab.errors import ConfigInvalid
+from elastislab.errors import ConfigInvalid, PreconditionViolated
 from elastislab.snapshots import read_snapshot
 
 
@@ -245,27 +245,36 @@ class TestRunCommand:
         # dt = 0.02 is above the stable bound of about 0.0196
         ("dispersion", "scenario = elastic-mode\namplitude = 0.6\n",
          "12x12x13", 3, "PreconditionViolated"),
+        # checks steps at fixed dt too; the smallest grid seen to halt it
+        # is 4x4x2049, so here its steps are made to refuse (see below)
+        ("checks", "", "8x8x9", 3, "PreconditionViolated"),
     ], ids=["unknown-key", "odd-grid", "non-finite-value", "dt-above-bound",
             "degenerate-map", "stability-loss", "mode-past-nyquist",
             "outputs-above-cap", "steps-above-cap", "stable-steps-above-cap",
             "grid-above-memory", "levels-above-memory",
-            "dispersion-dt-above-bound"])
-    def test_failure_table(self, tmp_path, capsys, command, body, grid, code,
-                           reason):
+            "dispersion-dt-above-bound", "checks-dt-above-bound"])
+    def test_failure_table(self, tmp_path, capsys, monkeypatch, command, body,
+                           grid, code, reason):
         # config errors (2) write no result.json;
         # physical halts (3) record the exception name and a message,
         # with the diagnostics written so far (run) or print them
-        # (dispersion, which writes no partial table)
+        # (dispersion and checks, which write no partial table)
+        if command == "checks":
+            def refused(state, dt, **kwargs):
+                raise PreconditionViolated(
+                    f"dt = {dt:.3e} exceeds the stable bound {0.5 * dt:.3e}")
+
+            monkeypatch.setattr(cli.dyn, "step", refused)
         out = tmp_path / "fail"
         argv = [command, "--config",
                 str(_write(tmp_path, "schema = 1\n" + body)), "--out", str(out)]
         assert cli.main(argv + (["--grid", grid] if grid else [])) == code
         if reason is None:
             assert not (out / "result.json").exists()
-        elif command == "dispersion":
+        elif command in ("dispersion", "checks"):
             printed = capsys.readouterr().out
             assert reason in printed and "exceeds the stable bound" in printed
-            assert not (out / "dispersion.csv").exists()
+            assert not list(out.glob("*.*"))
         else:
             result = json.loads((out / "result.json").read_text())
             assert result["reason"] == reason

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from elastislab import elliptic as el
 from elastislab.errors import PreconditionViolated, SolverDiverged
@@ -24,6 +24,7 @@ from conftest import (
     free_level_solve_weak,
     kernel_mask,
     ksq_eff,
+    metric_apply,
     metric_cell,
     node_apply_operator,
     node_grad_adjoint,
@@ -82,7 +83,7 @@ class TestOperatorAlgebra:
         want = (k11 * q[0] + k13 * q[2],
                 k22 * q[1] + k23 * q[2],
                 k13 * q[0] + k23 * q[1] + k33 * q[2])
-        for got, exp in zip(el._metric_apply(cmap, *q), want):
+        for got, exp in zip(metric_apply(cmap, *q), want):
             assert np.array_equal(got, exp)
 
     def test_energy_product_matches_operator(self, rng):
@@ -164,6 +165,57 @@ class TestAverageFirstForms:
         finally:
             tracemalloc.stop()
         assert peak <= 10 * u.nbytes
+
+
+class TestOperatorWorkspace:
+    """apply_operator writes into per-solve buffers: the node-shape cell
+    coefficients and the flat-view vertical stencils must give the node
+    reference's operator, on full arrays and x2 columns alike."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n1=st.integers(2, 8).map(lambda k: 2 * k),
+           n2=st.integers(2, 8).map(lambda k: 2 * k),
+           nz=st.integers(3, 17),
+           amplitude=st.one_of(st.just(0.0), st.floats(0.01, 0.3)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    # n1 != n2, and nz - 1 == n1: cell rows of 64 bytes, the stride of a
+    # strided-output np.negative that numpy 2.4.6 gets wrong
+    @example(n1=8, n2=12, nz=9, amplitude=0.2, seed=1)
+    @example(n1=8, n2=8, nz=9, amplitude=0.2, seed=2)
+    def test_matches_node_reference(self, n1, n2, nz, amplitude, seed):
+        rng = np.random.default_rng(seed)
+        grid = SlabGrid(n1, n2, nz)
+        x1, _ = _coords(n1, n2)
+        maps = (build_map(random_band_limited(rng, n1, n2, 2, amplitude), grid),
+                build_map(amplitude * np.cos(x1)[:, None] * np.ones(n2), grid))
+        for cmap in maps:
+            u = rng.standard_normal(grid.shape)
+            if cmap.x2_invariant:
+                u[:, 1:] = u[:, :1]
+            want = node_apply_operator(u, cmap)
+            ws = el._operator_work(cmap, u.shape)
+            for scale in (1.0, 2.0):  # the second call reuses the buffers
+                got = el.apply_operator(scale * u, cmap, ws)
+                assert _rel([got], [scale * want]) <= 1e-14
+            if cmap.x2_invariant:
+                column = el.apply_operator(u[:, :1], cmap)
+                assert _rel([column], [want[:, :1]]) <= 1e-14
+
+    def test_solve_allocation_does_not_grow_with_iterations(self, rng):
+        cmap = _wavy_map(16, 12, 17, a1=0.2, a2=0.1)
+        load = el.volume_load(rng.standard_normal(cmap.grid.shape), cmap)
+        iterations, peaks = [], []
+        for tol in (1e-4, 1e-10):
+            el.solve_weak(cmap, load, tol=tol)  # caches filled
+            tracemalloc.start()
+            try:
+                _, info = el.solve_weak(cmap, load, tol=tol)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            iterations.append(info["iterations"])
+        assert iterations[1] >= 2 * iterations[0]
+        assert peaks[1] <= peaks[0] + load.nbytes
 
 
 class TestFlatSolves:
@@ -410,14 +462,15 @@ class TestFullArrayPCG:
         seen = []  # operator inputs, preconditioner inputs and outputs
         apply_operator, flat_solve = el.apply_operator, el._flat_solve
 
-        def applied(v, cmap):
+        def applied(v, cmap, *args):
             seen.append(v.copy())
-            return apply_operator(v, cmap)
+            return apply_operator(v, cmap, *args)
 
         def preconditioned(r, *args):
-            seen.append(r.copy())
-            seen.append(flat_solve(r, *args))
-            return seen[-1]
+            # the solve's result is a buffer the next call overwrites
+            z = flat_solve(r, *args)
+            seen.extend([r.copy(), z.copy()])
+            return z
 
         monkeypatch.setattr(el, "apply_operator", applied)
         monkeypatch.setattr(el, "_flat_solve", preconditioned)
@@ -457,9 +510,9 @@ class TestCurvedSolves:
         calls = []
         original = el.apply_operator
 
-        def counted(u, cmap):
+        def counted(u, cmap, *args):
             calls.append(1)
-            return original(u, cmap)
+            return original(u, cmap, *args)
 
         monkeypatch.setattr(el, "apply_operator", counted)
         with pytest.raises(SolverDiverged):

@@ -582,9 +582,9 @@ class TestX2Rule:
         shapes = []
         apply_operator = el.apply_operator
 
-        def recorded(u, cmap):
+        def recorded(u, cmap, *args):
             shapes.append(u.shape)
-            return apply_operator(u, cmap)
+            return apply_operator(u, cmap, *args)
 
         monkeypatch.setattr(el, "apply_operator", recorded)
         el.solve_weak(flat, el.volume_load(w, flat))
