@@ -8,12 +8,15 @@ at the floor (flat symbol |k| coth |k|, mean mode 1), the free variant
 with zero flux there (flat symbol |k| tanh |k|, mean mode annihilated).
 
 On flat maps both operators and the inverse of the free variant are
-exact symbols, one diagonal scaling in the real Fourier basis of
-spectral._to_basis (no FFT).  On curved maps the flux maps take the
-discrete route _solved_flux, one elliptic.solve_weak call with the datum
-as the interface value; the self-adjointness checks exercise it, and the
-spatial convergence study runs it on flat maps.  The curved inverse is
-one all-Neumann solve, least squares: a datum's kernel part is dropped.
+exact symbols (dn_symbol_dirichlet, dn_symbol_neumann and its inverse,
+tabulated by _flux_symbols), one diagonal scaling in the real Fourier
+basis of spectral._to_basis (no FFT).  On curved maps the flux maps take
+the discrete route _solved_flux, one elliptic.solve_weak call with the
+datum as the interface value; the self-adjointness checks exercise it,
+and the spatial convergence study runs it on flat maps.  The curved
+inverse is one all-Neumann solve, least squares: a datum's kernel part
+is dropped.  Every solve here runs at elliptic.DEFAULT_TOL; no function
+takes a tolerance.
 
 The commutator assemblies implement exact interface identities:
 differentiating the extension problem in time trades the moving domain
@@ -33,7 +36,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import elliptic as el
-from .elliptic import DEFAULT_TOL
 from .errors import NotMeanZero, SolverDiverged
 from .geometry import CoordinateMap, _normal_flux, mapped_gradient
 from .spectral import _apply_symbol, _ksq, horizontal_derivative
@@ -49,6 +51,20 @@ __all__ = [
 ]
 
 
+def dn_symbol_dirichlet(kappa: np.ndarray) -> np.ndarray:
+    """|k| coth|k| with the zero-mode limit 1."""
+    e = np.exp(-2.0 * kappa)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        s = kappa * (1.0 + e) / (1.0 - e)
+    return np.where(kappa > 0, s, 1.0)
+
+
+def dn_symbol_neumann(kappa: np.ndarray) -> np.ndarray:
+    """|k| tanh|k|; the zero mode maps to 0."""
+    e = np.exp(-2.0 * kappa)
+    return np.where(kappa > 0, kappa * (1.0 - e) / (1.0 + e), 0.0)
+
+
 @lru_cache(maxsize=32)
 def _flux_symbols(n1: int, n2: int):
     """Flat symbols (clamped, free, inverse of free) of the flux maps, per
@@ -57,34 +73,32 @@ def _flux_symbols(n1: int, n2: int):
     The inverse is zero on the kernel of the free symbol (the mean mode).
     """
     kappa = np.sqrt(_ksq(n1, n2))
-    free = el.dn_symbol_neumann(kappa)
+    free = dn_symbol_neumann(kappa)
     inverse = np.where(free > 0, 1.0 / np.where(free > 0, free, 1.0), 0.0)
-    return el.dn_symbol_dirichlet(kappa), free, inverse
+    return dn_symbol_dirichlet(kappa), free, inverse
 
 
-def _solved_flux(g: np.ndarray, cmap: CoordinateMap, bottom, tol: float):
+def _solved_flux(g: np.ndarray, cmap: CoordinateMap, bottom):
     """Interface flux of the harmonic extension of g by one solve_weak,
     on any map: bottom = 0.0 clamps the floor, None leaves it free."""
-    u, _ = el.solve_weak(cmap, None, top=g, bottom=bottom, tol=tol)
+    u, _ = el.solve_weak(cmap, None, top=g, bottom=bottom)
     return el.boundary_flux_top(u, cmap)
 
 
-def apply_dn(g: np.ndarray, cmap: CoordinateMap,
-             tol: float = DEFAULT_TOL) -> np.ndarray:
+def apply_dn(g: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
     """Interface flux of the floor-clamped harmonic extension of g."""
     g = np.asarray(g, dtype=float)
     if cmap.is_flat:
         return _apply_symbol(g, _flux_symbols(*g.shape)[0])
-    return _solved_flux(g, cmap, 0.0, tol)
+    return _solved_flux(g, cmap, 0.0)
 
 
-def apply_dn_neumann(g: np.ndarray, cmap: CoordinateMap,
-                     tol: float = DEFAULT_TOL) -> np.ndarray:
+def apply_dn_neumann(g: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
     """Interface flux of the free-floor harmonic extension of g."""
     g = np.asarray(g, dtype=float)
     if cmap.is_flat:
         return _apply_symbol(g, _flux_symbols(*g.shape)[1])
-    return _solved_flux(g, cmap, None, tol)
+    return _solved_flux(g, cmap, None)
 
 
 def invert_dn_neumann(h: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
@@ -157,8 +171,8 @@ def dt_normal(u_trace: np.ndarray, f: np.ndarray) -> DtNormal:
 # ---------------------------------------------------------------------------
 # commutators
 
-def material_dn_commutator(g: np.ndarray, u: np.ndarray, cmap: CoordinateMap,
-                           tol: float = DEFAULT_TOL) -> np.ndarray:
+def material_dn_commutator(g: np.ndarray, u: np.ndarray,
+                           cmap: CoordinateMap) -> np.ndarray:
     """Commutator of the material derivative with the free-floor flux map.
 
     u is the bulk velocity on the slab, (3, n1, n2, nz); the interface
@@ -170,7 +184,7 @@ def material_dn_commutator(g: np.ndarray, u: np.ndarray, cmap: CoordinateMap,
     """
     g = np.asarray(g, dtype=float)
     grid = cmap.grid
-    w = el.harmonic_ext_neumann(g, cmap, tol=tol)
+    w = el.harmonic_ext_neumann(g, cmap)
     gw = mapped_gradient(w, cmap)
     du = mapped_gradient(u, cmap)
     d2w = mapped_gradient(gw, cmap)
@@ -183,7 +197,7 @@ def material_dn_commutator(g: np.ndarray, u: np.ndarray, cmap: CoordinateMap,
         d2ub = mapped_gradient(du[b], cmap)
         src += sum(d2ub[a][a] for a in range(3)) * gw[b]
     load = el.volume_load(src, cmap)
-    v1, _ = el.solve_weak(cmap, load, tol=tol)
+    v1, _ = el.solve_weak(cmap, load)
     term1 = el.boundary_flux_top(v1, cmap, load)
 
     # floor flux condition picks up the moving frame at the bottom
@@ -191,7 +205,7 @@ def material_dn_commutator(g: np.ndarray, u: np.ndarray, cmap: CoordinateMap,
            + du[1][2][..., 0] * gw[1][..., 0])
     load = np.zeros(grid.shape)
     load[..., 0] = -(grid.h1 * grid.h2 * bot)
-    v2, _ = el.solve_weak(cmap, load, tol=tol)
+    v2, _ = el.solve_weak(cmap, load)
     term2 = el.boundary_flux_top(v2, cmap)
 
     # surface terms: normal derivative of u against the extension
@@ -202,7 +216,7 @@ def material_dn_commutator(g: np.ndarray, u: np.ndarray, cmap: CoordinateMap,
     frame = dt_normal(u[..., -1], cmap.f)
     g1 = horizontal_derivative(g, 1)
     g2 = horizontal_derivative(g, 2)
-    nbar_g = apply_dn_neumann(g, cmap, tol=tol)
+    nbar_g = apply_dn_neumann(g, cmap)
     term4 = (frame.tangential_1 * g1 + frame.tangential_2 * g2
              + frame.normal_coef * nbar_g)
 

@@ -21,7 +21,8 @@ Dirichlet-to-Neumann operators built on top of it exactly self-adjoint:
 boundary fluxes are recovered variationally as the operator residual at
 constrained rows divided by the horizontal cell area.
 
-Solves run matrix-free preconditioned CG on full node arrays: the
+Solves run matrix-free preconditioned CG on full node arrays, each to
+the relative residual DEFAULT_TOL (no function takes a tolerance): the
 levels a Dirichlet condition fixes are held at 0 in every vector of the
 iteration (the operator's rows there are zeroed, and the preconditioner
 neither reads nor writes them), and the boundary values are added after.
@@ -202,7 +203,7 @@ def _flat_eigen(n1: int, n2: int, nz: int, z0: int, z1: int):
 
 
 def _flat_solve(r: np.ndarray, grid: SlabGrid, z0: int, z1: int, m: int,
-                work=None) -> np.ndarray:
+                work) -> np.ndarray:
     """Exact flat-operator solve on free levels (the CG preconditioner).
 
     r and the result are full node arrays; the rows of r at the fixed
@@ -211,11 +212,11 @@ def _flat_solve(r: np.ndarray, grid: SlabGrid, z0: int, z1: int, m: int,
     (spectral._to_basis), the diagonal scaling, then back and V^T; the z
     products on every row (a BLAS may round a row by the row count), the
     rest on m x2 columns (m = 1: an x2-invariant r, geometry's x2 rule).
-    work: None, or three C-contiguous arrays to write into, the first and
-    last of r's size, the second of m columns; the result is in the last.
+    work: three C-contiguous arrays to write into, the first and last of
+    r's size, the second of m columns; the result is in the last.
     """
     v, inv, kernel = _flat_eigen(grid.n1, grid.n2, grid.nz, z0, z1)
-    f, g, h = (w.reshape(-1) for w in work or [np.empty(r.size) for _ in range(3)])
+    f, g, h = (w.reshape(-1) for w in work)
     ey = f[:grid.n1 * grid.n2 * v.shape[1]].reshape(grid.n1, grid.n2, -1)
     a = g[:grid.n1 * m * v.shape[1]].reshape(grid.n1, m, -1)
     b, out = h[:a.size].reshape(a.shape), h[:r.size].reshape(r.shape)
@@ -258,7 +259,6 @@ def solve_weak(
     load: np.ndarray | None,
     top=0.0,
     bottom=None,
-    tol: float = DEFAULT_TOL,
     x0: np.ndarray | None = None,
 ):
     """Solve the weak mapped-Laplacian system G^T W K G u = load.
@@ -298,13 +298,14 @@ def solve_weak(
     neumann_all = (z0 == 0 and z1 == grid.nz)
     if neumann_all:
         b = _project_kernel(b, grid)
-    x, iters, rel = _pcg(cmap, b, z0, z1, tol, neumann_all, x0)
+    x, iters, rel = _pcg(cmap, b, z0, z1, neumann_all, x0)
     x += u0
     return x, {"iterations": iters, "residual": rel}
 
 
-def _pcg(cmap, b, z0, z1, tol, project_constants, x0):
-    """Preconditioned CG for the free levels [z0, z1) on full node arrays.
+def _pcg(cmap, b, z0, z1, project_constants, x0):
+    """Preconditioned CG for the free levels [z0, z1) on full node arrays,
+    to the relative residual DEFAULT_TOL.
 
     b is 0 on the fixed levels, and every vector of the iteration is
     held at 0 there: the operator's rows at those levels are zeroed, and
@@ -356,7 +357,7 @@ def _pcg(cmap, b, z0, z1, tol, project_constants, x0):
         rel = float(np.linalg.norm(r)) / bnorm
         if not np.isfinite(rel):
             raise SolverDiverged(f"pcg residual is not finite after {it} its")
-        if rel <= tol:
+        if rel <= DEFAULT_TOL:
             return x, it, rel
         z = _flat_solve(r, grid, z0, z1, m, work)
         if project_constants:
@@ -408,20 +409,6 @@ def _stable_profiles(kappa: np.ndarray, y3: np.ndarray, kind: str) -> np.ndarray
     return prof
 
 
-def dn_symbol_dirichlet(kappa: np.ndarray) -> np.ndarray:
-    """|k| coth|k| with the zero-mode limit 1."""
-    e = np.exp(-2.0 * kappa)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        s = kappa * (1.0 + e) / (1.0 - e)
-    return np.where(kappa > 0, s, 1.0)
-
-
-def dn_symbol_neumann(kappa: np.ndarray) -> np.ndarray:
-    """|k| tanh|k|; the zero mode maps to 0."""
-    e = np.exp(-2.0 * kappa)
-    return np.where(kappa > 0, kappa * (1.0 - e) / (1.0 + e), 0.0)
-
-
 def _flat_extension(g: np.ndarray, grid: SlabGrid, kind: str) -> np.ndarray:
     prof = _stable_profiles(np.sqrt(_ksq(grid.n1, grid.n2)), grid.y3, kind)
     c = _to_basis(np.asarray(g, dtype=float), grid.n2)
@@ -438,12 +425,11 @@ def harmonic_ext_dirichlet(g: np.ndarray, cmap: CoordinateMap):
     return solve_weak(cmap, None, top=g, bottom=0.0)[0]
 
 
-def harmonic_ext_neumann(g: np.ndarray, cmap: CoordinateMap,
-                         tol: float = DEFAULT_TOL):
+def harmonic_ext_neumann(g: np.ndarray, cmap: CoordinateMap):
     """Harmonic extension with data g on top and zero flux at the floor."""
     if cmap.is_flat:
         return _flat_extension(g, cmap.grid, "cosh")
-    return solve_weak(cmap, None, top=g, tol=tol)[0]
+    return solve_weak(cmap, None, top=g)[0]
 
 
 def weight_field(a_bar: np.ndarray, c0: float, cmap: CoordinateMap) -> np.ndarray:

@@ -33,12 +33,8 @@ from .geometry import (
     trace,
 )
 from .spectral import bessel_multiplier, horizontal_derivative, mollify, sobolev_norm
-from .elliptic import (
-    dn_symbol_dirichlet,
-    harmonic_ext_dirichlet,
-    volume_weights,
-    weight_field,
-)
+from .dn import dn_symbol_dirichlet
+from .elliptic import harmonic_ext_dirichlet, volume_weights, weight_field
 from .dynamics import FlowState, assemble_pressure, kinematic_rate
 
 __all__ = [
@@ -219,9 +215,8 @@ def stability_report(state: FlowState, enforce: bool = False) -> StabilityReport
     has none).  The Taylor coefficient is thresholded in its -N . grad p
     form over the grid restriction of the first region (indicator > 1/2),
     the non-collinearity modulus over the second.  With enforce=True a
-    failing report raises StabilityLost.  A monitored `elastislab run`
-    does not use it: it records the failing row, then raises
-    StabilityLost itself.
+    failing report raises StabilityLost; a monitored `elastislab run`
+    records the failing row, then halts through it.
     """
     reg = _resolve_regions(state)
     tay = taylor_coefficient(state)

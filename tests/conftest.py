@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from elastislab import dn
 from elastislab import dynamics as dyn
 from elastislab import elliptic as el
 from elastislab.cli import _band, _smooth_flow
@@ -160,9 +161,9 @@ def fft_flux_symbols(n1, n2):
     """rfft2 symbols (clamped, free, inverse of free) of the flat flux maps
     (reference for dn._flux_symbols)."""
     kappa = np.sqrt(rfft_ksq(n1, n2))
-    free = el.dn_symbol_neumann(kappa)
+    free = dn.dn_symbol_neumann(kappa)
     inverse = np.where(free > 0, 1.0 / np.where(free > 0, free, 1.0), 0.0)
-    return el.dn_symbol_dirichlet(kappa), free, inverse
+    return dn.dn_symbol_dirichlet(kappa), free, inverse
 
 
 def fft_flat_extension(g, grid, kind):
@@ -397,7 +398,12 @@ def free_level_flat_solve(r, grid, z0, z1):
     return (el._from_basis(y, grid.n2).reshape(-1, shape[-1]) @ v.T).reshape(shape)
 
 
-def free_level_pcg(cmap, bf, z0, z1, tol, project_constants, x0):
+def flat_work(r):
+    """Three new buffers of r's size for elliptic._flat_solve."""
+    return [np.empty(r.size) for _ in range(3)]
+
+
+def free_level_pcg(cmap, bf, z0, z1, project_constants, x0):
     """PCG on free-level arrays, each operator application padded to full
     node shape and sliced back (reference for elliptic._pcg)."""
     grid = cmap.grid
@@ -431,7 +437,7 @@ def free_level_pcg(cmap, bf, z0, z1, tol, project_constants, x0):
         if project_constants:
             r -= np.mean(r)
         rel = float(np.linalg.norm(r)) / bnorm
-        if rel <= tol:
+        if rel <= el.DEFAULT_TOL:
             return x, it, rel
         z = free_level_flat_solve(r, grid, z0, z1)
         if project_constants:
@@ -461,7 +467,7 @@ def free_level_solve_weak(cmap, load, top=0.0, bottom=None, x0=None):
     neumann_all = z0 == 0 and z1 == grid.nz
     if neumann_all:
         bf = el._project_kernel(bf, grid)
-    x, iters, _ = free_level_pcg(cmap, bf, z0, z1, el.DEFAULT_TOL, neumann_all,
+    x, iters, _ = free_level_pcg(cmap, bf, z0, z1, neumann_all,
                                  None if x0 is None else x0[..., z0:z1])
     u[..., z0:z1] += x
     return u, iters

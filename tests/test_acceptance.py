@@ -22,7 +22,6 @@ from conftest import ablation_flow, mixed_flow, random_band_limited, sample_flow
 from elastislab import cli, dn
 from elastislab import dynamics as dyn
 from elastislab import stability as stab
-from elastislab.elliptic import DEFAULT_TOL
 from elastislab.errors import StabilityLost
 from elastislab.geometry import SlabGrid, build_map, normal_vector
 from elastislab.spectral import dealiased_product, horizontal_derivative
@@ -60,9 +59,9 @@ def test_01_flat_interface_flux_symbols():
     for nz in (33, 65):
         fl = build_map(np.zeros((16, 16)), SlabGrid(16, 16, nz))
         errs.append(max(
-            np.max(np.abs(dn._solved_flux(mode, fl, 0.0, DEFAULT_TOL)
+            np.max(np.abs(dn._solved_flux(mode, fl, 0.0)
                           - (2 / np.tanh(2)) * mode)),
-            np.max(np.abs(dn._solved_flux(mode, fl, None, DEFAULT_TOL)
+            np.max(np.abs(dn._solved_flux(mode, fl, None)
                           - (2 * np.tanh(2)) * mode))))
     order = float(np.log2(errs[0] / errs[1]))
     _verdict(1, "flat-flux-symbols", worst <= 1e-6 and order >= 1.9,
@@ -139,22 +138,20 @@ def test_03_flux_derivative_formulas():
     cmapf = build_map(f0, grid)
     g = np.cos(x1) + 0.5 * np.sin(x2)
     v1t, v2t, _ = man_vel(x1, x2, f0)
-    n0 = dn.apply_dn_neumann(g, cmapf, tol=1e-12)
+    n0 = dn.apply_dn_neumann(g, cmapf)
     rot = dn.apply_dn_neumann(v1t * horizontal_derivative(g, 1)
                               + v2t * horizontal_derivative(g, 2),
-                              cmapf, tol=1e-12)
+                              cmapf)
 
     def oracle(delta):
-        hp = dn.apply_dn_neumann(g, build_map(evolve(f0, delta), grid),
-                                 tol=1e-12)
-        hm = dn.apply_dn_neumann(g, build_map(evolve(f0, -delta), grid),
-                                 tol=1e-12)
+        hp = dn.apply_dn_neumann(g, build_map(evolve(f0, delta), grid))
+        hm = dn.apply_dn_neumann(g, build_map(evolve(f0, -delta), grid))
         return ((hp - hm) / (2 * delta)
                 + v1t * horizontal_derivative(n0, 1)
                 + v2t * horizontal_derivative(n0, 2) - rot)
 
     ubulk = np.stack(man_vel(x1[..., None], x2[..., None], cmapf.phi))
-    formula = dn.material_dn_commutator(g, ubulk, cmapf, tol=1e-12)
+    formula = dn.material_dn_commutator(g, ubulk, cmapf)
     o1, o2, o3 = oracle(4e-2), oracle(2e-2), oracle(1e-2)
     t_order = float(np.log2(np.max(np.abs(o1 - o2)) / np.max(np.abs(o2 - o3))))
     agree = np.max(np.abs(formula - o3))
@@ -167,8 +164,7 @@ def test_03_flux_derivative_formulas():
     for nz in (33, 65):
         cm = build_map(0.1 * np.cos(x1) + 0.07 * np.sin(x2),
                        SlabGrid(16, 16, nz))
-        direct = (dn.apply_dn(am * g2, cm, tol=1e-12)
-                  - am * dn.apply_dn(g2, cm, tol=1e-12))
+        direct = dn.apply_dn(am * g2, cm) - am * dn.apply_dn(g2, cm)
         merrs.append(np.max(np.abs(direct
                                    - dn.multiplier_dn_commutator(g2, am, cm))))
     m_order = float(np.log2(merrs[0] / merrs[1]))

@@ -80,9 +80,7 @@ def test_imports_are_declared(folder, extra):
 # Defaulted parameters that only the acceptance battery sets, each with the
 # test that needs a value other than the default.
 TEST_ONLY_OPTIONS = {
-    ("dn", "apply_dn", "tol"): "test_03 (flux derivatives at 1e-12)",
     ("dynamics", "evo_residual", "ablate"): "test_06 (term ablations)",
-    ("stability", "stability_report", "enforce"): "test_08 (typed halt)",
 }
 
 
@@ -150,6 +148,33 @@ def test_every_option_has_a_user():
             continue
         test_only.add((module, function, param))
     assert test_only == set(TEST_ONLY_OPTIONS)
+
+
+# Defaulted parameters on top-level src/ functions and methods: a ratchet,
+# so a new option also updates this count and ROADMAP's.
+DEFAULTED_PARAMETERS = 22
+
+
+def test_defaulted_parameter_budget():
+    assert len(_defaulted_parameters()) == DEFAULTED_PARAMETERS
+
+
+def test_one_solver_tolerance():
+    # every bulk solve stops at elliptic.DEFAULT_TOL: no src/ function takes
+    # a tolerance, and no src/ or benchmark/ call passes one
+    takes = {(module, fn.name) for module, _, fn, _ in _src_functions()
+             if "tol" in [p.arg for p in fn.args.posonlyargs + fn.args.args
+                          + fn.args.kwonlyargs]}
+    assert takes == set()
+    passes = [
+        (path.relative_to(ROOT).as_posix(), node.lineno)
+        for folder in ("src/elastislab", "benchmark")
+        for path in sorted((ROOT / folder).glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and any(k.arg == "tol" for k in node.keywords)
+    ]
+    assert passes == []
 
 
 # Functions that README documents for readers of the run command's

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from elastislab import dn
-from elastislab.elliptic import DEFAULT_TOL
 from elastislab.errors import NotMeanZero, SolverDiverged
 from elastislab.geometry import SlabGrid, build_map
 from elastislab.spectral import horizontal_derivative as hd
@@ -50,8 +49,7 @@ class TestFlatSymbols:
         x1 = 2 * np.pi * np.arange(16) / 16
         g = np.cos(2 * x1)[:, None] * np.ones((1, 16))
         for bottom, ref in ((0.0, 2 / np.tanh(2)), (None, 2 * np.tanh(2))):
-            errs = [np.max(np.abs(dn._solved_flux(g, _flat(16, nz), bottom,
-                                                  DEFAULT_TOL)
+            errs = [np.max(np.abs(dn._solved_flux(g, _flat(16, nz), bottom)
                                   - ref * g)) for nz in (17, 33)]
             assert np.log2(errs[0] / errs[1]) > 1.9
 
@@ -83,7 +81,7 @@ class TestDualityAndInversion:
         # h comes from the discrete map itself
         cmap = _curved(24, 25)
         g = random_band_limited(rng, 24, 24, 4)
-        h = dn.apply_dn_neumann(g, cmap, tol=1e-12)
+        h = dn.apply_dn_neumann(g, cmap)
         z = dn.invert_dn_neumann(h, cmap)
         rel = np.linalg.norm(z - g) / np.linalg.norm(g)
         assert rel < 1e-8
@@ -229,15 +227,15 @@ class TestMaterialCommutator:
             delta = 1e-3
             fp = _evolve_interface(f0, x1m, x2m, delta)
             fm = _evolve_interface(f0, x1m, x2m, -delta)
-            hp = dn.apply_dn_neumann(g, build_map(fp, grid), tol=1e-12)
-            hm = dn.apply_dn_neumann(g, build_map(fm, grid), tol=1e-12)
+            hp = dn.apply_dn_neumann(g, build_map(fp, grid))
+            hm = dn.apply_dn_neumann(g, build_map(fm, grid))
             u1t, u2t, _ = _manufactured_velocity(x1m, x2m, f0)
-            n0 = dn.apply_dn_neumann(g, cmap, tol=1e-12)
+            n0 = dn.apply_dn_neumann(g, cmap)
             dt_of_flux = (hp - hm) / (2 * delta) + u1t * hd(n0, 1) + u2t * hd(n0, 2)
             flux_of_dt = dn.apply_dn_neumann(u1t * hd(g, 1) + u2t * hd(g, 2),
-                                             cmap, tol=1e-12)
+                                             cmap)
             oracle = dt_of_flux - flux_of_dt
-            formula = dn.material_dn_commutator(g, u, cmap, tol=1e-12)
+            formula = dn.material_dn_commutator(g, u, cmap)
             errs.append(np.max(np.abs(formula - oracle)))
         assert errs[0] < 1.0e-3
         assert errs[1] < 2.5e-4

@@ -19,6 +19,7 @@ from conftest import (
     energy_product,
     fft_flat_solve,
     fft_project_kernel,
+    flat_work,
     free_level_flat_solve,
     free_level_pcg,
     free_level_solve_weak,
@@ -201,15 +202,17 @@ class TestOperatorWorkspace:
                 column = el.apply_operator(u[:, :1], cmap)
                 assert _rel([column], [want[:, :1]]) <= 1e-14
 
-    def test_solve_allocation_does_not_grow_with_iterations(self, rng):
+    def test_solve_allocation_does_not_grow_with_iterations(self, rng,
+                                                            monkeypatch):
         cmap = _wavy_map(16, 12, 17, a1=0.2, a2=0.1)
         load = el.volume_load(rng.standard_normal(cmap.grid.shape), cmap)
         iterations, peaks = [], []
         for tol in (1e-4, 1e-10):
-            el.solve_weak(cmap, load, tol=tol)  # caches filled
+            monkeypatch.setattr(el, "DEFAULT_TOL", tol)
+            el.solve_weak(cmap, load)  # caches filled
             tracemalloc.start()
             try:
-                _, info = el.solve_weak(cmap, load, tol=tol)
+                _, info = el.solve_weak(cmap, load)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -366,7 +369,8 @@ class TestFlatPreconditioner:
         r = np.random.default_rng(seed).standard_normal((n1, n2, z1 - z0))
         if levels == "neumann-both":
             r = el._project_kernel(r, grid)
-        got = el._flat_solve(_full(r, grid, z0), grid, z0, z1, grid.n2)
+        full = _full(r, grid, z0)
+        got = el._flat_solve(full, grid, z0, z1, grid.n2, flat_work(full))
         want = _thomas_flat_solve(r, grid, z0, z1)
         assert not got[..., :z0].any() and not got[..., z1:].any()
         got = got[..., z0:z1]
@@ -382,7 +386,8 @@ class TestFlatPreconditioner:
                                 (8, 6, z1 - z0)).copy()
             if z1 == 9:
                 r = el._project_kernel(r, grid)
-            x = el._flat_solve(_full(r, grid, z0), grid, z0, z1, grid.n2)
+            full = _full(r, grid, z0)
+            x = el._flat_solve(full, grid, z0, z1, grid.n2, flat_work(full))
             axis = shape.index(1)
             assert np.array_equal(x, np.broadcast_to(x.take([0], axis), x.shape))
 
@@ -407,7 +412,9 @@ class TestFlatPreconditioner:
             want = fft_project_kernel(r, grid)
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
             r = want
-        got = el._flat_solve(_full(r, grid, z0), grid, z0, z1, grid.n2)[..., z0:z1]
+        full = _full(r, grid, z0)
+        got = el._flat_solve(full, grid, z0, z1, grid.n2,
+                             flat_work(full))[..., z0:z1]
         want = fft_flat_solve(r, grid, z0, z1)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
@@ -417,7 +424,7 @@ class TestFlatPreconditioner:
         r = rng.standard_normal(grid.shape)
         if z1 == 9:
             r = el._project_kernel(r, grid)
-        got = el._flat_solve(r, grid, z0, z1, grid.n2)
+        got = el._flat_solve(r, grid, z0, z1, grid.n2, flat_work(r))
         want = free_level_flat_solve(r[..., z0:z1], grid, z0, z1)
         assert np.array_equal(got[..., z0:z1], want)
         assert not got[..., :z0].any() and not got[..., z1:].any()
@@ -475,14 +482,12 @@ class TestFullArrayPCG:
         monkeypatch.setattr(el, "apply_operator", applied)
         monkeypatch.setattr(el, "_flat_solve", preconditioned)
         x0 = rng.standard_normal(grid.shape)
-        x, iters, _ = el._pcg(cmap, b, z0, z1, el.DEFAULT_TOL,
-                              z0 == 0 and z1 == grid.nz, x0)
+        x, iters, _ = el._pcg(cmap, b, z0, z1, z0 == 0 and z1 == grid.nz, x0)
         assert iters > 1 and len(seen) == 3 * iters + 1
         for v in seen + [x]:
             assert not v[..., :z0].any() and not v[..., z1:].any()
         want, _, _ = free_level_pcg(cmap, b[..., z0:z1], z0, z1,
-                                    el.DEFAULT_TOL, z0 == 0 and z1 == grid.nz,
-                                    x0[..., z0:z1])
+                                    z0 == 0 and z1 == grid.nz, x0[..., z0:z1])
         assert (np.linalg.norm(x[..., z0:z1] - want)
                 <= 1e-12 * np.linalg.norm(want))
 
