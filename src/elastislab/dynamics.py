@@ -847,11 +847,10 @@ def prepare_initial_data(f0: np.ndarray, u0: np.ndarray, F0: np.ndarray,
     grid = SlabGrid(f0.shape[0], f0.shape[1], nz)
     f_eps = mollify(f0, eps)
     f_eps -= np.mean(f_eps)
-    cmap0 = build_map(f0, grid)
+    cmap0 = None if eps == 0.0 else build_map(f0, grid)
     cmap = build_map(f_eps, grid)
-    if eps == 0.0:
-        u = u0
-        F = F0
+    if cmap0 is None:
+        u, F = u0, F0
     else:
         u = _resample_columns(u0, cmap0.phi, cmap.phi)
         F = _resample_columns(F0, cmap0.phi, cmap.phi)

@@ -34,9 +34,11 @@ of the pair that the harmonic map also uses (geometry.vertical_eigen,
 fast diagonalization) and the real Fourier basis of spectral._to_basis
 turn the inverse into real matrix products around one diagonal scaling.
 The flat closed forms below are diagonal scalings in the same basis, so
-no solve here runs an FFT.  An x2-invariant solve runs the operator and
-the preconditioner on one x2 column (geometry's x2 rule).  Each solve
-builds one workspace, kept nowhere after it: the operator's cell
+no solve here runs an FFT.  A solve decides its x2 extent once, from the
+load, the boundary values and the initial guess: an x2-invariant solve
+runs the operator and the preconditioner on one x2 column (geometry's
+x2 rule).  Each solve builds one workspace, kept nowhere after it and
+shared by the Dirichlet lift and the iteration: the operator's cell
 coefficients at node shape (top level 0: vertical pair sums and
 differences become flat shifts) and the buffers iterations write into.
 
@@ -54,7 +56,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import PreconditionViolated, SolverDiverged
+from .errors import GridMismatch, PreconditionViolated, SolverDiverged
 from .geometry import (
     CoordinateMap,
     SlabGrid,
@@ -122,12 +124,18 @@ def _operator_work(cmap: CoordinateMap, shape) -> tuple:
 def apply_operator(u: np.ndarray, cmap: CoordinateMap, ws=None) -> np.ndarray:
     """Full-row symmetric operator G^T W K G on a node field or x2 column.
 
-    ws: _operator_work(cmap, u.shape), or None for new; the result is its
-    first buffer, the others hold nothing between calls.  With s, d the
-    vertical pair sums and differences of u and g = D s, the cell fluxes
-    H = a g + b d, T = e d + b . g add D^T H -/+ T to a cell's lower/upper
-    node; the top level, pairing two columns, has coefficients 0.
+    u is (n1, n2, nz), or its (n1, 1, nz) x2 column on an x2-invariant
+    map; any other shape raises GridMismatch.  ws: _operator_work(cmap,
+    u.shape), or None for new; the result is its first buffer, the others
+    hold nothing between calls.  With s, d the vertical pair sums and
+    differences of u and g = D s, the cell fluxes H = a g + b d,
+    T = e d + b . g add D^T H -/+ T to a cell's lower/upper node; the top
+    level, pairing two columns, has coefficients 0.
     """
+    n1, n2, nz = cmap.grid.shape
+    if u.shape not in ((n1, n2, nz), (n1, 1 if cmap.x2_invariant else n2, nz)):
+        raise GridMismatch(f"apply_operator takes {(n1, n2, nz)} or, on an "
+                           f"x2-invariant map, its x2 column; got {u.shape}")
     (a, b1, b2, e), (g1, s, t, g2) = ws or _operator_work(cmap, u.shape)
     uf = np.ascontiguousarray(u).reshape(-1)  # copies an x2 column only
     sf = s.reshape(-1)
@@ -151,7 +159,6 @@ def apply_operator(u: np.ndarray, cmap: CoordinateMap, ws=None) -> np.ndarray:
         g += scaled_difference(b, t)
     # t = D^T H with no row subtracted: H is exactly 0 where g is, and
     # column-major D1^T rounds every output column alike (x2 rule)
-    n1 = len(g1)
     np.matmul(_deriv_matrix(n1).T, g1.reshape(n1, -1), out=t.reshape(n1, -1))
     if len(pairs) > 1:
         t += np.matmul(_deriv_matrix(g2.shape[-2]).T, g2, out=g1)
@@ -261,7 +268,8 @@ def solve_weak(
     bottom=None,
     x0: np.ndarray | None = None,
 ):
-    """Solve the weak mapped-Laplacian system G^T W K G u = load.
+    """Solve the weak mapped-Laplacian system G^T W K G u = load by the
+    full-array PCG of the module docstring.
 
     Parameters
     ----------
@@ -273,7 +281,8 @@ def solve_weak(
     top, bottom : Dirichlet value of the interface, respectively floor,
         level (a scalar or an (n1, n2) field), or None for the natural
         condition, whose data if any sit in the load.
-    x0 : optional initial guess (full node shape).
+    x0 : optional initial guess (full node shape); its fixed levels are
+        ignored.
 
     Returns
     -------
@@ -283,42 +292,22 @@ def solve_weak(
     grid = cmap.grid
     z0 = 0 if bottom is None else 1
     z1 = grid.nz if top is None else grid.nz - 1
-    b = np.zeros(grid.shape)
+    neumann_all = z0 == 0 and z1 == grid.nz
+    r = np.zeros(grid.shape)
     if load is not None:
-        b += load
+        r += load
     u0 = np.zeros(grid.shape)
     if top is not None:
         u0[..., -1] = top
     if bottom is not None:
         u0[..., 0] = bottom
-    if np.any(u0):
-        b -= apply_operator(u0[..., :_x2_extent(cmap, u0), :], cmap)
-    b[..., :z0] = 0.0
-    b[..., z1:] = 0.0
-    neumann_all = (z0 == 0 and z1 == grid.nz)
-    if neumann_all:
-        b = _project_kernel(b, grid)
-    x, iters, rel = _pcg(cmap, b, z0, z1, neumann_all, x0)
-    x += u0
-    return x, {"iterations": iters, "residual": rel}
-
-
-def _pcg(cmap, b, z0, z1, project_constants, x0):
-    """Preconditioned CG for the free levels [z0, z1) on full node arrays,
-    to the relative residual DEFAULT_TOL.
-
-    b is 0 on the fixed levels, and every vector of the iteration is
-    held at 0 there: the operator's rows at those levels are zeroed, and
-    the preconditioner neither reads nor writes them.  x0, if given, is
-    a full node array whose fixed levels are ignored.
-    """
-    grid = cmap.grid
-    m = _x2_extent(cmap, b, x0)  # decided once per solve
+    m = _x2_extent(cmap, load, u0, x0)  # decided once per solve
     ws = _operator_work(cmap, (grid.n1, m, grid.nz))
     # the operator's result is its first buffer; the preconditioner works in
     # the others, or on an x2 column in two full arrays, the first of which
     # spreads the operator's result while the preconditioner is idle
-    work = ws[1][1:] if m == grid.n2 else (np.empty_like(b), ws[1][2], np.empty_like(b))
+    work = (ws[1][1:] if m == grid.n2
+            else (np.empty(grid.shape), ws[1][2], np.empty(grid.shape)))
     spread, scratch = work[0], work[2]
 
     def apply_free(x):
@@ -330,21 +319,23 @@ def _pcg(cmap, b, z0, z1, project_constants, x0):
         np.copyto(spread, ax)
         return spread
 
-    bnorm = float(np.linalg.norm(b))
+    if np.any(u0):  # the Dirichlet lift
+        r -= apply_operator(u0[..., :m, :], cmap, ws)
+    r[..., :z0] = 0.0
+    r[..., z1:] = 0.0
+    if neumann_all:
+        r = _project_kernel(r, grid)
+    bnorm = float(np.linalg.norm(r))
     if bnorm == 0.0:
-        return np.zeros_like(b), 0, 0.0
+        return u0, {"iterations": 0, "residual": 0.0}
+    x = np.zeros(grid.shape)
     if x0 is not None:
-        x = x0.copy()
-        x[..., :z0] = 0.0
-        x[..., z1:] = 0.0
-        r = b - apply_free(x)
-    else:
-        x = np.zeros_like(b)
-        r = b.copy()
-    if project_constants:
+        x[..., z0:z1] = x0[..., z0:z1]
+        r -= apply_free(x)
+    if neumann_all:
         r -= np.mean(r)
     p = _flat_solve(r, grid, z0, z1, m, work).copy()
-    if project_constants:
+    if neumann_all:
         p -= np.mean(p)
     rz = float(np.vdot(r, p))
     for it in range(1, MAXITER + 1):
@@ -352,15 +343,16 @@ def _pcg(cmap, b, z0, z1, project_constants, x0):
         alpha = rz / float(np.vdot(p, ap))
         x += np.multiply(p, alpha, out=scratch)
         r -= np.multiply(ap, alpha, out=scratch)
-        if project_constants:
+        if neumann_all:
             r -= np.mean(r)
         rel = float(np.linalg.norm(r)) / bnorm
         if not np.isfinite(rel):
             raise SolverDiverged(f"pcg residual is not finite after {it} its")
         if rel <= DEFAULT_TOL:
-            return x, it, rel
+            x += u0
+            return x, {"iterations": it, "residual": rel}
         z = _flat_solve(r, grid, z0, z1, m, work)
-        if project_constants:
+        if neumann_all:
             z -= np.mean(z)
         rz, rz_old = float(np.vdot(r, z)), rz
         p *= rz / rz_old

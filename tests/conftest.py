@@ -405,7 +405,8 @@ def flat_work(r):
 
 def free_level_pcg(cmap, bf, z0, z1, project_constants, x0):
     """PCG on free-level arrays, each operator application padded to full
-    node shape and sliced back (reference for elliptic._pcg)."""
+    node shape and sliced back (reference for the PCG of
+    elliptic.solve_weak)."""
     grid = cmap.grid
     full = np.zeros(grid.shape)  # boundary levels outside [z0, z1) stay 0
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from elastislab import elliptic as el
-from elastislab.errors import PreconditionViolated, SolverDiverged
+from elastislab.errors import GridMismatch, PreconditionViolated, SolverDiverged
 from elastislab.geometry import (
     SlabGrid,
     build_map,
@@ -75,6 +75,14 @@ class TestOperatorAlgebra:
     def test_constants_in_kernel(self):
         cmap = _wavy_map(16, 12, 17)
         assert np.max(np.abs(el.apply_operator(np.ones(cmap.grid.shape), cmap))) < 1e-12
+
+    def test_batched_or_column_input_on_a_3d_map_is_refused(self, rng):
+        # a (3, n1, n2, nz) batch would be read as a grid of n1 = 3 rows
+        cmap = _wavy_map(8, 8, 9)
+        u = rng.standard_normal((3,) + cmap.grid.shape)
+        for bad in (u, u[0][:, :1]):
+            with pytest.raises(GridMismatch):
+                el.apply_operator(bad, cmap)
 
     def test_metric_apply_equals_metric_cell_formula(self, rng):
         cmap = _wavy_map(16, 12, 17, a1=0.25, a2=0.15)
@@ -456,12 +464,14 @@ class TestFullArrayPCG:
     @pytest.mark.parametrize("levels", sorted(BOUNDARIES))
     def test_every_vector_is_zero_on_the_fixed_levels(self, rng, monkeypatch,
                                                       levels):
+        # zero Dirichlet values: no lift, every operator call is the PCG's
         cmap = _wavy_map(8, 8, 9, a1=0.2, a2=0.1)
         grid = cmap.grid
-        top, bottom = BOUNDARIES[levels]
+        top, bottom = (None if v is None else 0.0 for v in BOUNDARIES[levels])
         z0 = 0 if bottom is None else 1
         z1 = grid.nz if top is None else grid.nz - 1
-        b = el.volume_load(rng.standard_normal(grid.shape), cmap)
+        load = el.volume_load(rng.standard_normal(grid.shape), cmap)
+        b = load.copy()
         b[..., :z0] = 0.0
         b[..., z1:] = 0.0
         if z1 == grid.nz and z0 == 0:
@@ -482,7 +492,8 @@ class TestFullArrayPCG:
         monkeypatch.setattr(el, "apply_operator", applied)
         monkeypatch.setattr(el, "_flat_solve", preconditioned)
         x0 = rng.standard_normal(grid.shape)
-        x, iters, _ = el._pcg(cmap, b, z0, z1, z0 == 0 and z1 == grid.nz, x0)
+        x, info = el.solve_weak(cmap, load, top=top, bottom=bottom, x0=x0)
+        iters = info["iterations"]
         assert iters > 1 and len(seen) == 3 * iters + 1
         for v in seen + [x]:
             assert not v[..., :z0].any() and not v[..., z1:].any()
@@ -490,6 +501,25 @@ class TestFullArrayPCG:
                                     z0 == 0 and z1 == grid.nz, x0[..., z0:z1])
         assert (np.linalg.norm(x[..., z0:z1] - want)
                 <= 1e-12 * np.linalg.norm(want))
+
+    @pytest.mark.parametrize("levels", sorted(BOUNDARIES))
+    def test_one_workspace_per_solve(self, rng, monkeypatch, levels):
+        # the Dirichlet lift runs in the iteration's workspace
+        cmap = _wavy_map(8, 8, 9, a1=0.2, a2=0.1)
+        top, bottom = BOUNDARIES[levels]
+        if top is not None:
+            top = top + 0.1 * random_band_limited(rng, 8, 8, 3)
+        built = []
+        operator_work = el._operator_work
+
+        def counted(*args):
+            built.append(1)
+            return operator_work(*args)
+
+        monkeypatch.setattr(el, "_operator_work", counted)
+        load = el.volume_load(rng.standard_normal(cmap.grid.shape), cmap)
+        el.solve_weak(cmap, load, top=top, bottom=bottom)
+        assert len(built) == 1
 
     @pytest.mark.parametrize("n", [12, 24])
     @pytest.mark.parametrize("levels", sorted(BOUNDARIES))
