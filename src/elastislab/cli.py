@@ -72,6 +72,9 @@ MAX_STEPS = 1_000_000
 PEAK_BYTES_PER_NODE = 2_200
 PEAK_BYTES_PER_NZ2 = 420
 MAX_S = 8  # largest energy index (its ladder grows as 2^s to 3^s)
+# fewest points per horizontal axis that the checks data fit: below it the
+# band-3 draws reach the Nyquist mode (n = 6) or the symbol modes alias (n = 4)
+CHECKS_MIN_N = 8
 HALTS = (StabilityLost, CeilingViolated, DegenerateMap, PreconditionViolated,
          SolverDiverged)
 
@@ -501,12 +504,15 @@ def _corrupted(fn):
 def run_checks(cfg: RunConfig, corrupt: bool = False) -> dict:
     """Deterministic property suite at the configured grid.
 
-    Entries are either exact identities of the discrete scheme (they
-    hold at any resolution, including deliberately coarse grids) or
-    resolution-dependent residuals whose tolerance scales with the grid
-    at the scheme's second order.  With corrupt=True the flux solvers
-    are wrapped by the deliberate-error hook and the solver-backed
-    entries must fail; this is the suite's negative control.
+    Entries are either exact identities of the discrete scheme or
+    resolution-dependent residuals.  The exact entries hold on every grid
+    with at least CHECKS_MIN_N points on each horizontal axis, coarse
+    vertical grids included; `checks` refuses fewer.  The resolution
+    tolerances scale with n1 alone (the multiplier commutator's with nz),
+    so an entry whose error follows another axis can fail on a grid the
+    suite accepts (32x32x17, 16x12x17, 8x8x9).  With corrupt=True the
+    flux solvers are wrapped by the deliberate-error hook and the
+    solver-backed entries must fail; this is the suite's negative control.
     """
     n1, n2, nz = cfg.n1, cfg.n2, cfg.nz
     rng = np.random.default_rng(cfg.seed)
@@ -614,11 +620,8 @@ def run_checks(cfg: RunConfig, corrupt: bool = False) -> dict:
     hm = neumann(gcm, build_map(evolve(f0, -delta), grid))
     v1t, v2t, _ = man_vel(x1, x2, f0)
     n0 = neumann(gcm, cmapf)
-    oracle = ((hp - hm) / (2 * delta)
-              + v1t * horizontal_derivative(n0, 1)
-              + v2t * horizontal_derivative(n0, 2)
-              - neumann(v1t * horizontal_derivative(gcm, 1)
-                        + v2t * horizontal_derivative(gcm, 2), cmapf))
+    oracle = (dyn._material_rate((hp - hm) / (2 * delta), n0, (v1t, v2t))
+              - neumann(dyn._transport(gcm, v1t, v2t), cmapf))
     ubulk = np.stack(man_vel(x1[..., None], x2[..., None], cmapf.phi))
     formula = dn.material_dn_commutator(gcm, ubulk, cmapf)
     add("appendix_material_commutator", "resolution",
@@ -629,13 +632,7 @@ def run_checks(cfg: RunConfig, corrupt: bool = False) -> dict:
     ub = np.stack([_band(rng, n1, n2, kb) for _ in range(2)])
     fcol = np.stack([_band(rng, n1, n2, kb) for _ in range(2)])
     gt = _band(rng, n1, n2, kb)
-
-    def dp(a, b):
-        return dealiased_product(a, b)
-
-    def hd(a, i):
-        return horizontal_derivative(a, i)
-
+    dp, hd = dealiased_product, horizontal_derivative
     adv = sum(dp(ub[b], hd(gt, b + 1)) for b in range(2))
     lhs = hd(adv, 1) - sum(dp(ub[b], hd(hd(gt, 1), b + 1)) for b in range(2))
     rhs = sum(dp(hd(ub[b], 1), hd(gt, b + 1)) for b in range(2))
@@ -857,6 +854,9 @@ def _effective_config(args) -> RunConfig:
         # oscillation runs are long; default to the small validated grid
         cfg = replace(cfg, n1=12, n2=12, nz=13)
     validate(cfg)
+    if args.command == "checks" and min(cfg.n1, cfg.n2) < CHECKS_MIN_N:
+        raise ConfigInvalid(f"grid: checks needs n1, n2 >= CHECKS_MIN_N = "
+                            f"{CHECKS_MIN_N}, got {cfg.n1}x{cfg.n2}x{cfg.nz}")
     return cfg
 
 

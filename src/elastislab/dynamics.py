@@ -207,6 +207,17 @@ def _surface_laplacian(g: np.ndarray) -> np.ndarray:
             + horizontal_derivative(horizontal_derivative(g, 2), 2))
 
 
+def _transport(g: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """Surface transport v1 d1 g + v2 d2 g."""
+    return v1 * horizontal_derivative(g, 1) + v2 * horizontal_derivative(g, 2)
+
+
+def _material_rate(ddt: np.ndarray, g: np.ndarray, ub) -> np.ndarray:
+    """Material rate ddt + ub[0] d1 g + ub[1] d2 g of a surface field g."""
+    return (ddt + ub[0] * horizontal_derivative(g, 1)
+            + ub[1] * horizontal_derivative(g, 2))
+
+
 def kinematic_rate(state: FlowState) -> np.ndarray:
     """Interface velocity u.N from the velocity trace, mean removed."""
     dtf = _normal_flux(state.u, state.cmap)
@@ -587,19 +598,14 @@ def interface_accel_rhs(state: FlowState, ablate: str | None = None):
     theta = kinematic_rate(state)
     df = [horizontal_derivative(f, 1), horizontal_derivative(f, 2)]
     # material rate of the slopes: d_j(theta) + ubar . grad' d_j f
-    dt_slope = [
-        horizontal_derivative(theta, j + 1)
-        + ubar[0] * horizontal_derivative(df[j], 1)
-        + ubar[1] * horizontal_derivative(df[j], 2)
-        for j in range(2)
-    ]
+    dt_slope = [_material_rate(horizontal_derivative(theta, j + 1), df[j], ubar)
+                for j in range(2)]
     if state.eps != 0.0:
         dbar = mapped_gradient(pressure.bar, cmap)
         dbar_top = [trace(dbar[0]), trace(dbar[1])]
 
     def column_d(g, j):
-        return (Fbar[0][j] * horizontal_derivative(g, 1)
-                + Fbar[1][j] * horizontal_derivative(g, 2))
+        return _transport(g, Fbar[0][j], Fbar[1][j])
 
     out = []
     for i in range(2):
@@ -652,26 +658,15 @@ def evo_residual(states, ablate: str | None = None) -> float:
     dt = float(dts[0])
     window = states[m - 2:m + 3]
 
-    def slopes(st, i):
-        return horizontal_derivative(st.f, i + 1)
-
-    def material_rate(seq, k, gs):
-        st = seq[k]
-        ub = [trace(st.u[a]) for a in range(2)]
-        ddt = (gs[k + 1] - gs[k - 1]) / (2.0 * dt)
-        return (ddt + ub[0] * horizontal_derivative(gs[k], 1)
-                + ub[1] * horizontal_derivative(gs[k], 2))
-
     rhs = interface_accel_rhs(window[2], ablate=ablate)
     num = 0.0
     den = 0.0
     for i in range(2):
-        gs = [slopes(st, i) for st in window]
-        d1 = [material_rate(window, k, gs) for k in (1, 2, 3)]
-        ub = [trace(window[2].u[a]) for a in range(2)]
-        d2 = (d1[2] - d1[0]) / (2.0 * dt) \
-            + ub[0] * horizontal_derivative(d1[1], 1) \
-            + ub[1] * horizontal_derivative(d1[1], 2)
+        gs = [horizontal_derivative(st.f, i + 1) for st in window]
+        d1 = [_material_rate((gs[k + 1] - gs[k - 1]) / (2.0 * dt), gs[k],
+                             trace(window[k].u)) for k in (1, 2, 3)]
+        d2 = _material_rate((d1[2] - d1[0]) / (2.0 * dt), d1[1],
+                            trace(window[2].u))
         num += float(np.mean((d2 - rhs[i]) ** 2))
         den += float(np.mean(rhs[i] ** 2))
     return float(np.sqrt(num / max(den, 1e-30)))

@@ -18,7 +18,7 @@ independent oracle for the nonlinear time stepper.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -35,7 +35,7 @@ from .geometry import (
 from .spectral import bessel_multiplier, horizontal_derivative, mollify, sobolev_norm
 from .dn import dn_symbol_dirichlet
 from .elliptic import harmonic_ext_dirichlet, volume_weights, weight_field
-from .dynamics import FlowState, assemble_pressure, kinematic_rate
+from .dynamics import FlowState, _transport, assemble_pressure, kinematic_rate
 
 __all__ = [
     "DIAGNOSTIC_COLUMNS",
@@ -81,10 +81,6 @@ def lambda_noncollinear(F_traces: np.ndarray) -> np.ndarray:
     disc = np.sqrt((0.5 * (g11 - g22)) ** 2 + g12 ** 2)
     # roundoff can drive the smaller root a hair below zero
     return np.maximum(half - disc, 0.0)
-
-
-def _state_lambda(state: FlowState) -> np.ndarray:
-    return lambda_noncollinear(state.F[:, :2, :, :, -1])
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +216,7 @@ def stability_report(state: FlowState, enforce: bool = False) -> StabilityReport
     """
     reg = _resolve_regions(state)
     tay = taylor_coefficient(state)
-    lam = _state_lambda(state)
+    lam = lambda_noncollinear(state.F[:, :2, :, :, -1])
     thresh = 0.5 * state.c0
     tmin = _masked_min(tay.normal, reg.mask1)
     lmin = _masked_min(lam, reg.mask2)
@@ -356,10 +352,6 @@ def _surface_norm2(g: np.ndarray, s: float = 0.0) -> float:
     return sobolev_norm(g, s) ** 2
 
 
-def _transport(g: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    return v1 * horizontal_derivative(g, 1) + v2 * horizontal_derivative(g, 2)
-
-
 def _extension_energy2(g: np.ndarray, cmap: CoordinateMap, weight):
     """(weighted, unweighted) Dirichlet energies of the harmonic extension."""
     ext = harmonic_ext_dirichlet(g, cmap)
@@ -369,98 +361,87 @@ def _extension_energy2(g: np.ndarray, cmap: CoordinateMap, weight):
     return float(np.sum(w * weight * dens)), float(np.sum(w * dens))
 
 
-def _slope_terms(state: FlowState, slopes, theta: np.ndarray, order: float,
-                 weight: np.ndarray):
-    """Interface terms of the smoothed slopes <grad'>^order slopes[i].
+def _graded_energy(ref: FlowState, f, theta, u, F, cmap: CoordinateMap,
+                   s: int, weight: np.ndarray, eps: float) -> EnergyReport:
+    """The graded energy at index s of an interface f with rate theta and
+    bulk fields u, F; both energies are this functional.
 
-    Returns the (dt, elastic, weighted-extension, plain-extension) sums;
-    transports use the velocity and column traces of state, and the
-    extensions its map.
+    The boundary terms act on the smoothed slopes <grad'>^(s - 3/2) d_i' f.
+    Their material and column transports use the velocity and column
+    traces of the reference state ref, and the coercive term integrates
+    weight against the squared gradient of each smoothed slope's harmonic
+    extension on ref's map.  eps scales the regularization norm
+    <grad'>^(s - 1/2) d_i' f.  The bulk norms are derivative ladders of u
+    and F on cmap, walked before any slope exists.
     """
-    ubar = [trace(state.u[0]), trace(state.u[1])]
-    Fbar = state.F[:, :2, :, :, -1]
-    dt_term = 0.0
-    elastic_term = 0.0
-    weighted_ext = 0.0
-    plain_ext = 0.0
-    for i, slope in enumerate(slopes, 1):
-        w_i = bessel_multiplier(slope, order)
+    if ref.s < 4:
+        raise PreconditionViolated(f"energy index must be an integer >= 4, got {ref.s}")
+    u_hs = bulk_hs_norm2(u, cmap, s)
+    F_hs = bulk_hs_norm2(F, cmap, s)
+    ubar = [trace(ref.u[0]), trace(ref.u[1])]
+    Fbar = ref.F[:, :2, :, :, -1]
+    dt_term = elastic_term = eps_term = weighted_ext = plain_ext = 0.0
+    for i in (1, 2):
+        slope = horizontal_derivative(f, i)
+        w_i = bessel_multiplier(slope, s - 1.5)
         dt_term += _surface_norm2(
-            bessel_multiplier(horizontal_derivative(theta, i), order)
+            bessel_multiplier(horizontal_derivative(theta, i), s - 1.5)
             + _transport(w_i, ubar[0], ubar[1]))
         for k in range(3):
             elastic_term += _surface_norm2(_transport(w_i, Fbar[k, 0], Fbar[k, 1]))
-        wext, pext = _extension_energy2(w_i, state.cmap, weight)
+        wext, pext = _extension_energy2(w_i, ref.cmap, weight)
         weighted_ext += wext
         plain_ext += pext
-    return dt_term, elastic_term, weighted_ext, plain_ext
-
-
-def energy_es_eps(state: FlowState) -> EnergyReport:
-    """Graded energy of a state at its Sobolev index s = state.s.
-
-    The boundary terms act on the smoothed interface slopes
-    <grad'>^(s - 3/2) d_i' f; their material and column transports use
-    the velocity and deformation traces.  Bulk norms are derivative
-    ladders of u and F over the moving domain.  The coercive term
-    integrates the state's coercivity_weight against the squared
-    gradient of the harmonic extension of each smoothed slope.
-
-    The report also carries the two initial-data functionals m0 and
-    m_eps (the latter scales the top-order interface norm by eps).
-    """
-    s = state.s
-    if s < 4:
-        raise PreconditionViolated(f"energy index must be an integer >= 4, got {s}")
-    cmap = state.cmap
-    weight, _ = coercivity_weight(state)
-
-    theta = kinematic_rate(state)
-    slopes = [horizontal_derivative(state.f, i) for i in (1, 2)]
-    dt_term, elastic_term, weighted_ext, plain_ext = _slope_terms(
-        state, slopes, theta, s - 1.5, weight)
-    eps_term = 0.0
-    for slope in slopes:
-        eps_term += state.eps * _surface_norm2(slope, s - 0.5)
-
-    u_hs = bulk_hs_norm2(state.u, cmap, s)
-    F_hs = bulk_hs_norm2(state.F, cmap, s)
-
-    Fbar = state.F[:, :2, :, :, -1]
-    m0 = _surface_norm2(state.f, s) + u_hs + F_hs
-    for k in range(3):
-        m0 += _surface_norm2(
-            _transport(state.f, Fbar[k, 0], Fbar[k, 1]), s - 0.5)
-    m_eps = (state.eps * _surface_norm2(state.f, s + 0.5)
-             + _surface_norm2(state.f, s - 0.5) + u_hs + F_hs)
-
+        eps_term += eps * _surface_norm2(slope, s - 0.5)
     return EnergyReport(
         dt_term=dt_term,
         elastic_term=elastic_term,
         eps_term=eps_term,
         weighted_extension=weighted_ext,
         extension=plain_ext,
-        f_l2=_surface_norm2(state.f),
+        f_l2=_surface_norm2(f),
         dtf_l2=_surface_norm2(theta),
         u_hs=u_hs,
         F_hs=F_hs,
         weight_min=float(np.min(weight)),
         weight_max=float(np.max(weight)),
-        m0=m0,
-        m_eps=m_eps,
     )
 
 
+def energy_es_eps(state: FlowState) -> EnergyReport:
+    """Graded energy of a state at its Sobolev index s = state.s.
+
+    The graded functional of the state's own interface, rate and bulk
+    fields, with their transports and the extension domain from the state
+    itself, the bulk ladders over the moving domain, and the state's
+    coercivity_weight and eps.
+
+    The report also carries the two initial-data functionals m0 and
+    m_eps (the latter scales the top-order interface norm by eps).
+    """
+    s = state.s
+    weight, _ = coercivity_weight(state)
+    report = _graded_energy(state, state.f, kinematic_rate(state), state.u,
+                            state.F, state.cmap, s, weight, state.eps)
+    Fbar = state.F[:, :2, :, :, -1]
+    m0 = _surface_norm2(state.f, s) + report.u_hs + report.F_hs
+    for k in range(3):
+        m0 += _surface_norm2(
+            _transport(state.f, Fbar[k, 0], Fbar[k, 1]), s - 0.5)
+    m_eps = (state.eps * _surface_norm2(state.f, s + 0.5)
+             + _surface_norm2(state.f, s - 0.5) + report.u_hs + report.F_hs)
+    return replace(report, m0=m0, m_eps=m_eps)
+
+
 def difference_energy(a: FlowState, b: FlowState) -> EnergyReport:
-    """Graded energy of the difference of two states on one grid.
+    """The graded energy at s - 1 of the differences of two states on one
+    grid, with s the first state's index.
 
     Both states store physical components at reference-slab nodes, so
-    subtracting fields is already the pullback comparison; bulk norms of
-    the differences are taken on the flat reference slab at order s - 1,
-    boundary terms at order s - 5/2, with s the first state's index.
-    Transports and the extension domain come from the first state,
-    matching its role as the reference solution, and the extension
-    weight is its constant floor c0.
+    subtracting fields is already the pullback comparison.  The first
+    state is the reference solution: its traces carry the transports and
+    its map the extensions, the extension weight is its constant floor c0,
+    and the bulk ladders run on the flat reference slab.
 
     The eps values of the two states may differ: the difference energy
     contains no regularization term, and comparing runs across eps is
@@ -468,36 +449,10 @@ def difference_energy(a: FlowState, b: FlowState) -> EnergyReport:
     """
     if a.grid.shape != b.grid.shape:
         raise GridMismatch(f"grids differ: {a.grid.shape} vs {b.grid.shape}")
-    s = a.s
-    if s < 4:
-        raise PreconditionViolated(f"energy index must be an integer >= 4, got {s}")
-    weight = np.full(a.grid.shape, a.c0)
-
-    fd = a.f - b.f
-    theta_d = kinematic_rate(a) - kinematic_rate(b)
-    slopes = [horizontal_derivative(fd, i) for i in (1, 2)]
-    dt_term, elastic_term, weighted_ext, plain_ext = _slope_terms(
-        a, slopes, theta_d, s - 2.5, weight)
-
     flat = build_map(np.zeros_like(a.f), a.grid)
-    u_hs = bulk_hs_norm2(a.u - b.u, flat, s - 1)
-    F_hs = bulk_hs_norm2(a.F - b.F, flat, s - 1)
-
-    f_l2 = _surface_norm2(fd)
-    dtf_l2 = _surface_norm2(theta_d)
-    return EnergyReport(
-        dt_term=dt_term,
-        elastic_term=elastic_term,
-        eps_term=0.0,
-        weighted_extension=weighted_ext,
-        extension=plain_ext,
-        f_l2=f_l2,
-        dtf_l2=dtf_l2,
-        u_hs=u_hs,
-        F_hs=F_hs,
-        weight_min=float(np.min(weight)),
-        weight_max=float(np.max(weight)),
-    )
+    return _graded_energy(a, a.f - b.f, kinematic_rate(a) - kinematic_rate(b),
+                          a.u - b.u, a.F - b.F, flat, a.s - 1,
+                          np.full(a.grid.shape, a.c0), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,18 @@ def test_fft_has_one_home():
     assert found == FFT_HOMES
 
 
+def test_energy_report_has_one_builder():
+    # the graded energy and the difference energy are one functional at
+    # two indices, so one function assembles every EnergyReport
+    found = [(module, fn.name)
+             for module, _, fn, _ in _src_functions()
+             for node in ast.walk(fn)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None))
+             == "EnergyReport"]
+    assert found == [("stability", "_graded_energy")]
+
+
 # The derived arrays of CoordinateMap: on an x2-invariant map they are kept
 # at x2 width 1 and broadcast (geometry's x2 rule), so no operator slices
 # them to a field's width.

@@ -245,14 +245,18 @@ class TestRunCommand:
         # dt = 0.02 is above the stable bound of about 0.0196
         ("dispersion", "scenario = elastic-mode\namplitude = 0.6\n",
          "12x12x13", 3, "PreconditionViolated"),
-        # checks steps at fixed dt too; the smallest grid seen to halt it
-        # is 4x4x2049, so here its steps are made to refuse (see below)
+        # checks steps at fixed dt too; from CHECKS_MIN_N points per
+        # horizontal axis only a very fine vertical grid would halt it, so
+        # here its steps are made to refuse (see below)
         ("checks", "", "8x8x9", 3, "PreconditionViolated"),
+        # the checks data do not fit fewer than CHECKS_MIN_N points an axis
+        ("checks", "", "6x8x9", 2, None),
     ], ids=["unknown-key", "odd-grid", "non-finite-value", "dt-above-bound",
             "degenerate-map", "stability-loss", "mode-past-nyquist",
             "outputs-above-cap", "steps-above-cap", "stable-steps-above-cap",
             "grid-above-memory", "levels-above-memory",
-            "dispersion-dt-above-bound", "checks-dt-above-bound"])
+            "dispersion-dt-above-bound", "checks-dt-above-bound",
+            "checks-grid-below-data"])
     def test_failure_table(self, tmp_path, capsys, monkeypatch, command, body,
                            grid, code, reason):
         # config errors (2) write no result.json;
@@ -281,16 +285,20 @@ class TestRunCommand:
             assert result["message"]
             assert (out / "diagnostics.csv").exists()
 
-    @pytest.mark.parametrize("body, bound", [
-        ("scenario = elastic-mode\ngrid = 8x8x9\nt_final = 1e5\n"
+    @pytest.mark.parametrize("command, body, bound", [
+        ("run", "scenario = elastic-mode\ngrid = 8x8x9\nt_final = 1e5\n"
          "output_interval = 10\n", "MAX_STEPS"),
-        ("grid = 4096x4096x4097\n", "PEAK_BYTES_PER_NODE"),
-        ("grid = 4x4x100001\n", "PEAK_BYTES_PER_NZ2"),
+        ("run", "grid = 4096x4096x4097\n", "PEAK_BYTES_PER_NODE"),
+        ("run", "grid = 4x4x100001\n", "PEAK_BYTES_PER_NZ2"),
         # refused before any work: one energy at s = 30 would take weeks
-        ("scenario = mixed-regions\ns = 30\n", "MAX_S"),
-    ], ids=["stable-steps", "grid-memory", "levels-memory", "energy-index"])
-    def test_refusal_names_its_bound(self, tmp_path, capsys, body, bound):
-        argv = ["run", "--config", str(_write(tmp_path, "schema = 1\n" + body)),
+        ("run", "scenario = mixed-regions\ns = 30\n", "MAX_S"),
+        ("checks", "grid = 8x6x9\n", "CHECKS_MIN_N"),
+    ], ids=["stable-steps", "grid-memory", "levels-memory", "energy-index",
+            "checks-grid"])
+    def test_refusal_names_its_bound(self, tmp_path, capsys, command, body,
+                                     bound):
+        argv = [command, "--config",
+                str(_write(tmp_path, "schema = 1\n" + body)),
                 "--out", str(tmp_path / "fail")]
         assert cli.main(argv) == 2
         assert bound in capsys.readouterr().err
@@ -366,6 +374,27 @@ class TestChecksCommand:
         for c in report["checks"]:
             if c["kind"] == "exact":
                 assert c["pass"], c
+
+    # the grids the checks data were tried on: below CHECKS_MIN_N points on
+    # a horizontal axis an exact entry fails (dn_roundtrip at n = 6; also
+    # spectral_mollify_symbol and commutator_material_transport at n = 4)
+    @pytest.mark.parametrize("grid", ["4x8x9", "6x6x9", "6x8x9", "8x6x9",
+                                      "8x8x3", "8x8x5", "8x8x9", "8x12x9",
+                                      "12x8x13", "10x10x11"])
+    def test_small_grids_pass_every_exact_entry_or_are_refused(self, tmp_path,
+                                                               grid):
+        n1, n2, _ = map(int, grid.split("x"))
+        for seed in ("0", "7"):
+            out = tmp_path / seed
+            code = cli.main(["checks", "--grid", grid, "--seed", seed,
+                             "--out", str(out)])
+            if min(n1, n2) < cli.CHECKS_MIN_N:
+                assert code == 2 and not out.exists()
+                continue
+            report = json.loads((out / "checks.json").read_text())
+            assert code == (0 if report["all_pass"] else 1)
+            assert [c["name"] for c in report["checks"]
+                    if c["kind"] == "exact" and not c["pass"]] == []
 
     def test_bit_identical_reruns(self, tmp_path):
         args = ["checks", "--grid", "8x8x9", "--seed", "11"]

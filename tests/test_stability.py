@@ -514,6 +514,41 @@ class TestDifferenceEnergy:
         assert abs(rate) < 1.0
 
 
+class TestOneFunctional:
+    """The difference energy is the graded energy at s - 1: against a zero
+    state it equals energy_es_eps one index down, where both weights are
+    the floor c0 = 0 and neither has an eps term."""
+
+    @staticmethod
+    def _pair(f, u, F):
+        zero = FlowState(0.0, np.zeros_like(f), np.zeros_like(u),
+                         np.zeros_like(F), 0.0, s=4, c0=0.0)
+        diff = stab.difference_energy(
+            FlowState(0.0, f, u, F, 0.0, s=5, c0=0.0), zero)
+        return diff, stab.energy_es_eps(FlowState(0.0, f, u, F, 0.0, s=4,
+                                                  c0=0.0))
+
+    INTERFACE = ("dt_term", "elastic_term", "eps_term", "weighted_extension",
+                 "extension", "f_l2", "dtf_l2", "weight_min", "weight_max")
+
+    def test_interface_terms_are_equal(self):
+        st = sample_flow(16, 17, 0.05, 0.0)
+        diff, energy = self._pair(st.f, st.u, st.F)
+        assert energy.dt_term > 0.0 and energy.elastic_term > 0.0
+        for name in self.INTERFACE:
+            assert getattr(diff, name) == getattr(energy, name), name
+
+    def test_flat_interface_every_term_is_equal(self):
+        # on a flat interface the moving domain is the reference slab, so
+        # the bulk ladders agree too
+        st = sample_flow(16, 17, 0.05, 0.0)
+        diff, energy = self._pair(np.zeros_like(st.f), st.u, st.F)
+        assert energy.u_hs > 0.0 and energy.dtf_l2 > 0.0
+        for name in self.INTERFACE + ("u_hs", "F_hs", "total"):
+            assert getattr(diff, name) == getattr(energy, name), name
+        assert (diff.m0, diff.m_eps) == (None, None)
+
+
 class TestDispersion:
     def test_neutral(self):
         assert stab.dispersion_omega(np.zeros((3, 2)), 0.0, 0.0, (1, 0)) == 0.0
