@@ -127,6 +127,13 @@ class FlowState:
     A state made by with_fields starts its pressure solves from its
     parent's pressure; a directly constructed one solves cold.
 
+    The state decides its x2 width once (geometry's x2 rule): when its
+    map is x2-invariant and u and F are constant along x2, it keeps them
+    as their (..., n1, 1, nz) x2 columns _u and _F, and every step-path
+    function works on those; else _u and _F are u and F.  u and F may be
+    given as x2 columns, which are then not scanned.  The attributes u
+    and F are always full, spread from a column state's on first read.
+
     The finiteness scan takes the min and max of each of the 12 bulk
     scalars (u[a], then F[j, a]), and keeps two flags per scalar in
     (4, 3) arrays, row 0 for u and row 1 + j for F[j]: _varies (not
@@ -137,8 +144,8 @@ class FlowState:
     invariants skip what the flags show to be exactly 0.
     """
 
-    __slots__ = ("t", "f", "u", "F", "eps", "s", "c0", "regions", "cmap",
-                 "_varies", "_nonzero",
+    __slots__ = ("t", "f", "_u", "_F", "_full", "eps", "s", "c0", "regions",
+                 "cmap", "_varies", "_nonzero",
                  "_gradients", "_pressure", "_invariants", "_hint")
 
     def __init__(self, t, f, u, F, eps, s=4, c0=0.1, regions=None):
@@ -147,7 +154,8 @@ class FlowState:
         F = np.array(F, dtype=float)
         if u.shape[0] != 3 or F.shape[:2] != (3, 3):
             raise GridMismatch(f"component axes: u {u.shape}, F {F.shape}")
-        if u.shape[1:3] != f.shape or F.shape[2:4] != f.shape:
+        if any(p not in (f.shape, (f.shape[0], 1))
+               for p in (u.shape[1:3], F.shape[2:4])):
             raise GridMismatch(f"plane shapes: f {f.shape}, u {u.shape}")
         # min/max see NaN and inf with no field-sized temporary; taken per
         # scalar of u and F they also tell which scalars are constant
@@ -173,17 +181,19 @@ class FlowState:
         np.maximum(hi[:, 2], 0.0, out=hi[:, 2])
         self._varies = lo < hi
         self._nonzero = (lo != 0.0) | (hi != 0.0)
-        for a in (f, u, F):
+        self.cmap = build_map(f, SlabGrid(*f.shape, u.shape[-1]))
+        m = _x2_extent(self.cmap, u, F)  # the state's x2 width
+        self._u, self._F = (np.ascontiguousarray(a[..., :1, :]) if m == 1
+                            else _spread(a, m) for a in (u, F))
+        for a in (f, self._u, self._F):
             a.flags.writeable = False
         self.t = float(t)
         self.f = f
-        self.u = u
-        self.F = F
         self.eps = float(eps)
         self.s = int(s)
         self.c0 = float(c0)
         self.regions = regions
-        self.cmap = build_map(f, SlabGrid(*f.shape, u.shape[-1]))
+        self._full = None
         self._gradients = None
         self._pressure = None
         self._invariants = None
@@ -192,6 +202,18 @@ class FlowState:
     @property
     def grid(self) -> SlabGrid:
         return self.cmap.grid
+
+    def _fields(self):
+        """(u, F) at full width, spread once for a column state."""
+        if self._full is None:
+            self._full = tuple(_spread(a, self.grid.n2)
+                               for a in (self._u, self._F))
+            for a in self._full:
+                a.flags.writeable = False
+        return self._full
+
+    u = property(lambda self: self._fields()[0])
+    F = property(lambda self: self._fields()[1])
 
     def with_fields(self, t, f, u, F) -> "FlowState":
         """New state with the same parameters; its pressure solves start
@@ -219,8 +241,10 @@ def _material_rate(ddt: np.ndarray, g: np.ndarray, ub) -> np.ndarray:
 
 
 def kinematic_rate(state: FlowState) -> np.ndarray:
-    """Interface velocity u.N from the velocity trace, mean removed."""
-    dtf = _normal_flux(state.u, state.cmap)
+    """Interface velocity u.N from the velocity trace, mean removed: an
+    (n1, n2) plane, whose mean is taken over the whole plane."""
+    dtf = np.array(np.broadcast_to(_normal_flux(state._u, state.cmap),
+                                   state.f.shape))
     return dtf - np.mean(dtf)
 
 
@@ -241,9 +265,11 @@ def weak_div_load(v: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
     Row r is the integral of div(v) against the hat function of level r,
     written through the flux form so that the interface and floor rows
     carry the true boundary fluxes v.N and -v3.  Constant fields are
-    exactly annihilated on any map.  Works on x2 columns where it can.
+    exactly annihilated on any map.  Works on x2 columns where it can,
+    and a v given by its x2 column gets a column back.
     """
     grid = cmap.grid
+    n2 = v.shape[-2]
     v = v[..., :_x2_extent(cmap, v), :]
     m1, m2, m3 = _piola_cell(cmap, *(_node_to_cell(v[a]) for a in range(3)))
     w = grid.h1 * grid.h2 * grid.dz
@@ -251,12 +277,13 @@ def weak_div_load(v: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
     area = grid.h1 * grid.h2
     b[..., -1] += area * _normal_flux(v, cmap)
     b[..., 0] += -area * bottom_trace(v[2])
-    return _spread(b, grid.n2)
+    return b if b.shape[-2] == n2 else _spread(b, n2)
 
 
 def divergence_field(v: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
-    """Nodal divergence estimate: the weak load scaled back to a density."""
-    return weak_div_load(v, cmap) / volume_weights(cmap)
+    """Nodal divergence estimate: the weak load scaled back to a density,
+    at the x2 width of v."""
+    return weak_div_load(v, cmap) / volume_weights(cmap)[:, :v.shape[-2]]
 
 
 def divergence_residual(v: np.ndarray, cmap: CoordinateMap) -> float:
@@ -331,12 +358,13 @@ def _gradient_correction(cmap: CoordinateMap, psi: np.ndarray):
     Components 1 and 2 use the minimum-norm lift; component 3 is anchored
     so the floor value of the total is exactly zero.  The cell data and
     the gradient of an x2-invariant psi are taken on its x2 column; the
-    gap they leave broadcasts to full width, so the lifts, dense products
-    along z (rounded by the row count on some BLAS), run on every row.
+    gradient is spread to full width, and so is the gap, so the lifts,
+    dense products along z (rounded by the row count on some BLAS), run
+    on every row.
     """
     col = psi[..., :_x2_extent(cmap, psi), :]
     q1, q2, q3 = _correction_cells(cmap, col)
-    g = mapped_gradient(col, cmap)
+    g = _spread(mapped_gradient(col, cmap), psi.shape[-2])
     corr = np.empty((3,) + psi.shape)
     corr[0] = g[0] + _minnorm_lift(q1 - _node_to_cell(g[0]))
     corr[1] = g[1] + _minnorm_lift(q2 - _node_to_cell(g[1]))
@@ -407,7 +435,8 @@ def project_div_normal(v: np.ndarray, cmap: CoordinateMap):
 
 class PressurePieces:
     """Pressure split p = ring (bilinear part) + bar (regularization),
-    kept with grad, its mapped gradient (3, n1, n2, nz).
+    kept with grad, its mapped gradient (3, n1, n2, nz); all three are
+    x2 columns for a column state (FlowState).
 
     info maps "ring", and "bar" when there is a bar part, to the solve's
     iterations and final relative residual.
@@ -433,12 +462,13 @@ def _gradient_stack(state: FlowState):
     field are differentiated in one call, written in place: a nine-field
     batch or a final stack of the columns would raise a step's peak
     memory.  Returns (du, dF, du_nonzero, dF_nonzero), the flags of
-    shape (3, 3) and (3, 3, 3) from one reduction per stack.
+    shape (3, 3) and (3, 3, 3) from one reduction per stack.  The stacks
+    have the state's x2 width.
     """
     cmap = state.cmap
-    du = np.zeros((3, 3) + state.grid.shape)
+    du = np.zeros((3, 3) + state._u.shape[1:])
     dF = np.zeros((3,) + du.shape)
-    for field, varies, out in zip((state.u, *state.F), state._varies,
+    for field, varies, out in zip((state._u, *state._F), state._varies,
                                   (du, *dF)):
         if varies.any():
             out[varies] = mapped_gradient(field[varies], cmap)
@@ -460,7 +490,7 @@ def _pressure_source(state: FlowState) -> np.ndarray:
     order of the full double sum, so the result equals that sum up to
     the sign of zero."""
     du, dF, du_nz, dF_nz = _gradients(state)
-    src = np.zeros(state.grid.shape)
+    src = np.zeros(du.shape[2:])
     for a in range(3):
         for b in range(3):
             if du_nz[a, b] and du_nz[b, a]:
@@ -480,25 +510,31 @@ def assemble_pressure(state: FlowState) -> PressurePieces:
     regularizing surface operator, fixed by a mean-zero interface trace.
     Both solves start from the parent state's pieces when the state was
     made by with_fields, so they agree with a cold solve to the solver
-    tolerance, not bit for bit.
+    tolerance, not bit for bit.  A column state's loads and starts are
+    x2 columns, so are its pieces; the bar mean is taken on the full
+    interface.
     """
     if state._pressure is not None:
         return state._pressure
     cmap = state.cmap
+    m = state._u.shape[-2]
     hint, state._hint = state._hint, None
     src = _pressure_source(state)
     info = {}
-    ring, info["ring"] = solve_weak(cmap, volume_load(src, cmap),
-                                    x0=None if hint is None else hint.ring)
+    ring, info["ring"] = solve_weak(
+        cmap, volume_load(src, cmap),
+        x0=None if hint is None else hint.ring[:, :m])
+    ring = ring[:, :m]
     bar = None
     if state.eps != 0.0:
         grid = state.grid
         flux = -state.eps * _surface_laplacian(state.f)
-        load = np.zeros(grid.shape)
-        load[..., -1] = (grid.h1 * grid.h2) * flux
-        bar, info["bar"] = solve_weak(cmap, load, top=None,
-                                      x0=None if hint is None else hint.bar)
-        bar = bar - np.mean(trace(bar))
+        load = np.zeros(src.shape)
+        load[..., -1] = (grid.h1 * grid.h2) * flux[:, :m]
+        bar, info["bar"] = solve_weak(
+            cmap, load, top=None,
+            x0=None if hint is None else hint.bar[:, :m])
+        bar = bar[:, :m] - np.mean(trace(bar))
     grad = mapped_gradient(ring if bar is None else ring + bar, cmap)
     state._pressure = PressurePieces(ring, bar, grad, info)
     return state._pressure
@@ -517,7 +553,7 @@ def bulk_rhs(state: FlowState):
 
     The rates are the last reader of the state's gradient stack in a
     step, so the state lets it go here: a kept history of stepped states
-    then holds no stacks.
+    then holds no stacks.  The bulk rates have the state's x2 width.
     Only products of two nonzero factors are formed (the state's
     _nonzero flags and the stack's zero pattern), in the order of the
     full sums, so the rates equal them up to the sign of zero.
@@ -527,8 +563,8 @@ def bulk_rhs(state: FlowState):
     du, dF, du_nz, dF_nz = _gradients(state)
     state._gradients = None
     dtf = kinematic_rate(state)
-    dtphi = map_time_derivative(cmap, dtf)
-    u, F = state.u, state.F
+    u, F = state._u, state._F
+    dtphi = map_time_derivative(cmap, dtf[:, :u.shape[-2]])
     u_nz, F_nz = state._nonzero[0], state._nonzero[1:]
     rate_u = np.empty_like(u)
     for a in range(3):
@@ -685,13 +721,13 @@ def stable_dt(state: FlowState) -> float:
     """
     grid = state.grid
     cmap = state.cmap
-    umax = float(np.max(np.abs(state.u)))
+    umax = float(np.max(np.abs(state._u)))
     hmin = min(grid.h1, grid.h2, grid.dz * float(np.min(cmap.jac)))
     kmax = float(max(grid.n1 // 2, grid.n2 // 2))
     fmax = 0.0
     for j in range(3):
         for sidx in range(2):
-            fmax = max(fmax, float(np.max(np.abs(trace(state.F[j, sidx])))))
+            fmax = max(fmax, float(np.max(np.abs(trace(state._F[j, sidx])))))
     taylor = -trace(assemble_pressure(state).grad[2])
     amax = max(float(np.max(taylor)), 0.0)
     wave = kmax * (fmax + np.sqrt(state.eps) * np.sqrt(kmax)) \
@@ -709,7 +745,7 @@ def stable_dt(state: FlowState) -> float:
 def _advance(state: FlowState, h: float, rate) -> FlowState:
     dtf, du, dF = rate
     return state.with_fields(state.t + h, state.f + h * dtf,
-                             state.u + h * du, state.F + h * dF)
+                             state._u + h * du, state._F + h * dF)
 
 
 def _rk4(y, dt: float, rhs, advance):
@@ -726,19 +762,22 @@ def _rk4(y, dt: float, rhs, advance):
 
 
 def _reproject(state: FlowState, threshold: float):
-    """Re-enforce the constraints when the monitored residuals drift."""
+    """Re-enforce the constraints when the monitored residuals drift.
+
+    The projections return full fields (their lifts run on every row);
+    the new state takes their x2 columns back if they are constant."""
     cmap = state.cmap
     rep = invariant_report(state)
     flags = {"u": rep["div_u"] > threshold,
              "F": max(rep["div_F"], rep["trace_F"]) > threshold}
-    u, F = state.u, state.F
+    u, F = state._u, state._F
     if flags["u"]:
         u, _ = project_div(u, cmap)
     if flags["F"]:
         # an all-zero column is its own projection
-        F = np.stack([project_div_normal(F[j], cmap)[0]
-                      if state._nonzero[1 + j].any() else F[j]
-                      for j in range(3)])
+        F = np.stack(np.broadcast_arrays(*(
+            project_div_normal(F[j], cmap)[0]
+            if state._nonzero[1 + j].any() else F[j] for j in range(3))))
     if flags["u"] or flags["F"]:
         state = state.with_fields(state.t, state.f, u, F)
     return state, flags
@@ -800,16 +839,17 @@ def _resample_columns(field: np.ndarray, phi_old: np.ndarray,
 def invariant_report(state: FlowState) -> dict:
     """Constraint residuals of a state (monitored quantities only).
 
-    Measured on first use and kept on the state; each call returns a
-    fresh dict.  An all-zero deformation column is skipped: its
-    divergence and trace defect are exactly 0.
+    Measured on first use and kept on the state, on its x2 width (the
+    norms are maxima); each call returns a fresh dict.  An all-zero
+    deformation column is skipped: its divergence and trace defect are
+    exactly 0.
     """
     if state._invariants is None:
         cmap = state.cmap
-        columns = [state.F[j] for j in range(3)
+        columns = [state._F[j] for j in range(3)
                    if state._nonzero[1 + j].any()]
         state._invariants = {
-            "div_u": divergence_residual(state.u, cmap),
+            "div_u": divergence_residual(state._u, cmap),
             "div_F": max((divergence_residual(c, cmap) for c in columns),
                          default=0.0),
             "trace_F": max((normal_trace_defect(c, cmap) for c in columns),

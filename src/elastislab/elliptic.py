@@ -273,16 +273,17 @@ def solve_weak(
 
     Parameters
     ----------
-    load : assembled weak load at full node shape, or None for zero; the
-        caller's array is left unchanged.  A volume source is
+    load : assembled weak load at full node shape or, on an x2-invariant
+        map, its (n1, 1, nz) x2 column; or None for zero.  The caller's
+        array is left unchanged.  A volume source is
         volume_load(rhs, cmap); Neumann data are boundary rows scaled by
         h1 h2: N . grad u on the interface row, the outward flux -d3 u on
         the floor row.
     top, bottom : Dirichlet value of the interface, respectively floor,
         level (a scalar or an (n1, n2) field), or None for the natural
         condition, whose data if any sit in the load.
-    x0 : optional initial guess (full node shape); its fixed levels are
-        ignored.
+    x0 : optional initial guess, at full node shape or an x2 column as
+        the load; its fixed levels are ignored.
 
     Returns
     -------
@@ -301,7 +302,9 @@ def solve_weak(
         u0[..., -1] = top
     if bottom is not None:
         u0[..., 0] = bottom
-    m = _x2_extent(cmap, load, u0, x0)  # decided once per solve
+    # decided once per solve; a boundary plane is read as (n1, n2 or 1, 1)
+    m = _x2_extent(cmap, load, x0, *(np.asarray(b, dtype=float)[..., None]
+                                     for b in (top, bottom) if np.ndim(b) == 2))
     ws = _operator_work(cmap, (grid.n1, m, grid.nz))
     # the operator's result is its first buffer; the preconditioner works in
     # the others, or on an x2 column in two full arrays, the first of which
@@ -361,9 +364,13 @@ def solve_weak(
 
 
 def volume_load(rhs: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
-    """Assembled weak load of a volume source rhs (Lap_x u = rhs)."""
-    b = np.zeros(cmap.grid.shape)
-    b -= volume_weights(cmap) * rhs
+    """Assembled weak load of a volume source rhs (Lap_x u = rhs), at x2
+    width 1 for the (n1, 1, nz) x2 column of an x2-invariant rhs."""
+    w = volume_weights(cmap)
+    if np.shape(rhs)[1:2] == (1,):
+        w = w[:, :1]
+    b = np.zeros(w.shape)
+    b -= w * rhs
     return b
 
 

@@ -217,9 +217,11 @@ def _x2_constant(a) -> bool:
 
 
 def _x2_extent(cmap, *fields):
-    """1 if cmap and each field (None skipped) are constant along x2, else n2."""
+    """1 if cmap and each field (None skipped) are constant along x2, else
+    n2.  An x2 column is read from its shape; only full fields are scanned."""
     return 1 if cmap.x2_invariant and all(
-        a is None or _x2_constant(a) for a in fields) else cmap.grid.n2
+        a is None or a.shape[-2] == 1 or _x2_constant(a)
+        for a in fields) else cmap.grid.n2
 
 
 class CoordinateMap:
@@ -285,7 +287,7 @@ class CoordinateMap:
 
     @cached_property
     def normal(self) -> np.ndarray:
-        return normal_vector(self.f)
+        return _normal(self.f, self.x2_invariant)
 
     @cached_property
     def inv_phi3(self) -> np.ndarray:
@@ -318,10 +320,14 @@ def _map_profiles(n1: int, n2: int, nz: int) -> np.ndarray:
 
 def _map_solve(grid: SlabGrid, top: np.ndarray, bottom_value: float) -> np.ndarray:
     """Solve the discrete vertical harmonic problem per basis column; the
-    floor datum reaches only the mean column, whose profile is linear."""
-    m = 1 if _x2_constant(top[..., None]) else grid.n2  # x2 rule (top: whole plane)
-    c = _to_basis(top, grid.n2)[:, :m, None] * _map_profiles(*grid.shape)[:, :m]
-    return _spread(_from_basis(c, grid.n2), grid.n2) - bottom_value * grid.y3
+    floor datum reaches only the mean column, whose profile is linear.
+    top is a plane or its (n1, 1) x2 column (x2 rule), and so is the
+    result; the basis transform of top runs on the whole plane."""
+    w = top.shape[-1]
+    m = 1 if w == 1 or _x2_constant(top[..., None]) else grid.n2
+    c = _to_basis(np.broadcast_to(top, (grid.n1, grid.n2)), grid.n2)[:, :m, None]
+    phi = _from_basis(c * _map_profiles(*grid.shape)[:, :m], grid.n2)
+    return (phi if m == w else _spread(phi, w)) - bottom_value * grid.y3
 
 
 def build_map(f: np.ndarray, grid: SlabGrid) -> CoordinateMap:
@@ -347,7 +353,9 @@ def build_map(f: np.ndarray, grid: SlabGrid) -> CoordinateMap:
 
 
 def map_time_derivative(cmap: CoordinateMap, dtf: np.ndarray) -> np.ndarray:
-    """d(phi)/dt for a given interface velocity (zero floor data)."""
+    """d(phi)/dt for a given interface velocity (zero floor data), at the
+    x2 width of dtf: a plane, or the (n1, 1) x2 column of an x2-invariant
+    one on an x2-invariant map."""
     return _map_solve(cmap.grid, np.asarray(dtf, dtype=float), 0.0)
 
 
@@ -368,8 +376,10 @@ def mapped_gradient(w: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
     shape (..., 3, n1, n2, nz) and its entry [i] is mapped_gradient(w[i]).
     The chain rule runs as g3 = inv_phi3 d3 w first, then g_i = d_i w -
     phi_i g3, two passes per component and no slope array; on the x2
-    column of an x2-invariant w (module docstring) g2 is exactly 0.
+    column of an x2-invariant w (module docstring) g2 is exactly 0, and
+    a w given by that column gets a column back.
     """
+    n2 = w.shape[-2]
     w = w[..., :_x2_extent(cmap, w), :]
     d3 = d3_node(w, cmap.grid.dz)
     d1, d2 = _dh_pair(w)
@@ -379,14 +389,20 @@ def mapped_gradient(w: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
     np.multiply(cmap.inv_phi3, d3, out=g3)
     for gi, di, phi in ((g1, d1, cmap.phi1), (g2, d2, cmap.phi2)):
         np.subtract(di, np.multiply(phi, g3, out=gi), out=gi)
-    return _spread(g, cmap.grid.n2)
+    return g if w.shape[-2] == n2 else _spread(g, n2)
 
 
 def normal_vector(f: np.ndarray) -> np.ndarray:
     """Outward non-unit normal (-d1 f, -d2 f, 1) of the graph interface."""
     f = np.asarray(f, dtype=float)
+    return _normal(f, _x2_constant(f[..., None]))
+
+
+def _normal(f: np.ndarray, x2_invariant: bool) -> np.ndarray:
+    """normal_vector of a plane f already known to be constant along x2
+    or not, as a map knows its interface."""
     d1 = horizontal_derivative(f, 1)
-    d2 = np.zeros_like(f) if _x2_constant(f[..., None]) else horizontal_derivative(f, 2)
+    d2 = np.zeros_like(f) if x2_invariant else horizontal_derivative(f, 2)
     return np.stack([-d1, -d2, np.ones_like(f)])
 
 

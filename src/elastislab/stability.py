@@ -28,6 +28,7 @@ from .geometry import (
     CoordinateMap,
     SlabGrid,
     _normal_flux,
+    _spread,
     build_map,
     mapped_gradient,
     trace,
@@ -101,7 +102,8 @@ class TaylorCoefficient:
 
 
 def taylor_coefficient(state: FlowState) -> TaylorCoefficient:
-    grad = assemble_pressure(state).grad
+    # full planes: the stability report's means and masks read them
+    grad = _spread(assemble_pressure(state).grad, state.grid.n2)
     return TaylorCoefficient(normal=-_normal_flux(grad, state.cmap),
                              vertical=-trace(grad[2]))
 
