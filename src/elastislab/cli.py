@@ -507,10 +507,10 @@ def run_checks(cfg: RunConfig, corrupt: bool = False) -> dict:
     Entries are either exact identities of the discrete scheme or
     resolution-dependent residuals.  The exact entries hold on every grid
     with at least CHECKS_MIN_N points on each horizontal axis, coarse
-    vertical grids included; `checks` refuses fewer.  The resolution
-    tolerances scale with n1 alone (the multiplier commutator's with nz),
-    so an entry whose error follows another axis can fail on a grid the
-    suite accepts (32x32x17, 16x12x17, 8x8x9).  With corrupt=True the
+    vertical grids included; `checks` refuses fewer.  The two commutator
+    tolerances scale with nz, as their errors do; evo_residual's scales
+    with n1 alone while its error follows n2, so it can fail on a grid
+    the suite accepts (16x12x17, 8x8x9).  With corrupt=True the
     flux solvers are wrapped by the deliberate-error hook and the
     solver-backed entries must fail; this is the suite's negative control.
     """
@@ -625,7 +625,7 @@ def run_checks(cfg: RunConfig, corrupt: bool = False) -> dict:
     ubulk = np.stack(man_vel(x1[..., None], x2[..., None], cmapf.phi))
     formula = dn.material_dn_commutator(gcm, ubulk, cmapf)
     add("appendix_material_commutator", "resolution",
-        np.max(np.abs(formula - oracle)), 3e-3 * (16.0 / n1) ** 2)
+        np.max(np.abs(formula - oracle)), 3e-3 * (16.0 / (nz - 1)) ** 2)
 
     # transport commutators; band limit keeps every product alias-free
     kb = 2 if min(n1, n2) >= 16 else 1

@@ -396,6 +396,21 @@ class TestChecksCommand:
             assert [c["name"] for c in report["checks"]
                     if c["kind"] == "exact" and not c["pass"]] == []
 
+    # the material commutator's error follows nz, and so does its
+    # tolerance: refining n1 alone (32x32x17) or coarsening nz alone
+    # (16x16x9) keeps the suite passing
+    @pytest.mark.parametrize("grid", ["32x32x17", "16x16x9"])
+    def test_material_commutator_tolerance_follows_nz(self, tmp_path, grid):
+        code = cli.main(["checks", "--grid", grid, "--seed", "7",
+                         "--out", str(tmp_path)])
+        report = json.loads((tmp_path / "checks.json").read_text())
+        entry, = [c for c in report["checks"]
+                  if c["name"] == "appendix_material_commutator"]
+        nz = int(grid.split("x")[2])
+        assert entry["pass"]
+        assert entry["tolerance"] == 3e-3 * (16.0 / (nz - 1)) ** 2
+        assert code == 0 and report["all_pass"]
+
     def test_bit_identical_reruns(self, tmp_path):
         args = ["checks", "--grid", "8x8x9", "--seed", "11"]
         cli.main(args + ["--out", str(tmp_path / "a")])

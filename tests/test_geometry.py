@@ -1,5 +1,6 @@
 """Tests for the slab grid, harmonic map, and snapshot IO."""
 
+import contextlib
 import copy
 
 import numpy as np
@@ -640,3 +641,128 @@ class TestX2Rule:
                 assert np.array_equal(getattr(new, name), getattr(full, name))
         from conftest import sample_flow
         assert stepped(sample_flow(8, 9, 0.05, 0.01))[1] > 0
+
+
+@contextlib.contextmanager
+def _full_path_maps(monkeypatch):
+    """Within it, every map a state builds has its x2 flag cleared
+    (_full_path), so states built or stepped there take the full path."""
+    with monkeypatch.context() as m:
+        m.setattr(dyn, "build_map",
+                  lambda f, grid: _full_path(geo.build_map(f, grid)))
+        yield
+
+
+class TestColumnState:
+    """An x2-invariant state keeps u and F on its x2 column (FlowState),
+    and steps bit for bit as its full-path twin: every field is the
+    twin's x2 column."""
+
+    @staticmethod
+    def _assert_twins(col, full):
+        n2 = col.grid.n2
+        assert col._u.shape[-2] == 1 and col._F.shape[-2] == 1
+        assert full._u.shape[-2] == n2 and full._F.shape[-2] == n2
+        assert col.t == full.t and np.array_equal(col.f, full.f)
+        assert np.array_equal(col._u, full._u[..., :1, :])
+        assert np.array_equal(col._F, full._F[..., :1, :])
+        assert np.array_equal(col.u, full.u) and np.array_equal(col.F, full.F)
+        assert col.u.shape == full.u.shape and not col.u.flags.writeable
+        assert not col.F.flags.writeable
+
+    # 12x8x9 puts column rows 64 bytes apart (numpy 2.4.6 strided out=),
+    # 32x32x33 meets the BLAS rounding by row count of the z products
+    @pytest.mark.parametrize("scenario", ["elastic-mode", "mixed-regions"])
+    @pytest.mark.parametrize("grid, steps", [((12, 12, 13), 20),
+                                             ((12, 8, 9), 20),
+                                             ((32, 32, 33), 1)])
+    def test_steps_as_the_full_path(self, monkeypatch, scenario, grid, steps):
+        cfg = cli.preset(scenario, n1=grid[0], n2=grid[1], nz=grid[2])
+        col = cli.build_scenario(cfg)
+        with _full_path_maps(monkeypatch):
+            full = cli.build_scenario(cfg)
+        self._assert_twins(col, full)
+        for k in range(steps):
+            dt = 0.5 * dyn.stable_dt(col)
+            assert dt == 0.5 * dyn.stable_dt(full)
+            col, info = dyn.step(col, dt)
+            with _full_path_maps(monkeypatch):
+                full, full_info = dyn.step(full, dt)
+            assert info == full_info
+            if k in (0, steps - 1):
+                self._assert_twins(col, full)
+
+    @pytest.mark.parametrize("scenario", ["elastic-mode", "mixed-regions"])
+    def test_stage_rates_spread_and_scan_nothing(self, monkeypatch, scenario):
+        # the four stage rates of an x2-invariant step call neither
+        # _spread nor _x2_constant; the stage states scan no bulk field,
+        # only each new map its interface plane
+        state = cli.build_scenario(cli.preset(scenario, n1=12, n2=12, nz=13))
+        calls, where = [], ["step"]
+        spread, constant, rate, rk4 = (geo._spread, geo._x2_constant,
+                                       dyn.bulk_rhs, dyn._rk4)
+
+        def spy(name, fn):
+            def wrapped(a, *args):
+                calls.append((where[-1], name, a.shape))
+                return fn(a, *args)
+            return wrapped
+
+        def within(label, fn):
+            def wrapped(*args):
+                where.append(label)
+                try:
+                    return fn(*args)
+                finally:
+                    where.pop()
+            return wrapped
+
+        for module in (geo, dyn):
+            monkeypatch.setattr(module, "_spread", spy("_spread", spread))
+        monkeypatch.setattr(geo, "_x2_constant",
+                            spy("_x2_constant", constant))
+        monkeypatch.setattr(dyn, "bulk_rhs", within("rate", rate))
+        monkeypatch.setattr(dyn, "_rk4", within("rk4", rk4))
+        new, _ = dyn.step(state, 0.5 * dyn.stable_dt(state))
+        assert new._u.shape[-2] == 1
+        assert not [c for c in calls if c[0] == "rate"]
+        stage_scans = [shape for label, name, shape in calls
+                       if label == "rk4" and name == "_x2_constant"]
+        assert stage_scans and all(s == (12, 12, 1) for s in stage_scans)
+
+    def test_column_input_is_not_scanned(self, monkeypatch):
+        state = cli.build_scenario(cli.preset("elastic-mode", n1=12, n2=8,
+                                              nz=9))
+        scans = []
+        constant = geo._x2_constant
+        monkeypatch.setattr(geo, "_x2_constant",
+                            lambda a: scans.append(a.shape) or constant(a))
+        given_col = dyn.FlowState(state.t, state.f, state._u, state._F,
+                                  state.eps)
+        assert scans == [(12, 8, 1)] * 2  # the map's: its interface only
+        given_full = dyn.FlowState(state.t, state.f, state.u, state.F,
+                                   state.eps)
+        for a, b in ((given_col, given_full), (given_col, state)):
+            assert np.array_equal(a._u, b._u) and np.array_equal(a._F, b._F)
+            assert np.array_equal(a.u, b.u) and np.array_equal(a.F, b.F)
+
+    def test_three_d_state_keeps_full_fields(self):
+        # the steps-curved set-up: a seeded curved interface, sheared
+        # columns e1 and e2, zero velocity
+        n, nz = 12, 13
+        f0 = random_band_limited(np.random.default_rng(7), n, n, 3, 0.2)
+        grid = geo.SlabGrid(n, n, nz)
+        F0 = np.zeros((3, 3) + grid.shape)
+        F0[0, 0] = F0[1, 1] = 1.0
+        F0[0, 1] = 0.1 * (1.0 + grid.y3)
+        state, _ = dyn.prepare_initial_data(f0, np.zeros((3,) + grid.shape),
+                                            F0, eps=0.01)
+        for _ in range(2):
+            assert not state.cmap.x2_invariant
+            assert state._u.shape == state.u.shape == (3,) + grid.shape
+            assert state._F is state.F
+            state, _ = dyn.step(state, 0.5 * dyn.stable_dt(state))
+        # x2 columns given on a map that varies along x2 are spread
+        col = np.zeros((3, n, 1, nz))
+        spread = dyn.FlowState(0.0, state.f, col, state.F, state.eps)
+        assert spread._u.shape == (3,) + grid.shape
