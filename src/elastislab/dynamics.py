@@ -127,12 +127,11 @@ class FlowState:
     A state made by with_fields starts its pressure solves from its
     parent's pressure; a directly constructed one solves cold.
 
-    The state decides its x2 width once (geometry's x2 rule): when its
-    map is x2-invariant and u and F are constant along x2, it keeps them
-    as their (..., n1, 1, nz) x2 columns _u and _F, and every step-path
-    function works on those; else _u and _F are u and F.  u and F may be
-    given as x2 columns, which are then not scanned.  The attributes u
-    and F are always full, spread from a column state's on first read.
+    The state decides its x2 width once (geometry's x2 rule): on an
+    x2-invariant map it keeps u and F, if constant along x2, as their
+    (..., n1, 1, nz) x2 columns _u and _F for the step path (else _u, _F
+    are u, F); inputs given as columns are not scanned.  u and F are
+    always full: a column state spreads them on first read.
 
     The finiteness scan takes the min and max of each of the 12 bulk
     scalars (u[a], then F[j, a]), and keeps two flags per scalar in
@@ -762,10 +761,7 @@ def _rk4(y, dt: float, rhs, advance):
 
 
 def _reproject(state: FlowState, threshold: float):
-    """Re-enforce the constraints when the monitored residuals drift.
-
-    The projections return full fields (their lifts run on every row);
-    the new state takes their x2 columns back if they are constant."""
+    """Re-enforce the constraints when the monitored residuals drift."""
     cmap = state.cmap
     rep = invariant_report(state)
     flags = {"u": rep["div_u"] > threshold,
@@ -839,10 +835,9 @@ def _resample_columns(field: np.ndarray, phi_old: np.ndarray,
 def invariant_report(state: FlowState) -> dict:
     """Constraint residuals of a state (monitored quantities only).
 
-    Measured on first use and kept on the state, on its x2 width (the
-    norms are maxima); each call returns a fresh dict.  An all-zero
-    deformation column is skipped: its divergence and trace defect are
-    exactly 0.
+    Maxima, measured on the state's x2 width on first use and kept on
+    the state; each call returns a fresh dict.  An all-zero deformation
+    column is skipped: its divergence and trace defect are exactly 0.
     """
     if state._invariants is None:
         cmap = state.cmap

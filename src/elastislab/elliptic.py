@@ -364,11 +364,9 @@ def solve_weak(
 
 
 def volume_load(rhs: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
-    """Assembled weak load of a volume source rhs (Lap_x u = rhs), at x2
-    width 1 for the (n1, 1, nz) x2 column of an x2-invariant rhs."""
-    w = volume_weights(cmap)
-    if np.shape(rhs)[1:2] == (1,):
-        w = w[:, :1]
+    """Assembled weak load of a volume source rhs (Lap_x u = rhs), at the
+    x2 width of rhs (the x2 column of an x2-invariant rhs, or full)."""
+    w = volume_weights(cmap)[:, :rhs.shape[1]]
     b = np.zeros(w.shape)
     b -= w * rhs
     return b

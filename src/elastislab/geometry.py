@@ -18,7 +18,11 @@ is constant along x2, the map keeps its metric arrays (phi1, phi2 = 0,
 phi3, their cell averages, k33, jac, inv_phi3) on one (n1, 1, .) x2
 column, which broadcasts against full and column fields alike; and if a
 field is constant along x2 too, the bulk operators take its
-(..., n1, 1, nz) x2 column, with no x2 derivative (_x2_extent).
+(..., n1, 1, nz) x2 column, with no x2 derivative (_x2_extent).  A field
+given as that column is read by its shape and answered with a column;
+only a full field is scanned.  dynamics.FlowState decides once per state
+whether its u and F are such columns, so a step of an x2-invariant state
+scans and spreads no bulk field.
 
 Physical derivatives of a field w stored on the slab follow the chain
 rule through the graph map, the vertical one first:
@@ -327,7 +331,7 @@ def _map_solve(grid: SlabGrid, top: np.ndarray, bottom_value: float) -> np.ndarr
     m = 1 if w == 1 or _x2_constant(top[..., None]) else grid.n2
     c = _to_basis(np.broadcast_to(top, (grid.n1, grid.n2)), grid.n2)[:, :m, None]
     phi = _from_basis(c * _map_profiles(*grid.shape)[:, :m], grid.n2)
-    return (phi if m == w else _spread(phi, w)) - bottom_value * grid.y3
+    return np.broadcast_to(phi, (grid.n1, w, grid.nz)) - bottom_value * grid.y3
 
 
 def build_map(f: np.ndarray, grid: SlabGrid) -> CoordinateMap:
@@ -399,8 +403,7 @@ def normal_vector(f: np.ndarray) -> np.ndarray:
 
 
 def _normal(f: np.ndarray, x2_invariant: bool) -> np.ndarray:
-    """normal_vector of a plane f already known to be constant along x2
-    or not, as a map knows its interface."""
+    """normal_vector of f, whose x2-invariance is known (as a map's is)."""
     d1 = horizontal_derivative(f, 1)
     d2 = np.zeros_like(f) if x2_invariant else horizontal_derivative(f, 2)
     return np.stack([-d1, -d2, np.ones_like(f)])

@@ -675,7 +675,8 @@ class TestColumnState:
     @pytest.mark.parametrize("scenario", ["elastic-mode", "mixed-regions"])
     @pytest.mark.parametrize("grid, steps", [((12, 12, 13), 20),
                                              ((12, 8, 9), 20),
-                                             ((32, 32, 33), 1)])
+                                             ((32, 32, 33), 1)],
+                             ids=["12x12x13", "12x8x9", "32x32x33"])
     def test_steps_as_the_full_path(self, monkeypatch, scenario, grid, steps):
         cfg = cli.preset(scenario, n1=grid[0], n2=grid[1], nz=grid[2])
         col = cli.build_scenario(cfg)
@@ -693,42 +694,37 @@ class TestColumnState:
                 self._assert_twins(col, full)
 
     @pytest.mark.parametrize("scenario", ["elastic-mode", "mixed-regions"])
-    def test_stage_rates_spread_and_scan_nothing(self, monkeypatch, scenario):
-        # the four stage rates of an x2-invariant step call neither
-        # _spread nor _x2_constant; the stage states scan no bulk field,
-        # only each new map its interface plane
+    def test_stages_spread_and_scan_no_bulk_field(self, monkeypatch,
+                                                  scenario):
+        # the four RK4 stages of an x2-invariant step call no _spread and
+        # scan no bulk field: the only _x2_constant calls are each stage
+        # map's two reads of its interface plane (map solve and x2 flag)
         state = cli.build_scenario(cli.preset(scenario, n1=12, n2=12, nz=13))
-        calls, where = [], ["step"]
-        spread, constant, rate, rk4 = (geo._spread, geo._x2_constant,
-                                       dyn.bulk_rhs, dyn._rk4)
+        calls, inside = [], [False]
+        spread, constant, rk4 = geo._spread, geo._x2_constant, dyn._rk4
 
         def spy(name, fn):
             def wrapped(a, *args):
-                calls.append((where[-1], name, a.shape))
+                if inside[0]:
+                    calls.append((name, a.shape))
                 return fn(a, *args)
             return wrapped
 
-        def within(label, fn):
-            def wrapped(*args):
-                where.append(label)
-                try:
-                    return fn(*args)
-                finally:
-                    where.pop()
-            return wrapped
+        def stages(*args):
+            inside[0] = True
+            try:
+                return rk4(*args)
+            finally:
+                inside[0] = False
 
         for module in (geo, dyn):
             monkeypatch.setattr(module, "_spread", spy("_spread", spread))
         monkeypatch.setattr(geo, "_x2_constant",
                             spy("_x2_constant", constant))
-        monkeypatch.setattr(dyn, "bulk_rhs", within("rate", rate))
-        monkeypatch.setattr(dyn, "_rk4", within("rk4", rk4))
+        monkeypatch.setattr(dyn, "_rk4", stages)
         new, _ = dyn.step(state, 0.5 * dyn.stable_dt(state))
         assert new._u.shape[-2] == 1
-        assert not [c for c in calls if c[0] == "rate"]
-        stage_scans = [shape for label, name, shape in calls
-                       if label == "rk4" and name == "_x2_constant"]
-        assert stage_scans and all(s == (12, 12, 1) for s in stage_scans)
+        assert calls == [("_x2_constant", (12, 12, 1))] * 8
 
     def test_column_input_is_not_scanned(self, monkeypatch):
         state = cli.build_scenario(cli.preset("elastic-mode", n1=12, n2=8,
