@@ -37,7 +37,7 @@ from .geometry import (
     _node_to_cell,
     _normal_flux,
     _spread,
-    _x2_extent,
+    _x2_constant,
     bottom_trace,
     build_map,
     map_time_derivative,
@@ -129,9 +129,9 @@ class FlowState:
 
     The state decides its x2 width once (geometry's x2 rule): on an
     x2-invariant map it keeps u and F, if constant along x2, as their
-    (..., n1, 1, nz) x2 columns _u and _F for the step path (else _u, _F
-    are u, F); inputs given as columns are not scanned.  u and F are
-    always full: a column state spreads them on first read.
+    (..., n1, 1, nz) x2 columns _u and _F (else _u, _F are u, F), the one
+    scan of bulk values (columns given skip it); every operator reads the
+    width from their shape.  u and F are full, spread on first read.
 
     The finiteness scan takes the min and max of each of the 12 bulk
     scalars (u[a], then F[j, a]), and keeps two flags per scalar in
@@ -181,9 +181,10 @@ class FlowState:
         self._varies = lo < hi
         self._nonzero = (lo != 0.0) | (hi != 0.0)
         self.cmap = build_map(f, SlabGrid(*f.shape, u.shape[-1]))
-        m = _x2_extent(self.cmap, u, F)  # the state's x2 width
-        self._u, self._F = (np.ascontiguousarray(a[..., :1, :]) if m == 1
-                            else _spread(a, m) for a in (u, F))
+        column = self.cmap.x2_invariant and all(  # the state's x2 width
+            a.shape[-2] == 1 or _x2_constant(a) for a in (u, F))
+        self._u, self._F = (np.ascontiguousarray(a[..., :1, :]) if column
+                            else _spread(a, f.shape[1]) for a in (u, F))
         for a in (f, self._u, self._F):
             a.flags.writeable = False
         self.t = float(t)
@@ -264,19 +265,16 @@ def weak_div_load(v: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
     Row r is the integral of div(v) against the hat function of level r,
     written through the flux form so that the interface and floor rows
     carry the true boundary fluxes v.N and -v3.  Constant fields are
-    exactly annihilated on any map.  Works on x2 columns where it can,
-    and a v given by its x2 column gets a column back.
+    exactly annihilated on any map.  Answers at the x2 width of v.
     """
     grid = cmap.grid
-    n2 = v.shape[-2]
-    v = v[..., :_x2_extent(cmap, v), :]
     m1, m2, m3 = _piola_cell(cmap, *(_node_to_cell(v[a]) for a in range(3)))
     w = grid.h1 * grid.h2 * grid.dz
     b = -grad_adjoint(w * m1, w * m2, w * m3, grid)
     area = grid.h1 * grid.h2
     b[..., -1] += area * _normal_flux(v, cmap)
     b[..., 0] += -area * bottom_trace(v[2])
-    return b if b.shape[-2] == n2 else _spread(b, n2)
+    return b
 
 
 def divergence_field(v: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
@@ -345,7 +343,7 @@ def _correction_cells(cmap: CoordinateMap, psi: np.ndarray):
     return q1, q2, q3
 
 
-def _gradient_correction(cmap: CoordinateMap, psi: np.ndarray):
+def _gradient_correction(cmap: CoordinateMap, psi: np.ndarray, m: int):
     """Node-valued correction field with exact cell averages.
 
     The bulk of the correction is the smooth physical gradient of the
@@ -355,13 +353,13 @@ def _gradient_correction(cmap: CoordinateMap, psi: np.ndarray):
     leave a vertical two-node oscillation of amplitude O(dz), which the
     one-sided interface stencils turn into an O(1) gradient error.
     Components 1 and 2 use the minimum-norm lift; component 3 is anchored
-    so the floor value of the total is exactly zero.  The cell data and
-    the gradient of an x2-invariant psi are taken on its x2 column; the
-    gradient is spread to full width, and so is the gap, so the lifts,
-    dense products along z (rounded by the row count on some BLAS), run
-    on every row.
+    so the floor value of the total is exactly zero.  m is the x2 width
+    of the load psi solved: the cell data and the gradient are taken on
+    psi's first m columns, the gradient is spread to full width, and so
+    is the gap, so the lifts, dense products along z (rounded by the row
+    count on some BLAS), run on every row; the correction has width m.
     """
-    col = psi[..., :_x2_extent(cmap, psi), :]
+    col = psi[..., :m, :]
     q1, q2, q3 = _correction_cells(cmap, col)
     g = _spread(mapped_gradient(col, cmap), psi.shape[-2])
     corr = np.empty((3,) + psi.shape)
@@ -369,7 +367,7 @@ def _gradient_correction(cmap: CoordinateMap, psi: np.ndarray):
     corr[1] = g[1] + _minnorm_lift(q2 - _node_to_cell(g[1]))
     corr[2] = g[2] + _anchored_lift(q3 - _node_to_cell(g[2]),
                                     -bottom_trace(g[2]))
-    return corr
+    return corr[..., :m, :]
 
 
 def project_div(v: np.ndarray, cmap: CoordinateMap):
@@ -379,12 +377,13 @@ def project_div(v: np.ndarray, cmap: CoordinateMap):
     (Dirichlet zero) and the floor natural, so the interface trace of v
     is left free while the floor row is corrected.  The correction is the
     potential gradient with exact cell averages and an exactly zero floor
-    value (see _gradient_correction).
+    value (see _gradient_correction).  Answers at the x2 width of v.
 
     Returns (projected field, info dict).
     """
-    psi, info = solve_weak(cmap, -weak_div_load(v, cmap))
-    return v - _gradient_correction(cmap, psi), info
+    load = -weak_div_load(v, cmap)
+    psi, info = solve_weak(cmap, load)
+    return v - _gradient_correction(cmap, psi, load.shape[-2]), info
 
 
 def project_div_normal(v: np.ndarray, cmap: CoordinateMap):
@@ -398,7 +397,7 @@ def project_div_normal(v: np.ndarray, cmap: CoordinateMap):
     sense exactly: its pointwise defect drops to the consistency order of
     the input defect (exactly on a flat map) and is reported in
     info["trace_defect"].  Divergence-free inputs that already satisfy the
-    trace pass through unchanged.
+    trace pass through unchanged.  Answers at the x2 width of v.
 
     Returns (projected field, info dict with rounds and solver iterations).
     """
@@ -417,7 +416,7 @@ def project_div_normal(v: np.ndarray, cmap: CoordinateMap):
         b = -weak_div_load(work, cmap)
         b[..., -1] += area * d
         psi, inf = solve_weak(cmap, b, top=None)
-        work = work - _gradient_correction(cmap, psi)
+        work = work - _gradient_correction(cmap, psi, b.shape[-2])
         info["rounds"] += 1
         info["iterations"] += inf["iterations"]
         cur = normal_trace_defect(work, cmap)
@@ -771,9 +770,9 @@ def _reproject(state: FlowState, threshold: float):
         u, _ = project_div(u, cmap)
     if flags["F"]:
         # an all-zero column is its own projection
-        F = np.stack(np.broadcast_arrays(*(
-            project_div_normal(F[j], cmap)[0]
-            if state._nonzero[1 + j].any() else F[j] for j in range(3))))
+        F = np.stack([project_div_normal(F[j], cmap)[0]
+                      if state._nonzero[1 + j].any() else F[j]
+                      for j in range(3)])
     if flags["u"] or flags["F"]:
         state = state.with_fields(state.t, state.f, u, F)
     return state, flags
@@ -886,10 +885,9 @@ def prepare_initial_data(f0: np.ndarray, u0: np.ndarray, F0: np.ndarray,
         F = _resample_columns(F0, cmap0.phi, cmap.phi)
     u[2, ..., 0] = 0.0
     F[:, 2, ..., 0] = 0.0
-    before = invariant_report(FlowState(0.0, f_eps, u, F, eps, s=s, c0=c0))
-    u, _ = project_div(u, cmap)
-    for j in range(3):
-        F[j], _ = project_div_normal(F[j], cmap)
+    raw = FlowState(0.0, f_eps, u, F, eps, s=s, c0=c0)
+    u, _ = project_div(raw._u, cmap)
+    F = np.stack([project_div_normal(c, cmap)[0] for c in raw._F])
     state = FlowState(0.0, f_eps, u, F, eps, s=s, c0=c0, regions=regions)
-    info = {"before": before, "after": invariant_report(state)}
+    info = {"before": invariant_report(raw), "after": invariant_report(state)}
     return state, info

@@ -35,12 +35,13 @@ fast diagonalization) and the real Fourier basis of spectral._to_basis
 turn the inverse into real matrix products around one diagonal scaling.
 The flat closed forms below are diagonal scalings in the same basis, so
 no solve here runs an FFT.  A solve decides its x2 extent once, from the
-load, the boundary values and the initial guess: an x2-invariant solve
-runs the operator and the preconditioner on one x2 column (geometry's
-x2 rule).  Each solve builds one workspace, kept nowhere after it and
-shared by the Dirichlet lift and the iteration: the operator's cell
-coefficients at node shape (top level 0: vertical pair sums and
-differences become flat shifts) and the buffers iterations write into.
+widths of the load and initial guess and a scan of its Dirichlet planes:
+an x2-invariant solve runs the operator and the preconditioner on one
+x2 column (geometry's x2 rule).  Each solve builds one workspace, kept
+nowhere after it and shared by the Dirichlet lift and the iteration:
+the operator's cell coefficients at node shape (top level 0: vertical
+pair sums and differences become flat shifts) and the buffers
+iterations write into.
 
 Flat fast path
 --------------
@@ -63,7 +64,7 @@ from .geometry import (
     _dh_pair,
     _dh_pair_adjoint,
     _node_to_cell,
-    _x2_extent,
+    _x2_constant,
     vertical_eigen,
 )
 from .spectral import (_deriv_matrix, _derivative, _fourier_basis, _from_basis, _ksq,
@@ -303,8 +304,10 @@ def solve_weak(
     if bottom is not None:
         u0[..., 0] = bottom
     # decided once per solve; a boundary plane is read as (n1, n2 or 1, 1)
-    m = _x2_extent(cmap, load, x0, *(np.asarray(b, dtype=float)[..., None]
-                                     for b in (top, bottom) if np.ndim(b) == 2))
+    m = 1 if cmap.x2_invariant and all(
+        a is None or a.shape[-2] == 1 for a in (load, x0)) and all(
+        _x2_constant(np.asarray(b, dtype=float)[..., None])
+        for b in (top, bottom) if np.ndim(b) == 2) else grid.n2
     ws = _operator_work(cmap, (grid.n1, m, grid.nz))
     # the operator's result is its first buffer; the preconditioner works in
     # the others, or on an x2 column in two full arrays, the first of which

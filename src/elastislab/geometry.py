@@ -16,13 +16,13 @@ real matrix product: derivatives with spectral._deriv_matrix, the map
 solve in the real Fourier basis of spectral._to_basis.  The x2 rule: if f
 is constant along x2, the map keeps its metric arrays (phi1, phi2 = 0,
 phi3, their cell averages, k33, jac, inv_phi3) on one (n1, 1, .) x2
-column, which broadcasts against full and column fields alike; and if a
-field is constant along x2 too, the bulk operators take its
-(..., n1, 1, nz) x2 column, with no x2 derivative (_x2_extent).  A field
-given as that column is read by its shape and answered with a column;
-only a full field is scanned.  dynamics.FlowState decides once per state
-whether its u and F are such columns, so a step of an x2-invariant state
-scans and spreads no bulk field.
+column, which broadcasts against full and column fields alike.  A field
+constant along x2 is then given by its (..., n1, 1, nz) x2 column, and
+the bulk operators answer at their input's width: a column gets a
+column, with no x2 derivative, and a full array the full path.  Values
+are scanned only where data enter: the map's interface, the map solve's
+top plane, normal_vector, a weak solve's Dirichlet planes (and the
+extension energy's datum) and a new dynamics.FlowState's u and F.
 
 Physical derivatives of a field w stored on the slab follow the chain
 rule through the graph map, the vertical one first:
@@ -220,14 +220,6 @@ def _x2_constant(a) -> bool:
     return bool((a == a[..., :1, :]).all())
 
 
-def _x2_extent(cmap, *fields):
-    """1 if cmap and each field (None skipped) are constant along x2, else
-    n2.  An x2 column is read from its shape; only full fields are scanned."""
-    return 1 if cmap.x2_invariant and all(
-        a is None or a.shape[-2] == 1 or _x2_constant(a)
-        for a in fields) else cmap.grid.n2
-
-
 class CoordinateMap:
     """Harmonic vertical map and its cached metric quantities.
 
@@ -379,12 +371,9 @@ def mapped_gradient(w: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
     Leading axes are batch axes, differentiated in one call; the result has
     shape (..., 3, n1, n2, nz) and its entry [i] is mapped_gradient(w[i]).
     The chain rule runs as g3 = inv_phi3 d3 w first, then g_i = d_i w -
-    phi_i g3, two passes per component and no slope array; on the x2
-    column of an x2-invariant w (module docstring) g2 is exactly 0, and
-    a w given by that column gets a column back.
+    phi_i g3, two passes per component and no slope array.  A w given by
+    its x2 column (module docstring) gets a column back, with g2 exactly 0.
     """
-    n2 = w.shape[-2]
-    w = w[..., :_x2_extent(cmap, w), :]
     d3 = d3_node(w, cmap.grid.dz)
     d1, d2 = _dh_pair(w)
     # filled in place: a stack of the components would hold them twice
@@ -393,7 +382,7 @@ def mapped_gradient(w: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
     np.multiply(cmap.inv_phi3, d3, out=g3)
     for gi, di, phi in ((g1, d1, cmap.phi1), (g2, d2, cmap.phi2)):
         np.subtract(di, np.multiply(phi, g3, out=gi), out=gi)
-    return g if w.shape[-2] == n2 else _spread(g, n2)
+    return g
 
 
 def normal_vector(f: np.ndarray) -> np.ndarray:

@@ -29,6 +29,7 @@ from .geometry import (
     SlabGrid,
     _normal_flux,
     _spread,
+    _x2_constant,
     build_map,
     mapped_gradient,
     trace,
@@ -102,10 +103,11 @@ class TaylorCoefficient:
 
 
 def taylor_coefficient(state: FlowState) -> TaylorCoefficient:
-    # full planes: the stability report's means and masks read them
-    grad = _spread(assemble_pressure(state).grad, state.grid.n2)
-    return TaylorCoefficient(normal=-_normal_flux(grad, state.cmap),
-                             vertical=-trace(grad[2]))
+    # full contiguous planes: the stability report's means and masks read them
+    grad = assemble_pressure(state).grad
+    return TaylorCoefficient(*(np.array(np.broadcast_to(a, state.f.shape))
+                               for a in (-_normal_flux(grad, state.cmap),
+                                         -trace(grad[2]))))
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +220,8 @@ def stability_report(state: FlowState, enforce: bool = False) -> StabilityReport
     """
     reg = _resolve_regions(state)
     tay = taylor_coefficient(state)
-    lam = lambda_noncollinear(state.F[:, :2, :, :, -1])
+    lam = lambda_noncollinear(np.broadcast_to(state._F[:, :2, :, :, -1],
+                                              (3, 2) + state.f.shape))
     thresh = 0.5 * state.c0
     tmin = _masked_min(tay.normal, reg.mask1)
     lmin = _masked_min(lam, reg.mask2)
@@ -324,11 +327,12 @@ def bulk_hs_norm2(field: np.ndarray, cmap: CoordinateMap, s: int) -> float:
     s gradients of one scalar, however many orderings (3^s) or components
     there are, and makes no batch-sized temporary.  A zero node's subtree
     is skipped, exactly: its gradients are all +-0, so it adds 0.0 to a
-    non-negative sum and the other terms keep their order.
+    non-negative sum and the other terms keep their order.  An x2 column
+    walks columns, each node spread only for its full-width weighted sum.
     """
     if s < 0 or s != int(s):
         raise PreconditionViolated(f"derivative order must be a whole number, got {s}")
-    w = volume_weights(cmap).ravel()
+    w, n2 = volume_weights(cmap).ravel(), cmap.grid.n2
 
     def below(level, depth):
         """The ladder under one scalar, down depth >= 1 more orders."""
@@ -339,13 +343,14 @@ def bulk_hs_norm2(field: np.ndarray, cmap: CoordinateMap, s: int) -> float:
         if depth > 1:
             for a in range(3):
                 total += below(g[a], depth - 1)
-        # the children have read g; square it in place, no temporary
-        g = g.reshape(3, -1)
+        # the children have read g; square it in place at full width
+        g = _spread(g, n2).reshape(3, -1)
         return total + float(np.sum(np.multiply(g, g, out=g) @ w))
 
+    field = np.asarray(field, dtype=float)
     total = 0.0
-    for c in np.asarray(field, dtype=float).reshape((-1,) + cmap.grid.shape):
-        x = c.ravel()
+    for c in field.reshape((-1,) + field.shape[-3:]):
+        x = _spread(c, n2).ravel()
         total += float(np.dot(w * x, x)) + (below(c, int(s)) if s else 0.0)
     return total
 
@@ -355,8 +360,11 @@ def _surface_norm2(g: np.ndarray, s: float = 0.0) -> float:
 
 
 def _extension_energy2(g: np.ndarray, cmap: CoordinateMap, weight):
-    """(weighted, unweighted) Dirichlet energies of the harmonic extension."""
+    """(weighted, unweighted) Dirichlet energies of the harmonic extension,
+    on its x2 column when its solve ran there; the sums are full-width."""
     ext = harmonic_ext_dirichlet(g, cmap)
+    if cmap.x2_invariant and _x2_constant(g[..., None]):
+        ext = ext[:, :1]
     grad = mapped_gradient(ext, cmap)
     dens = grad[0] ** 2 + grad[1] ** 2 + grad[2] ** 2
     w = volume_weights(cmap)
@@ -380,8 +388,8 @@ def _graded_energy(ref: FlowState, f, theta, u, F, cmap: CoordinateMap,
         raise PreconditionViolated(f"energy index must be an integer >= 4, got {ref.s}")
     u_hs = bulk_hs_norm2(u, cmap, s)
     F_hs = bulk_hs_norm2(F, cmap, s)
-    ubar = [trace(ref.u[0]), trace(ref.u[1])]
-    Fbar = ref.F[:, :2, :, :, -1]
+    ubar = [trace(ref._u[0]), trace(ref._u[1])]  # broadcast in _transport
+    Fbar = ref._F[:, :2, :, :, -1]
     dt_term = elastic_term = eps_term = weighted_ext = plain_ext = 0.0
     for i in (1, 2):
         slope = horizontal_derivative(f, i)
@@ -423,9 +431,9 @@ def energy_es_eps(state: FlowState) -> EnergyReport:
     """
     s = state.s
     weight, _ = coercivity_weight(state)
-    report = _graded_energy(state, state.f, kinematic_rate(state), state.u,
-                            state.F, state.cmap, s, weight, state.eps)
-    Fbar = state.F[:, :2, :, :, -1]
+    report = _graded_energy(state, state.f, kinematic_rate(state), state._u,
+                            state._F, state.cmap, s, weight, state.eps)
+    Fbar = state._F[:, :2, :, :, -1]
     m0 = _surface_norm2(state.f, s) + report.u_hs + report.F_hs
     for k in range(3):
         m0 += _surface_norm2(
@@ -453,7 +461,7 @@ def difference_energy(a: FlowState, b: FlowState) -> EnergyReport:
         raise GridMismatch(f"grids differ: {a.grid.shape} vs {b.grid.shape}")
     flat = build_map(np.zeros_like(a.f), a.grid)
     return _graded_energy(a, a.f - b.f, kinematic_rate(a) - kinematic_rate(b),
-                          a.u - b.u, a.F - b.F, flat, a.s - 1,
+                          a._u - b._u, a._F - b._F, flat, a.s - 1,
                           np.full(a.grid.shape, a.c0), 0.0)
 
 

@@ -376,3 +376,19 @@ def test_map_arrays_are_not_sliced():
                     and node.value.id in bound):
                 sliced.add((module, fn.name))
     assert sliced == set()
+
+
+# Where data enter the program (geometry's x2 rule): the map's interface,
+# the map solve's top plane, normal_vector, a weak solve's Dirichlet
+# planes, the extension energy's plane datum and a new FlowState's u and
+# F.  Every bulk operator reads x2-invariance from its input's shape.
+VALUE_SCANS = {("geometry", "CoordinateMap"), ("geometry", "_map_solve"),
+               ("geometry", "normal_vector"), ("elliptic", "solve_weak"),
+               ("stability", "_extension_energy2"), ("dynamics", "FlowState")}
+
+
+def test_values_are_scanned_only_where_data_enter():
+    scanning = {(module, call) for module, call, fn, _ in _src_functions()
+                if any(isinstance(sub, ast.Name) and sub.id == "_x2_constant"
+                       for sub in ast.walk(fn))}
+    assert scanning == VALUE_SCANS

@@ -234,7 +234,7 @@ class TestProjectDiv:
         cmap = _curved_map()
         chi = rng.standard_normal(cmap.grid.shape)
         chi[..., -1] = 0.0
-        g = dyn._gradient_correction(cmap, chi)
+        g = dyn._gradient_correction(cmap, chi, cmap.grid.n2)
         pg, _ = dyn.project_div(g, cmap)
         assert np.max(np.abs(pg)) <= 1e-7 * np.max(np.abs(g))
 

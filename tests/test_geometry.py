@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from elastislab import cli, dynamics as dyn, elliptic as el, geometry as geo
-from elastislab import spectral as sp
+from elastislab import spectral as sp, stability as stab
 from elastislab.errors import DegenerateMap, GridMismatch, PreconditionViolated
 from elastislab.snapshots import read_snapshot, write_snapshot
 
@@ -480,15 +480,36 @@ def _x2_invariant_field(rng, shape):
                      shape[-2], axis=-2)
 
 
+def _spy_scans(monkeypatch):
+    """Record the shape of every value scan (_x2_constant) from here on,
+    through each module's binding of it."""
+    scans, constant = [], geo._x2_constant
+
+    def spied(a):
+        scans.append(a.shape)
+        return constant(a)
+
+    for module in (geo, el, dyn, stab):
+        monkeypatch.setattr(module, "_x2_constant", spied)
+    return scans
+
+
+def _spreads_to(column, want):
+    """column is an x2 column that broadcasts to want bit for bit."""
+    return column.shape[-2] == 1 and np.array_equal(
+        np.broadcast_to(column, want.shape), want)
+
+
 # n1 != n2 and nz from 5 to 33, the presets' own 32 x 32 x 33 among them
 X2_GRIDS = [(12, 8, 5), (8, 12, 9), (16, 12, 13), (24, 16, 17), (16, 24, 25),
             (12, 8, 31), (12, 8, 33), (32, 32, 33)]
 
 
 class TestX2Rule:
-    """An x2-invariant field on an x2-invariant map is computed on one x2
-    column (the x2 rule of geometry's module docstring), bit for bit the
-    full path's."""
+    """An x2-invariant field on an x2-invariant map, given by its x2
+    column, is computed on that column (the x2 rule of geometry's module
+    docstring), bit for bit the full path's; given full, it takes the
+    full path, unscanned."""
 
     @pytest.mark.parametrize("n1, n2, nz", X2_GRIDS)
     def test_map_build_is_the_full_path(self, n1, n2, nz):
@@ -523,13 +544,15 @@ class TestX2Rule:
                               full_map_solve(dtf))
 
     @pytest.mark.parametrize("n1, n2, nz", X2_GRIDS)
-    def test_operators_are_the_full_path(self, rng, n1, n2, nz):
+    def test_operators_are_the_full_path(self, rng, monkeypatch, n1, n2, nz):
         cmap = _x2_invariant_map(n1, n2, nz)
         full, grid = _full_path(cmap), cmap.grid
+        scans = _spy_scans(monkeypatch)
         for batch in ((), (3,), (2, 3)):
             w = _x2_invariant_field(rng, batch + grid.shape)
-            assert np.array_equal(geo.mapped_gradient(w, cmap),
-                                  geo.mapped_gradient(w, full))
+            want = geo.mapped_gradient(w, full)
+            assert _spreads_to(geo.mapped_gradient(w[..., :1, :], cmap), want)
+            assert np.array_equal(geo.mapped_gradient(w, cmap), want)
         u = _x2_invariant_field(rng, grid.shape)
         column = el.apply_operator(u[:, :1], cmap)
         assert column.shape == (n1, 1, nz)
@@ -541,34 +564,52 @@ class TestX2Rule:
                       for m in (1, n2)]
             assert np.array_equal(*solves)
         v = _x2_invariant_field(rng, (3,) + grid.shape)
-        assert np.array_equal(dyn.weak_div_load(v, cmap),
-                              dyn.weak_div_load(v, full))
+        want = dyn.weak_div_load(v, full)
+        assert _spreads_to(dyn.weak_div_load(v[..., :1, :], cmap), want)
+        assert np.array_equal(dyn.weak_div_load(v, cmap), want)
+        assert scans == []
 
     @pytest.mark.parametrize("n1, n2, nz", X2_GRIDS)
-    def test_projections_are_the_full_path(self, rng, n1, n2, nz):
+    def test_projections_are_the_full_path(self, rng, monkeypatch, n1, n2,
+                                           nz):
         # the correction's cell data are taken on the x2 column, its lifts
         # on every row
         cmap = _x2_invariant_map(n1, n2, nz)
         v = _x2_invariant_field(rng, (3,) + cmap.grid.shape)
+        scans = _spy_scans(monkeypatch)
         for project in (dyn.project_div, dyn.project_div_normal):
-            got, info = project(v, cmap)
             want, want_info = project(v, _full_path(cmap))
+            got, info = project(v[..., :1, :], cmap)
+            assert _spreads_to(got, want) and info == want_info
+            got, info = project(v, cmap)
             assert np.array_equal(got, want) and info == want_info
+        assert scans == []
 
     @pytest.mark.parametrize("n1, n2, nz", X2_GRIDS)
     @pytest.mark.parametrize("top, bottom", [(0.0, 0.0), (0.0, None),
                                              (None, 0.0), (None, None)])
-    def test_solves_are_the_full_path(self, rng, n1, n2, nz, top, bottom):
+    def test_solves_are_the_full_path(self, rng, monkeypatch, n1, n2, nz,
+                                      top, bottom):
+        # a solve returns full arrays either way; only its Dirichlet plane
+        # is scanned, and only when the load and the guess are columns
         cmap = _x2_invariant_map(n1, n2, nz)
         grid = cmap.grid
         load = el.volume_load(_x2_invariant_field(rng, grid.shape), cmap)
         if top is not None:
             top = np.repeat(rng.standard_normal((n1, 1)), n2, axis=1)
+        shapes = _operator_shapes(monkeypatch)
+        scans = _spy_scans(monkeypatch)
         for x0 in (None, _x2_invariant_field(rng, grid.shape)):
-            got = el.solve_weak(cmap, load, top=top, bottom=bottom, x0=x0)
             want = el.solve_weak(_full_path(cmap), load, top=top,
                                  bottom=bottom, x0=x0)
-            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+            for m in (1, n2):
+                shapes.clear()
+                scans.clear()
+                got = el.solve_weak(cmap, load[:, :m], top=top, bottom=bottom,
+                                    x0=None if x0 is None else x0[:, :m])
+                assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+                assert set(shapes) == {(n1, m, nz)}
+                assert scans == [(n1, n2, 1)] * (m == 1 and top is not None)
 
     def test_three_d_fields_take_the_full_path(self, rng, monkeypatch):
         # the flat map is x2-invariant; a field that varies along x2 on it
@@ -579,17 +620,14 @@ class TestX2Rule:
         w = rng.standard_normal(grid.shape)
         w[:, 1:] = w[:, :1]
         w[3, 5, 4] += 1e-3
-        assert geo._x2_extent(flat, w) == grid.n2
+        # a state's one scan keeps such a field full
+        zeros = np.zeros((3, 3) + grid.shape)
+        state = dyn.FlowState(0.0, np.zeros((12, 8)), np.stack([w] * 3),
+                              zeros, 0.0)
+        assert state._u.shape == state._F.shape[1:] == (3,) + grid.shape
         assert np.array_equal(geo.mapped_gradient(w, flat),
                               geo.mapped_gradient(w, _full_path(flat)))
-        shapes = []
-        apply_operator = el.apply_operator
-
-        def recorded(u, cmap, *args):
-            shapes.append(u.shape)
-            return apply_operator(u, cmap, *args)
-
-        monkeypatch.setattr(el, "apply_operator", recorded)
+        shapes = _operator_shapes(monkeypatch)
         el.solve_weak(flat, el.volume_load(w, flat))
         assert shapes and set(shapes) == {grid.shape}
 
@@ -631,16 +669,27 @@ class TestX2Rule:
         for scenario in ("elastic-mode", "mixed-regions"):
             new, x2_calls, iters = stepped(fresh(scenario))
             assert x2_calls == 0 and iters > 0
-            with monkeypatch.context() as m:
-                for module in (geo, el, dyn):
-                    m.setattr(module, "_x2_extent",
-                              lambda cmap, *fields: cmap.grid.n2)
+            with _full_path_maps(monkeypatch):
                 full, full_x2_calls, full_iters = stepped(fresh(scenario))
             assert full_x2_calls > 0 and full_iters == iters
             for name in ("f", "u", "F"):
                 assert np.array_equal(getattr(new, name), getattr(full, name))
         from conftest import sample_flow
         assert stepped(sample_flow(8, 9, 0.05, 0.01))[1] > 0
+
+
+def _operator_shapes(monkeypatch):
+    """Record the shape of every elliptic.apply_operator input from here
+    on."""
+    shapes = []
+    apply_operator = el.apply_operator
+
+    def recorded(u, cmap, *args):
+        shapes.append(u.shape)
+        return apply_operator(u, cmap, *args)
+
+    monkeypatch.setattr(el, "apply_operator", recorded)
+    return shapes
 
 
 @contextlib.contextmanager
@@ -717,27 +766,40 @@ class TestColumnState:
             finally:
                 inside[0] = False
 
-        for module in (geo, dyn):
+        for module in (geo, dyn, stab):
             monkeypatch.setattr(module, "_spread", spy("_spread", spread))
-        monkeypatch.setattr(geo, "_x2_constant",
-                            spy("_x2_constant", constant))
+        for module in (geo, el, dyn, stab):
+            monkeypatch.setattr(module, "_x2_constant",
+                                spy("_x2_constant", constant))
         monkeypatch.setattr(dyn, "_rk4", stages)
         new, _ = dyn.step(state, 0.5 * dyn.stable_dt(state))
         assert new._u.shape[-2] == 1
         assert calls == [("_x2_constant", (12, 12, 1))] * 8
 
+    @pytest.mark.parametrize("scenario", ["elastic-mode", "mixed-regions"])
+    def test_output_and_step_scan_no_bulk_field(self, monkeypatch, scenario):
+        # an output (stability report, energy, invariants), then a step:
+        # every value scan is of a plane, and no full u or F is built
+        state = cli.build_scenario(cli.preset(scenario, n1=12, n2=12, nz=13))
+        scans = _spy_scans(monkeypatch)
+        stab.stability_report(state)
+        stab.energy_es_eps(state)
+        dyn.invariant_report(state)
+        new, _ = dyn.step(state, 0.5 * dyn.stable_dt(state))
+        assert scans and {shape[-1] for shape in scans} == {1}
+        assert state._full is None and new._full is None
+
     def test_column_input_is_not_scanned(self, monkeypatch):
         state = cli.build_scenario(cli.preset("elastic-mode", n1=12, n2=8,
                                               nz=9))
-        scans = []
-        constant = geo._x2_constant
-        monkeypatch.setattr(geo, "_x2_constant",
-                            lambda a: scans.append(a.shape) or constant(a))
+        scans = _spy_scans(monkeypatch)
         given_col = dyn.FlowState(state.t, state.f, state._u, state._F,
                                   state.eps)
         assert scans == [(12, 8, 1)] * 2  # the map's: its interface only
         given_full = dyn.FlowState(state.t, state.f, state.u, state.F,
                                    state.eps)
+        # full fields: the map's two, then the one scan of u and of F
+        assert scans[2:] == [(12, 8, 1)] * 2 + [state.u.shape, state.F.shape]
         for a, b in ((given_col, given_full), (given_col, state)):
             assert np.array_equal(a._u, b._u) and np.array_equal(a._F, b._F)
             assert np.array_equal(a.u, b.u) and np.array_equal(a.F, b.F)

@@ -37,10 +37,15 @@ def _waterwave_state(n, nz, scale=0.4):
 
 def reference_hs_norm2(field, cmap, s):
     """bulk_hs_norm2 with every node of every scalar differentiated, zero
-    or not: the walk the pruned ladder must equal bit for bit.  The
-    gradient is looked up on the stability module, so a counter patched
-    in there counts these calls too."""
+    or not: the walk the pruned ladder must equal bit for bit.  A field
+    given by its x2 column is walked on columns, each node spread to full
+    width for its weighted sum.  The gradient is looked up on the
+    stability module, so a counter patched in there counts these calls
+    too."""
     w = volume_weights(cmap).ravel()
+
+    def full(a):
+        return np.repeat(a, cmap.grid.n2 // a.shape[-2], axis=-2)
 
     def below(level, depth):
         """The ladder under one scalar, down depth >= 1 more orders."""
@@ -49,13 +54,13 @@ def reference_hs_norm2(field, cmap, s):
         if depth > 1:
             for a in range(3):
                 total += below(g[a], depth - 1)
-        # the children have read g; square it in place, no temporary
-        g = g.reshape(3, -1)
+        g = full(g).reshape(3, -1)
         return total + float(np.sum(np.multiply(g, g, out=g) @ w))
 
+    field = np.asarray(field, dtype=float)
     total = 0.0
-    for c in np.asarray(field, dtype=float).reshape((-1,) + cmap.grid.shape):
-        x = c.ravel()
+    for c in field.reshape((-1,) + field.shape[-3:]):
+        x = full(c).ravel()
         total += float(np.dot(w * x, x)) + (below(c, int(s)) if s else 0.0)
     return total
 
@@ -451,6 +456,17 @@ class TestBulkLadderNorm:
             shapes.clear()
             stab.bulk_hs_norm2(F, cmap, s)
             assert len(shapes) == sum(want[k] for row in self.KINDS for k in row)
+
+    @pytest.mark.parametrize("scenario", ["mixed-regions", "elastic-mode"])
+    def test_columns_walk_as_full_fields(self, scenario):
+        # a column state's ladder runs on its x2 columns, bit for bit the
+        # walk of its full fields
+        st = cli.build_scenario(cli.preset(scenario, n1=12, n2=12, nz=13))
+        assert st._u.shape[-2] == st._F.shape[-2] == 1
+        for column, full in ((st._u, st.u), (st._F, st.F)):
+            for s in (0, 1, st.s):
+                assert (stab.bulk_hs_norm2(column, st.cmap, s)
+                        == stab.bulk_hs_norm2(full, st.cmap, s))
 
     @pytest.mark.parametrize("scenario, n, nz", [("mixed-regions", 16, 17),
                                                  ("elastic-mode", 12, 13)])
